@@ -60,6 +60,7 @@ from .extractors import (
 )
 from .generation import (
     ExternalPairs,
+    QualityCore,
     ServiceSpec,
     Surrogate,
     ValidationResult,

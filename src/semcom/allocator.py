@@ -4,8 +4,12 @@ A joint action assigns one factor from the admissible set D to each of
 the S services; the reward is the weighted mean of the services'
 normalized qualities, or -1 when the total byte cost exceeds the budget.
 Solvers: an exhaustive oracle (ground truth), a marginal-gain greedy
-heuristic, a uniform-random baseline, and a single-step DQN whose action
-space is the flat index over D^S.
+heuristic, a uniform-random baseline, and a learned agent over the flat
+index of D^S.  Each decision is one step that ends the episode, so the
+agent is an epsilon-greedy neural contextual bandit (Riquelme et al.,
+"Deep Bayesian Bandits Showdown", ICLR 2018): its Q-network regresses
+the immediate reward, with no bootstrapped target and no target network.
+The names ``dqn_*`` are kept for the CLI solver and the checkpoint.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .channel import ChannelConfig, budget_check
 from .codec import encoded_cost
 from .errors import DomainError, ShapeError, TooLargeError
 from .extractors import extract
-from .generation import GenerationBackend, ServiceSpec, Surrogate, reconstruct_and_score, score_semantic
+from .generation import GenerationBackend, QualityCore, ServiceSpec, Surrogate, reconstruct_and_score
 from .image import SemanticMap
 from .qnet import Mlp, SgdMomentum, td_loss_and_gradients
 
@@ -67,6 +71,14 @@ class AllocationInstance:
         return tuple(
             extract(svc.extractor, img, image_id=svc.id)
             for svc, img in zip(self.services, self.images)
+        )
+
+    @cached_property
+    def cores(self) -> tuple[QualityCore, ...]:
+        """Per-service Surrogate evaluators; each (service, factor) round trip runs once per instance."""
+        return tuple(
+            QualityCore(svc, img, semantic=smap, memo=True)
+            for svc, img, smap in zip(self.services, self.images, self.semantic_maps)
         )
 
     @cached_property
@@ -148,7 +160,7 @@ def _service_quality(
     inst: AllocationInstance, s: int, d: int, backend: GenerationBackend, rng: np.random.Generator
 ) -> float:
     if isinstance(backend, Surrogate):
-        return score_semantic(inst.services[s], inst.semantic_maps[s], d, rng)
+        return inst.cores[s].quality(d, rng)
     return reconstruct_and_score(inst.services[s], inst.images[s], d, backend, rng)
 
 
@@ -297,11 +309,9 @@ class DqnConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     momentum: float = 0.9
-    gamma: float = 0.0
     epsilon_start: float = 1.0
     epsilon_min: float = 0.05
     epsilon_decay_fraction: float = 0.8
-    target_sync: int = 50
     warmup: int = 64
     seed: int = 0
 
@@ -309,9 +319,8 @@ class DqnConfig:
 class DqnAgent:
     """Trained Q-network plus the action layout needed to decode its argmax."""
 
-    def __init__(self, online: Mlp, target: Mlp, factors, n_services: int, config: DqnConfig):
+    def __init__(self, online: Mlp, factors, n_services: int, config: DqnConfig):
         self.online = online
-        self.target = target
         self.factors = tuple(factors)
         self.n_services = n_services
         self.config = config
@@ -348,31 +357,21 @@ class _ReplayBuffer:
         self.states = np.zeros((capacity, state_dim))
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, state_dim))
-        self.dones = np.zeros(capacity)
         self.capacity = capacity
         self.size = 0
         self.cursor = 0
 
-    def push(self, state, action, reward, next_state, done):
+    def push(self, state, action, reward):
         i = self.cursor
         self.states[i] = state
         self.actions[i] = action
         self.rewards[i] = reward
-        self.next_states[i] = next_state
-        self.dones[i] = done
         self.cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch: int, rng: np.random.Generator):
         idx = rng.integers(0, self.size, size=batch)
-        return (
-            self.states[idx],
-            self.actions[idx],
-            self.rewards[idx],
-            self.next_states[idx],
-            self.dones[idx],
-        )
+        return self.states[idx], self.actions[idx], self.rewards[idx]
 
 
 def dqn_train(
@@ -381,12 +380,13 @@ def dqn_train(
     config: DqnConfig,
     backend: GenerationBackend,
 ) -> TrainResult:
-    """Train a single-step DQN over a pool of allocation instances.
+    """Train the contextual-bandit agent over a pool of allocation instances.
 
     Episodes are one joint decision: sample an instance, pick a joint
-    action epsilon-greedily, collect the reward, store the transition as
-    terminal, then take one gradient step on a uniform replay mini-batch
-    once the warmup is filled.  Everything is driven by config.seed.
+    action epsilon-greedily, collect the reward, store (state, action,
+    reward), then take one gradient step regressing Q(s, a) on the stored
+    reward over a uniform replay mini-batch once the warmup is filled.
+    Everything is driven by config.seed.
     """
     pool = list(pool)
     if not pool:
@@ -402,7 +402,6 @@ def dqn_train(
     init_rng, instance_rng, explore_rng, replay_rng, eval_rng = base.spawn(5)
 
     online = Mlp([state_dim, *config.hidden, n_actions], init_rng)
-    target = online.copy()
     optimizer = SgdMomentum(online, config.learning_rate, config.momentum)
     buffer = _ReplayBuffer(config.buffer_capacity, state_dim)
     epsilons = epsilon_schedule(episodes, config)
@@ -413,7 +412,6 @@ def dqn_train(
     instance_indices = np.zeros(episodes, dtype=np.int64)
     weights = np.array([svc.weight for svc in first.services])
     weight_sum = float(weights.sum())
-    grad_steps = 0
 
     for e in range(episodes):
         inst_idx = int(instance_rng.integers(len(pool)))
@@ -426,21 +424,12 @@ def dqn_train(
             a_idx = int(np.argmax(q[0]))
         action = decode_action(a_idx, inst.factors, inst.n_services)
         evaluation = evaluate_action(inst, action, backend, eval_rng)
-        buffer.push(state, a_idx, evaluation.reward, state, 1.0)
+        buffer.push(state, a_idx, evaluation.reward)
 
         if buffer.size >= config.warmup:
-            s_b, a_b, r_b, ns_b, done_b = buffer.sample(config.batch_size, replay_rng)
-            if config.gamma > 0.0:
-                q_next, _ = target.forward(ns_b)
-                bootstrap = config.gamma * q_next.max(axis=1) * (1.0 - done_b)
-            else:
-                bootstrap = 0.0
-            targets = r_b + bootstrap
-            loss_value, d_w, d_b = td_loss_and_gradients(online, s_b, a_b, targets)
+            s_b, a_b, r_b = buffer.sample(config.batch_size, replay_rng)
+            _, d_w, d_b = td_loss_and_gradients(online, s_b, a_b, r_b)
             optimizer.step(online, d_w, d_b)
-            grad_steps += 1
-            if grad_steps % config.target_sync == 0:
-                target = online.copy()
 
         rewards[e] = evaluation.reward
         qualities = np.array([rep.quality for rep in evaluation.reports])
@@ -448,7 +437,7 @@ def dqn_train(
         action_indices[e] = a_idx
         instance_indices[e] = inst_idx
 
-    agent = DqnAgent(online, target, first.factors, first.n_services, config)
+    agent = DqnAgent(online, first.factors, first.n_services, config)
     return TrainResult(
         agent=agent,
         rewards=rewards,

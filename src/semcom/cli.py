@@ -6,8 +6,8 @@ instance), pipeline (extract, validate, transmit, decode, score per
 service).  All outputs are CSV or binary artifacts in the configured
 output directory; reruns with the same config are byte-identical.
 
-Exit codes: 0 success, 1 a service failed validation, 2 usage or config
-errors.
+Exit codes: 0 success, 1 a domain failure (a service failed validation,
+or the delivered bytes exceed the budget), 2 usage or config errors.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .config import ExperimentConfig, RunManifest, load_config, parse_extractor
 from .errors import SemcomError, ValidationFailedError
 from .extractors import extract, extractor_label
 from .generation import Surrogate, validate_and_adjust
-from .image import read_pgm, restore_kind, write_pgm
-from .metrics import metric_label, score
+from .image import read_pgm, write_pgm
+from .metrics import metric_label
 from .pairing import fit_predictability, sweep_curve
 from .qnet import save_qnet
 from .rng import stream
@@ -82,12 +82,12 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config)
     manifest = _start_manifest("sweep", config)
 
-    image_paths = []
+    # each image goes by the id of the first service naming it, as in allocate and pipeline
+    first_ids = {}
     for entry in config.services:
-        if entry.image_path not in image_paths:
-            image_paths.append(entry.image_path)
-    images = [read_pgm(p) for p in image_paths]
-    ids = [f"{os.path.splitext(os.path.basename(p))[0]}_{i}" for i, p in enumerate(image_paths)]
+        first_ids.setdefault(entry.image_path, entry.spec.id)
+    images = [read_pgm(p) for p in first_ids]
+    ids = list(first_ids.values())
 
     pairs = []
     seen = set()
@@ -171,6 +171,24 @@ def cmd_allocate(args) -> int:
     return 0
 
 
+def _deliver(entry, config: ExperimentConfig, manifest: RunManifest, gen_rng, chan_rng) -> tuple:
+    """Validate, send and score one service; its maps are freed before the next one is extracted."""
+    spec = entry.spec
+    requested = entry.requested_d if entry.requested_d is not None else max(config.factors)
+    validation = validate_and_adjust(
+        spec, read_pgm(entry.image_path), requested, config.factors, Surrogate(), gen_rng
+    )
+    core = validation.core
+    result = transmit(encode(core.semantic, validation.accepted_d), config.channel, chan_rng)
+    payload_path = os.path.join(config.output_dir, f"{spec.id}_payload.bin")
+    with open(payload_path, "wb") as fh:
+        fh.write(serialize_payload(result.delivered))
+    manifest.record(payload_path)
+
+    quality = core.score_reconstruction(decode(result.delivered), gen_rng)
+    return (spec.id, "ok", validation.accepted_d, result.bytes_used, quality)
+
+
 def cmd_pipeline(args) -> int:
     config = load_config(args.config)
     manifest = _start_manifest("pipeline", config)
@@ -181,34 +199,14 @@ def cmd_pipeline(args) -> int:
     delivered_bytes = []
     any_failed = False
     for entry in config.services:
-        spec = entry.spec
-        image = read_pgm(entry.image_path)
-        requested = entry.requested_d if entry.requested_d is not None else max(config.factors)
         try:
-            validation = validate_and_adjust(
-                spec, image, requested, config.factors, Surrogate(), gen_rng
-            )
+            row = _deliver(entry, config, manifest, gen_rng, chan_rng)
         except ValidationFailedError as exc:
             any_failed = True
-            rows.append((spec.id, "validation_failed", "", 0, exc.quality))
+            rows.append((entry.spec.id, "validation_failed", "", 0, exc.quality))
             continue
-
-        semantic = extract(spec.extractor, image, image_id=spec.id)
-        payload = encode(semantic, validation.accepted_d)
-        result = transmit(payload, config.channel, chan_rng)
-        payload_path = os.path.join(config.output_dir, f"{spec.id}_payload.bin")
-        with open(payload_path, "wb") as fh:
-            fh.write(serialize_payload(result.delivered))
-        manifest.record(payload_path)
-
-        reference = decode(encode(semantic, 1))
-        recon = decode(result.delivered)
-        if spec.sigma_gen > 0.0:
-            noisy = np.clip(recon.pixels + gen_rng.normal(0.0, spec.sigma_gen, recon.pixels.shape), 0.0, 1.0)
-            recon = restore_kind(noisy, recon.kind, recon.levels)
-        quality = score(spec.metric, reference, recon)
-        rows.append((spec.id, "ok", validation.accepted_d, result.bytes_used, quality))
-        delivered_bytes.append(result.bytes_used)
+        rows.append(row)
+        delivered_bytes.append(row[3])
 
     report_path = os.path.join(config.output_dir, "pipeline_report.csv")
     _write_csv(report_path, ["service", "status", "accepted_d", "bytes", "quality"], rows)
@@ -216,7 +214,12 @@ def cmd_pipeline(args) -> int:
     check = budget_check(delivered_bytes, config.channel)
     manifest.emitted.append(f"budget: total={check.total} feasible={check.feasible}")
     _finish_manifest(manifest, config, "pipeline_manifest.txt")
-    return 1 if any_failed else 0
+    if not check.feasible:
+        print(
+            f"budget: delivered {check.total} bytes exceed budget_bytes = {config.channel.budget_bytes}",
+            file=sys.stderr,
+        )
+    return 1 if any_failed or not check.feasible else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,8 +8,10 @@ headers; ``#`` starts a comment.  Sections:
                  <name>.sigma_gen, <name>.d (requested factor)
     [channel]    budget_bytes, bit_flip_prob, seed
     [factors]    d = comma-separated admissible factor list
-    [dqn]        episodes, gamma, lr, epsilon_min, buffer, batch, sync,
-                 hidden (comma list), warmup
+    [dqn]        episodes, lr, epsilon_min, buffer, batch, hidden (comma
+                 list), warmup; the agent is a one-step contextual bandit,
+                 so the former DQN keys gamma and sync are accepted and
+                 ignored
     [output]     dir
 
 Extractor values: canny[(low=..;high=..;sigma=..)], sobel,
@@ -242,9 +244,7 @@ def load_config(path) -> ExperimentConfig:
             buffer_capacity=int(dqn_fields.get("buffer", 4096)),
             batch_size=int(dqn_fields.get("batch", 32)),
             learning_rate=float(dqn_fields.get("lr", 1e-3)),
-            gamma=float(dqn_fields.get("gamma", 0.0)),
             epsilon_min=float(dqn_fields.get("epsilon_min", 0.05)),
-            target_sync=int(dqn_fields.get("sync", 50)),
             warmup=int(dqn_fields.get("warmup", 64)),
             seed=_label_seed(channel.seed, "dqn"),
         )

@@ -11,8 +11,8 @@ offline, the ExternalPairs backend scores those instead, loading
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,6 +67,85 @@ def _external_pair(directory: str, image_id: str, d: int) -> tuple[SemanticMap, 
     return read_pgm(ref_path), read_pgm(rec_path)
 
 
+class QualityCore:
+    """The one evaluation path: quality of one service's content at any factor.
+
+    The semantic map is extracted lazily and once, and so is the factor-1
+    reference ``decode(encode(map, 1))``.  With ``memo`` set, the score of
+    a noise-free service, or the reconstruction of a noisy one, is kept
+    per factor; only callers that repeat factors should set it, since a
+    kept reconstruction is as large as the source image.
+    """
+
+    def __init__(
+        self,
+        svc: ServiceSpec,
+        source: SemanticMap | None,
+        backend: GenerationBackend = Surrogate(),
+        image_id: str | None = None,
+        semantic: SemanticMap | None = None,
+        memo: bool = False,
+    ):
+        self.svc = svc
+        self.source = source
+        self.backend = backend
+        self.image_id = image_id or svc.id
+        self._semantic = semantic
+        self._reference = None
+        self._memo = {} if memo else None
+
+    @property
+    def semantic(self) -> SemanticMap:
+        if self._semantic is None:
+            self._semantic = extract(self.svc.extractor, self.source, image_id=self.image_id)
+        return self._semantic
+
+    @property
+    def reference(self) -> SemanticMap:
+        """Content deliverable from the original semantics: the factor-1 round trip."""
+        if self._reference is None:
+            self._reference = decode(encode(self.semantic, 1))
+        return self._reference
+
+    def _reconstruct(self, d: int) -> SemanticMap:
+        # the reference first: its full-size decode then runs while no reconstruction is held
+        reference = self.reference
+        return reference if d == 1 else decode(encode(self.semantic, d))
+
+    def score_reconstruction(self, recon: SemanticMap, rng: np.random.Generator) -> float:
+        """Score received content against the reference, after generation noise."""
+        if self.svc.sigma_gen > 0.0:
+            noisy = np.clip(recon.pixels + rng.normal(0.0, self.svc.sigma_gen, recon.pixels.shape), 0.0, 1.0)
+            recon = restore_kind(noisy, recon.kind, recon.levels)
+        return score(self.svc.metric, self.reference, recon)
+
+    def quality(self, d: int, rng: np.random.Generator) -> float:
+        """Quality when the semantics travel at factor d."""
+        if d < 1:
+            raise DomainError(f"downscale factor must be >= 1, got {d}")
+        if isinstance(self.backend, ExternalPairs):
+            ref, rec = _external_pair(self.backend.directory, self.image_id, d)
+            return score(self.svc.metric, ref, rec)
+        if self._memo is None:
+            return self.score_reconstruction(self._reconstruct(d), rng)
+        if self.svc.sigma_gen == 0.0:
+            if d not in self._memo:
+                self._memo[d] = self.score_reconstruction(self._reconstruct(d), rng)
+            return self._memo[d]
+        if d not in self._memo:
+            self._memo[d] = self._reconstruct(d)
+        return self.score_reconstruction(self._memo[d], rng)
+
+    def descend(self, factors: Iterable[int], rng: np.random.Generator) -> tuple[int | None, list[float]]:
+        """Try ``factors`` in order; the first meeting the threshold, and every score seen."""
+        seen = []
+        for d in factors:
+            seen.append(self.quality(d, rng))
+            if seen[-1] >= self.svc.threshold:
+                return d, seen
+        return None, seen
+
+
 def score_semantic(svc: ServiceSpec, semantic: SemanticMap, d: int, rng: np.random.Generator) -> float:
     """Codec round trip on an already-extracted map, plus generation noise.
 
@@ -76,12 +155,7 @@ def score_semantic(svc: ServiceSpec, semantic: SemanticMap, d: int, rng: np.rand
     content deliverable from downscaled semantics, so without generation
     noise the factor-1 score is exactly 1 for every metric.
     """
-    reference = decode(encode(semantic, 1))
-    recon = reference if d == 1 else decode(encode(semantic, d))
-    if svc.sigma_gen > 0.0:
-        noisy = np.clip(recon.pixels + rng.normal(0.0, svc.sigma_gen, recon.pixels.shape), 0.0, 1.0)
-        recon = restore_kind(noisy, recon.kind, recon.levels)
-    return score(svc.metric, reference, recon)
+    return QualityCore(svc, None, semantic=semantic).quality(d, rng)
 
 
 def reconstruct_and_score(
@@ -93,19 +167,16 @@ def reconstruct_and_score(
     image_id: str | None = None,
 ) -> float:
     """Quality of the service's content when its semantics travel at factor d."""
-    if d < 1:
-        raise DomainError(f"downscale factor must be >= 1, got {d}")
-    if isinstance(backend, ExternalPairs):
-        ref, rec = _external_pair(backend.directory, image_id or svc.id, d)
-        return score(svc.metric, ref, rec)
-    semantic = extract(svc.extractor, source, image_id=image_id or svc.id)
-    return score_semantic(svc, semantic, d, rng)
+    return QualityCore(svc, source, backend, image_id).quality(d, rng)
 
 
 @dataclass(frozen=True)
 class ValidationResult:
+    """The accepted factor and its quality; ``core`` lets the caller reuse the extracted map."""
+
     accepted_d: int
     quality: float
+    core: QualityCore | None = field(default=None, compare=False, repr=False)
 
 
 def validate_and_adjust(
@@ -127,15 +198,14 @@ def validate_and_adjust(
     ordered = sorted(factors)
     if d_requested not in ordered:
         raise DomainError(f"requested factor {d_requested} not in admissible set {ordered}")
-    quality = None
-    for d in reversed(ordered[: ordered.index(d_requested) + 1]):
-        quality = reconstruct_and_score(svc, source, d, backend, rng, image_id=image_id)
-        if quality >= svc.threshold:
-            return ValidationResult(accepted_d=d, quality=quality)
-    raise ValidationFailedError(
-        f"service {svc.id}: even factor {ordered[0]} scores {quality:.6f} < threshold {svc.threshold}",
-        quality=quality,
-    )
+    core = QualityCore(svc, source, backend, image_id)
+    accepted, seen = core.descend(reversed(ordered[: ordered.index(d_requested) + 1]), rng)
+    if accepted is None:
+        raise ValidationFailedError(
+            f"service {svc.id}: even factor {ordered[0]} scores {seen[-1]:.6f} < threshold {svc.threshold}",
+            quality=seen[-1],
+        )
+    return ValidationResult(accepted_d=accepted, quality=seen[-1], core=core)
 
 
 def min_representation_search(
@@ -154,13 +224,10 @@ def min_representation_search(
     """
     if not factors:
         raise DomainError("factor set must be non-empty")
-    best_quality = None
-    for d in sorted(factors, reverse=True):
-        quality = reconstruct_and_score(svc, source, d, backend, rng, image_id=image_id)
-        if quality >= svc.threshold:
-            return d
-        best_quality = quality if best_quality is None else max(best_quality, quality)
-    raise ValidationFailedError(
-        f"service {svc.id}: no factor in {sorted(factors)} reaches threshold {svc.threshold}",
-        quality=best_quality,
-    )
+    accepted, seen = QualityCore(svc, source, backend, image_id).descend(sorted(factors, reverse=True), rng)
+    if accepted is None:
+        raise ValidationFailedError(
+            f"service {svc.id}: no factor in {sorted(factors)} reaches threshold {svc.threshold}",
+            quality=max(seen),
+        )
+    return accepted

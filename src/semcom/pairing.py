@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .extractors import ExtractorKind, extractor_label
-from .generation import GenerationBackend, ServiceSpec, reconstruct_and_score
+from .generation import GenerationBackend, QualityCore, ServiceSpec
 from .image import SemanticMap
 from .metrics import MetricKind, metric_label
 
@@ -137,17 +137,19 @@ def sweep_curve(
     if len(factors) < 3:
         raise DomainError(f"need at least 3 factors, got {list(factors)}")
     ids = list(image_ids) if image_ids is not None else [f"img{i}" for i in range(len(images))]
+    ordered = sorted(factors)
     streams = rng.spawn(len(images))
-    qualities = []
-    for d in sorted(factors):
-        total = 0.0
-        for img, img_id, sub in zip(images, ids, streams):
-            svc = ServiceSpec(id=img_id, extractor=extractor, metric=metric, sigma_gen=sigma_gen)
-            total += reconstruct_and_score(svc, img, d, backend, sub, image_id=img_id)
-        qualities.append(total / len(images))
+    # image-outer so each map is extracted once; every image's stream is still
+    # drawn in factor order, and every factor's total still sums in image order
+    totals = [0.0] * len(ordered)
+    for img, img_id, sub in zip(images, ids, streams):
+        svc = ServiceSpec(id=img_id, extractor=extractor, metric=metric, sigma_gen=sigma_gen)
+        core = QualityCore(svc, img, backend, image_id=img_id)
+        for j, d in enumerate(ordered):
+            totals[j] += core.quality(d, sub)
     return ResponseCurve(
-        factors=tuple(sorted(factors)),
-        qualities=tuple(qualities),
+        factors=tuple(ordered),
+        qualities=tuple(total / len(images) for total in totals),
         extractor=extractor,
         metric=metric,
     )

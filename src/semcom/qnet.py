@@ -44,9 +44,6 @@ class Mlp:
         net.biases = [np.array(b, dtype=np.float64) for b in biases]
         return net
 
-    def copy(self) -> "Mlp":
-        return Mlp.from_params(self.sizes, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
     def forward(self, x: np.ndarray):
         """Outputs and the per-layer cache the backward pass needs."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))

@@ -195,3 +195,71 @@ def reference_vi_quality(a, b, k):
         mi += pxy * math.log(pxy / ((pa[la] / n) * (pb[lb] / n)))
     vi = hx + hy - 2.0 * mi
     return min(max(1.0 - vi / (2.0 * math.log(k)), 0.0), 1.0)
+
+
+def reference_quality(svc, image, d, rng):
+    """One service's quality at factor d, recomputed from the source image on every call."""
+    from semcom.codec import decode, encode
+    from semcom.extractors import extract
+    from semcom.image import restore_kind
+    from semcom.metrics import score
+
+    semantic = extract(svc.extractor, image, image_id=svc.id)
+    reference = decode(encode(semantic, 1))
+    recon = decode(encode(semantic, d))
+    if svc.sigma_gen > 0.0:
+        noisy = np.clip(recon.pixels + rng.normal(0.0, svc.sigma_gen, recon.pixels.shape), 0.0, 1.0)
+        recon = restore_kind(noisy, recon.kind, recon.levels)
+    return score(svc.metric, reference, recon)
+
+
+def reference_dqn_train(pool, episodes, config):
+    """dqn_train as a literal episode loop that reruns every service's round trip.
+
+    Every episode scores each service with reference_quality, so nothing
+    is kept between episodes.  Returns the rewards,
+    losses, action indices and the trained network.
+    """
+    from semcom.allocator import decode_action, epsilon_schedule
+    from semcom.codec import encoded_cost
+    from semcom.qnet import Mlp, SgdMomentum, td_loss_and_gradients
+
+    first = pool[0]
+    init_rng, instance_rng, explore_rng, replay_rng, eval_rng = np.random.default_rng(config.seed).spawn(5)
+    net = Mlp([3 * first.n_services + 1, *config.hidden, first.n_actions], init_rng)
+    optimizer = SgdMomentum(net, config.learning_rate, config.momentum)
+    epsilons = epsilon_schedule(episodes, config)
+    memory = []
+    rewards, losses, actions = [], [], []
+    for e in range(episodes):
+        inst = pool[int(instance_rng.integers(len(pool)))]
+        state = inst.state_vector
+        if float(explore_rng.random()) < epsilons[e]:
+            a_idx = int(explore_rng.integers(first.n_actions))
+        else:
+            a_idx = int(np.argmax(net.forward(state)[0][0]))
+        action = decode_action(a_idx, inst.factors, inst.n_services)
+        qualities = [
+            reference_quality(svc, img, d, eval_rng) for svc, img, d in zip(inst.services, inst.images, action)
+        ]
+        total = sum(encoded_cost(img.width, img.height, d) for img, d in zip(inst.images, action))
+        weights = np.array([svc.weight for svc in inst.services])
+        q = np.array(qualities)
+        reward = float(np.sum(weights * q) / np.sum(weights)) if total <= inst.channel.budget_bytes else -1.0
+
+        entry = (state, a_idx, reward)
+        if len(memory) < config.buffer_capacity:
+            memory.append(entry)
+        else:
+            memory[e % config.buffer_capacity] = entry
+        if len(memory) >= config.warmup:
+            idx = replay_rng.integers(0, len(memory), size=config.batch_size)
+            s_b = np.array([memory[i][0] for i in idx])
+            a_b = np.array([memory[i][1] for i in idx])
+            r_b = np.array([memory[i][2] for i in idx])
+            _, d_w, d_b = td_loss_and_gradients(net, s_b, a_b, r_b)
+            optimizer.step(net, d_w, d_b)
+        rewards.append(reward)
+        losses.append(float(np.sum(weights * (1.0 - q)) / np.sum(weights)))
+        actions.append(a_idx)
+    return np.array(rewards), np.array(losses), np.array(actions), net

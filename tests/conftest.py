@@ -26,3 +26,22 @@ def random_map(rng, width, height):
 @pytest.fixture
 def make_random_map():
     return random_map
+
+
+@pytest.fixture
+def extract_calls(monkeypatch):
+    """Record (extractor, image) of every extraction made through the program's modules."""
+    import semcom.allocator
+    import semcom.cli
+    import semcom.generation
+
+    calls = []
+    original = semcom.generation.extract
+
+    def counted(kind, image, image_id=None):
+        calls.append((repr(kind), id(image)))
+        return original(kind, image, image_id=image_id)
+
+    for module in (semcom.generation, semcom.allocator, semcom.cli):
+        monkeypatch.setattr(module, "extract", counted)
+    return calls

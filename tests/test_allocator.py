@@ -248,7 +248,7 @@ def test_dqn_act_decodes_hand_set_weights():
     w = np.zeros((state_dim, n_actions))
     b = np.array([0.0, 0.1, 0.2, 1.0])
     net = Mlp.from_params([state_dim, n_actions], [w], [b])
-    agent = DqnAgent(net, net.copy(), factors, 2, DqnConfig())
+    agent = DqnAgent(net, factors, 2, DqnConfig())
     action = dqn_act(agent, np.zeros(state_dim))
     assert action == decode_action(3, factors, 2) == (2, 2)
 
@@ -256,12 +256,12 @@ def test_dqn_act_decodes_hand_set_weights():
 def test_dqn_act_ties_pick_index_zero():
     factors = (1, 2)
     net = Mlp.from_params([3, 4], [np.zeros((3, 4))], [np.zeros(4)])
-    agent = DqnAgent(net, net.copy(), factors, 2, DqnConfig())
+    agent = DqnAgent(net, factors, 2, DqnConfig())
     assert dqn_act(agent, np.zeros(3)) == decode_action(0, factors, 2)
 
 
 def test_dqn_act_shape_check():
     net = Mlp.from_params([3, 4], [np.zeros((3, 4))], [np.zeros(4)])
-    agent = DqnAgent(net, net.copy(), (1, 2), 2, DqnConfig())
+    agent = DqnAgent(net, (1, 2), 2, DqnConfig())
     with pytest.raises(ShapeError):
         dqn_act(agent, np.zeros(5))

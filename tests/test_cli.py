@@ -300,3 +300,63 @@ def test_pipeline_rerun_byte_identical(tmp_path):
     assert main(["pipeline", "--config", str(cfg)]) == 0
     for name, data in snapshot.items():
         assert (out / name).read_bytes() == data, name
+
+
+def small_two_service_config(tmp_path, extractor="sobel", budget=10**6):
+    """64x64 two-service config, each service on its own image."""
+    for name, img in [("a", diagonal(64)), ("b", filled_square(64, 20))]:
+        write_pgm(img, tmp_path / f"{name}.pgm")
+    return write_config(
+        tmp_path,
+        f"""
+[services]
+a.extractor = {extractor}
+a.metric = mse
+a.image = {tmp_path / 'a.pgm'}
+b.extractor = {extractor}
+b.metric = ssim
+b.image = {tmp_path / 'b.pgm'}
+
+[channel]
+budget_bytes = {budget}
+seed = 3
+
+[factors]
+d = 1,2,4,8
+
+[output]
+dir = {tmp_path / 'out'}
+""",
+    )
+
+
+def test_sweep_finds_external_maps_by_service_name(tmp_path):
+    (tmp_path / "maps").mkdir()
+    write_pgm(gradient(64), tmp_path / "maps" / "a.pgm")
+    write_pgm(vertical_step(64), tmp_path / "maps" / "b.pgm")
+    cfg = small_two_service_config(tmp_path, extractor=f"external(template={tmp_path / 'maps'}/{{id}}.pgm)")
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    curves = (tmp_path / "out" / "curves.csv").read_text().splitlines()[1:]
+    assert len(curves) == 2 * 4
+    assert all(float(line.split(",")[2]) == 1.0 for line in curves if line.split(",")[1] == "1")
+
+
+def test_pipeline_over_budget_is_a_domain_failure(tmp_path, capsys):
+    cfg = small_two_service_config(tmp_path, budget=100)
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "budget" in err and "100" in err
+    out = tmp_path / "out"
+    rows = (out / "pipeline_report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["ok", "ok"]
+    total = sum(int(row.split(",")[3]) for row in rows)
+    assert total > 100
+    assert f"budget: total={total} feasible=False" in (out / "pipeline_manifest.txt").read_text()
+
+
+def test_pipeline_extracts_once_per_service(tmp_path, extract_calls):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    cfg.write_text(cfg.read_text().replace("edges.threshold = 0.0", "edges.threshold = 0.999"))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert len(extract_calls) == len(set(extract_calls)) == 2
