@@ -410,8 +410,7 @@ def dqn_train(
     losses = np.zeros(episodes)
     action_indices = np.zeros(episodes, dtype=np.int64)
     instance_indices = np.zeros(episodes, dtype=np.int64)
-    weights = np.array([svc.weight for svc in first.services])
-    weight_sum = float(weights.sum())
+    pool_weights = [np.array([svc.weight for svc in inst.services]) for inst in pool]
 
     for e in range(episodes):
         inst_idx = int(instance_rng.integers(len(pool)))
@@ -433,7 +432,8 @@ def dqn_train(
 
         rewards[e] = evaluation.reward
         qualities = np.array([rep.quality for rep in evaluation.reports])
-        losses[e] = float(np.sum(weights * (1.0 - qualities)) / weight_sum)
+        weights = pool_weights[inst_idx]
+        losses[e] = float(np.sum(weights * (1.0 - qualities)) / np.sum(weights))
         action_indices[e] = a_idx
         instance_indices[e] = inst_idx
 

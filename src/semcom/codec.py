@@ -138,6 +138,8 @@ def parse_payload(data: bytes) -> EncodedPayload:
     if len(body) != ew * eh:
         raise CorruptPayloadError(f"payload has {len(body)} bytes, header needs {ew * eh}")
     kind = _TAG_KINDS[tag]
+    if kind == LABELS and k < 2:
+        raise CorruptPayloadError(f"labels payload needs a level count K >= 2, got {k}")
     return EncodedPayload(
         orig_width=ow,
         orig_height=oh,

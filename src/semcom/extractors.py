@@ -80,12 +80,14 @@ def extractor_label(kind: ExtractorKind) -> str:
     raise DomainError(f"unknown extractor kind {kind!r}")
 
 
-def _shifted(arr: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """View of arr shifted by (dy, dx) with border coordinates clamped."""
-    h, w = arr.shape
-    ys = np.clip(np.arange(h) + dy, 0, h - 1)
-    xs = np.clip(np.arange(w) + dx, 0, w - 1)
-    return arr[np.ix_(ys, xs)]
+def _edge_padded(arr: np.ndarray, ry: int, rx: int) -> np.ndarray:
+    """arr with ry rows and rx columns of clamped border on each side.
+
+    Slice ``[ry + dy : ry + dy + h, rx + dx : rx + dx + w]`` of the result
+    is arr shifted by (dy, dx) with border coordinates clamped, for any
+    |dy| <= ry and |dx| <= rx, even when the pad is wider than arr.
+    """
+    return np.pad(arr, ((ry, ry), (rx, rx)), mode="edge")
 
 
 def _gaussian_blur(arr: np.ndarray, sigma: float) -> np.ndarray:
@@ -93,29 +95,40 @@ def _gaussian_blur(arr: np.ndarray, sigma: float) -> np.ndarray:
     offsets = np.arange(-radius, radius + 1)
     weights = np.exp(-(offsets.astype(float) ** 2) / (2.0 * sigma * sigma))
     weights /= weights.sum()
+    h, w = arr.shape
     # Separable passes with per-axis clamping equal the 2D product kernel.
+    # Taps are added in offset order, starting from zero.
+    term = np.empty_like(arr)
     out = np.zeros_like(arr)
-    for k, off in enumerate(offsets):
-        out += weights[k] * _shifted(arr, 0, off)
+    padded = _edge_padded(arr, 0, radius)
+    for k in range(offsets.size):
+        out += np.multiply(padded[:, k : k + w], weights[k], out=term)
     final = np.zeros_like(arr)
-    for k, off in enumerate(offsets):
-        final += weights[k] * _shifted(out, off, 0)
+    padded = _edge_padded(out, radius, 0)
+    for k in range(offsets.size):
+        final += np.multiply(padded[k : k + h], weights[k], out=term)
     return final
 
 
 def _sobel_gradients(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Paired differences keep flat regions at exactly zero gradient.
-    gx = (
-        (_shifted(arr, -1, 1) - _shifted(arr, -1, -1))
-        + 2.0 * (_shifted(arr, 0, 1) - _shifted(arr, 0, -1))
-        + (_shifted(arr, 1, 1) - _shifted(arr, 1, -1))
-    )
-    gy = (
-        (_shifted(arr, 1, -1) - _shifted(arr, -1, -1))
-        + 2.0 * (_shifted(arr, 1, 0) - _shifted(arr, -1, 0))
-        + (_shifted(arr, 1, 1) - _shifted(arr, -1, 1))
-    )
+    # Paired differences keep flat regions at exactly zero gradient.  gx
+    # smooths the column differences of three adjacent rows, gy the row
+    # differences of three adjacent columns.
+    padded = _edge_padded(arr, 1, 1)
+    gx = _smooth_121(padded[:, 2:] - padded[:, :-2], axis=0)
+    gy = _smooth_121(padded[2:] - padded[:-2], axis=1)
     return gx, gy
+
+
+def _smooth_121(diff: np.ndarray, axis: int) -> np.ndarray:
+    """d[-1] + 2 d[0] + d[1] over neighbouring slices of diff along axis, summed in that order."""
+    if axis == 0:
+        out = diff[:-2] + diff[1:-1] * 2.0
+        out += diff[2:]
+    else:
+        out = diff[:, :-2] + diff[:, 1:-1] * 2.0
+        out += diff[:, 2:]
+    return out
 
 
 _SECTOR_NEIGHBORS = ((0, 1), (1, 1), (1, 0), (1, -1))
@@ -138,29 +151,35 @@ def canny(image: SemanticMap, params: Canny = Canny()) -> SemanticMap:
     if gmax == 0.0:
         return SemanticMap(np.zeros_like(mag), kind=BINARY)
 
-    deg = np.degrees(np.arctan2(gy, gx)) % 180.0
-    sector = np.zeros(mag.shape, dtype=np.int64)
-    sector[(deg >= 22.5) & (deg < 67.5)] = 1
-    sector[(deg >= 67.5) & (deg < 112.5)] = 2
-    sector[(deg >= 112.5) & (deg < 157.5)] = 3
+    # Direction modulo 180 degrees.  Adding 180 to the negative angles is
+    # what % 180 computes for them; -180 and 180 (0 under %) and -0.0 all
+    # fall in sector 0 either way.
+    deg = np.degrees(np.arctan2(gy, gx))
+    np.add(deg, 180.0, out=deg, where=deg < 0.0)
+    bands = [(deg >= lo) & (deg < lo + 45.0) for lo in (22.5, 67.5, 112.5)]
+    sectors = [~(bands[0] | bands[1] | bands[2]), *bands]
 
-    nms = np.zeros_like(mag)
-    for sec, (dy, dx) in enumerate(_SECTOR_NEIGHBORS):
-        fwd = _shifted(mag, dy, dx)
-        bwd = _shifted(mag, -dy, -dx)
-        keep = (sector == sec) & (mag >= fwd) & (mag >= bwd)
-        nms[keep] = mag[keep]
+    h, w = mag.shape
+    padded = _edge_padded(mag, 1, 1)
+    keep = np.zeros(mag.shape, dtype=bool)
+    for in_sector, (dy, dx) in zip(sectors, _SECTOR_NEIGHBORS):
+        fwd = padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
+        bwd = padded[1 - dy : 1 - dy + h, 1 - dx : 1 - dx + w]
+        keep |= in_sector & (mag >= fwd) & (mag >= bwd)
+    nms = np.where(keep, mag, 0.0)
 
     strong = nms >= params.high * gmax
     weak = nms >= params.low * gmax
     edges = strong.copy()
     frontier = strong
     while frontier.any():
-        reach = np.zeros_like(frontier)
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if dy or dx:
-                    reach |= _shifted(frontier, dy, dx)
+        # 3x3 dilation as a row pass then a column pass; the centre term
+        # adds only pixels already in edges.
+        padded = _edge_padded(frontier, 1, 1)
+        rows = padded[:, :-2] | padded[:, 1:-1]
+        rows |= padded[:, 2:]
+        reach = rows[:-2] | rows[1:-1]
+        reach |= rows[2:]
         newly = reach & weak & ~edges
         edges |= newly
         frontier = newly

@@ -214,6 +214,9 @@ def bilinear_upscale(map: SemanticMap, target: Resolution) -> SemanticMap:
     arr = map.pixels
     h, w = arr.shape
     th, tw = target.height, target.width
+    if (th, tw) == (h, w):
+        # Every sample falls on a source pixel with zero weight on its neighbour.
+        return map if map.kind == SOFT else SemanticMap(arr)
 
     def sample_coords(n_in: int, n_out: int) -> np.ndarray:
         if n_out == 1 or n_in == 1:
@@ -229,12 +232,20 @@ def bilinear_upscale(map: SemanticMap, target: Resolution) -> SemanticMap:
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
 
-    # Lerp form keeps constants exact and stays inside [min, max].
-    top = arr[np.ix_(y0, x0)]
-    top = top + fx * (arr[np.ix_(y0, x1)] - top)
-    bottom = arr[np.ix_(y1, x0)]
-    bottom = bottom + fx * (arr[np.ix_(y1, x1)] - bottom)
-    return SemanticMap(top + fy * (bottom - top))
+    # Lerp form keeps constants exact and stays inside [min, max].  Each
+    # source row is lerped along x once; gathering rows y0 and y1 of that
+    # gives the same top and bottom rows as gathering the four corners.
+    left = arr[:, x0]
+    rows = arr[:, x1]
+    rows -= left
+    rows *= fx
+    rows += left
+    top = rows[y0]
+    out = rows[y1]
+    out -= top
+    out *= fy
+    out += top
+    return SemanticMap(out)
 
 
 def downscaled_resolution(width: int, height: int, d: int) -> Resolution:

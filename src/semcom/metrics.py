@@ -88,27 +88,60 @@ def psnr_quality(a: SemanticMap, b: SemanticMap, cap_db: float = 50.0) -> float:
 
 
 def _window_means(arr: np.ndarray, w: int) -> np.ndarray:
-    """Mean of every w x w sliding window (stride 1) via an integral image."""
-    c = np.cumsum(np.cumsum(arr, axis=0), axis=1)
-    c = np.pad(c, ((1, 0), (1, 0)))
-    return (c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]) / (w * w)
+    """Mean of every w x w sliding window (stride 1) via an integral image.
+
+    The integral image is summed down the columns first, then along the
+    rows, into one array with a zero top row and left column.
+    """
+    h, n = arr.shape
+    c = np.zeros((h + 1, n + 1))
+    inner = c[1:, 1:]
+    inner[0] = arr[0]
+    for i in range(1, h):
+        np.add(inner[i - 1], arr[i], out=inner[i])
+    np.cumsum(inner, axis=1, out=inner)
+    out = c[w:, w:] - c[:-w, w:]
+    out -= c[w:, :-w]
+    out += c[:-w, :-w]
+    out /= w * w
+    return out
 
 
 def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuality()) -> float:
+    """Mean SSIM over all w x w windows (Wang et al., IEEE TIP 13(4), 2004)."""
     _check_shapes(a, b)
     w = params.window
     if a.width < w or a.height < w:
         raise TooSmallError(f"both dimensions must be >= window {w}, got {a.width}x{a.height}")
     x, y = a.pixels, b.pixels
+    c1, c2 = params.c1, params.c2
     mx = _window_means(x, w)
     my = _window_means(y, w)
-    # sample (not Bessel-corrected) second moments
-    vx = _window_means(x * x, w) - mx * mx
-    vy = _window_means(y * y, w) - my * my
-    cov = _window_means(x * y, w) - mx * my
-    c1, c2 = params.c1, params.c2
-    ssim = ((2.0 * mx * my + c1) * (2.0 * cov + c2)) / ((mx * mx + my * my + c1) * (vx + vy + c2))
-    return min(max(float(np.mean(ssim)), 0.0), 1.0)
+    # ((2 mx my + c1)(2 cov + c2)) / ((mx^2 + my^2 + c1)(vx + vy + c2)) with
+    # sample (not Bessel-corrected) second moments, evaluated in place in
+    # that left-to-right order.
+    cov = _window_means(x * y, w)
+    cov -= mx * my
+    num = 2.0 * mx
+    num *= my
+    num += c1
+    cov *= 2.0
+    cov += c2
+    num *= cov
+    vx = _window_means(x * x, w)
+    mx *= mx
+    vx -= mx
+    vy = _window_means(y * y, w)
+    my *= my
+    vy -= my
+    den = mx
+    den += my
+    den += c1
+    vx += vy
+    vx += c2
+    den *= vx
+    num /= den
+    return min(max(float(np.mean(num)), 0.0), 1.0)
 
 
 def vi_quality(a: SemanticMap, b: SemanticMap, levels: int) -> float:

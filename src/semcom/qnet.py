@@ -128,9 +128,20 @@ def load_qnet(path) -> Mlp:
         data = fh.read()
     if data[:4] != _MAGIC:
         raise CorruptPayloadError(f"bad checkpoint magic {data[:4]!r}")
+    if len(data) < 8:
+        raise CorruptPayloadError(f"checkpoint has {len(data)} bytes, too short for a layer count")
     (count,) = struct.unpack_from("<I", data, 4)
-    sizes = struct.unpack_from(f"<{count}I", data, 8)
     offset = 8 + 4 * count
+    # Check every declared size against the file length before reading it,
+    # so a corrupt count or size never asks for a huge buffer.
+    if count < 2:
+        raise CorruptPayloadError(f"checkpoint declares {count} layer sizes, a network needs at least 2")
+    if offset > len(data):
+        raise CorruptPayloadError(f"checkpoint of {len(data)} bytes cannot hold {count} layer sizes")
+    sizes = struct.unpack_from(f"<{count}I", data, 8)
+    expected = offset + 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+    if expected != len(data):
+        raise CorruptPayloadError(f"checkpoint has {len(data)} bytes, layer sizes {sizes} need {expected}")
     weights = []
     biases = []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
@@ -140,6 +151,4 @@ def load_qnet(path) -> Mlp:
         offset += 8 * fan_out
         weights.append(w.reshape(fan_in, fan_out).copy())
         biases.append(b.copy())
-    if offset != len(data):
-        raise CorruptPayloadError(f"checkpoint has {len(data) - offset} trailing bytes")
     return Mlp.from_params(sizes, weights, biases)

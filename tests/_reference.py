@@ -14,7 +14,7 @@ def reference_canny(pixels, low=0.1, high=0.2, sigma=1.4):
     """Literal five-stage Canny on a float image in [0, 1].
 
     Conventions: Gaussian kernel radius ceil(3*sigma) with clamped
-    coordinates, 3x3 Sobel, direction quantized to 4 sectors, keep-if->=
+    coordinates, 3x3 Sobel on paired differences, direction quantized to 4 sectors, keep-if->=
     non-maximum suppression, fractional double threshold, 8-connected
     hysteresis from strong pixels.
     """
@@ -37,18 +37,16 @@ def reference_canny(pixels, low=0.1, high=0.2, sigma=1.4):
                     acc += ker1[dy + r] * ker1[dx + r] * at(img, y + dy, x + dx)
             blurred[y, x] = acc
 
-    kx = [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]]
-    ky = [[-1, -2, -1], [0, 0, 0], [1, 2, 1]]
+    # Sobel taps (1, 2, 1) applied to paired differences, so that a flat
+    # region has exactly zero gradient rather than rounding residue.
     gx = np.zeros_like(img)
     gy = np.zeros_like(img)
     for y in range(h):
         for x in range(w):
             ax = ay = 0.0
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    v = at(blurred, y + dy, x + dx)
-                    ax += kx[dy + 1][dx + 1] * v
-                    ay += ky[dy + 1][dx + 1] * v
+            for d, k in ((-1, 1.0), (0, 2.0), (1, 1.0)):
+                ax += k * (at(blurred, y + d, x + 1) - at(blurred, y + d, x - 1))
+                ay += k * (at(blurred, y + 1, x + d) - at(blurred, y - 1, x + d))
             gx[y, x] = ax
             gy[y, x] = ay
     mag = np.sqrt(gx * gx + gy * gy)
@@ -92,6 +90,87 @@ def reference_canny(pixels, low=0.1, high=0.2, sigma=1.4):
                     edges[ny, nx] = True
                     stack.append((ny, nx))
     return edges.astype(float)
+
+
+def reference_bilinear_upscale(pixels, width, height):
+    """Corner-aligned bilinear resampling, one output pixel at a time.
+
+    Each pixel lerps along x on its top and bottom source rows, then
+    along y between the two, with the same operations in the same order
+    as the library's lerp form.
+    """
+    a = np.asarray(pixels, dtype=float)
+    h, w = a.shape
+
+    def coord(i, n_in, n_out):
+        if n_out == 1 or n_in == 1:
+            return 0.0
+        return i * ((n_in - 1) / (n_out - 1))
+
+    out = np.zeros((height, width))
+    for i in range(height):
+        sy = coord(i, h, height)
+        y0 = math.floor(sy)
+        y1 = min(y0 + 1, h - 1)
+        fy = sy - y0
+        for j in range(width):
+            sx = coord(j, w, width)
+            x0 = math.floor(sx)
+            x1 = min(x0 + 1, w - 1)
+            fx = sx - x0
+            top = a[y0, x0] + fx * (a[y0, x1] - a[y0, x0])
+            bottom = a[y1, x0] + fx * (a[y1, x1] - a[y1, x0])
+            out[i, j] = top + fy * (bottom - top)
+    return out
+
+
+def reference_separable_blur(pixels, sigma):
+    """Gaussian blur as two literal 1-D passes (along x, then along y).
+
+    Each output pixel starts from 0.0 and adds the clamped taps in offset
+    order, which is the summation order the library's blur promises.
+    """
+    img = np.asarray(pixels, dtype=float)
+    h, w = img.shape
+    r = math.ceil(3.0 * sigma)
+    weights = np.exp(-(np.arange(-r, r + 1).astype(float) ** 2) / (2.0 * sigma * sigma))
+    weights /= weights.sum()
+    across = np.zeros_like(img)
+    for y in range(h):
+        for x in range(w):
+            acc = 0.0
+            for k in range(2 * r + 1):
+                acc += weights[k] * img[y, min(max(x + k - r, 0), w - 1)]
+            across[y, x] = acc
+    out = np.zeros_like(img)
+    for y in range(h):
+        for x in range(w):
+            acc = 0.0
+            for k in range(2 * r + 1):
+                acc += weights[k] * across[min(max(y + k - r, 0), h - 1), x]
+            out[y, x] = acc
+    return out
+
+
+def reference_sobel_gradients(pixels):
+    """3x3 Sobel (gx, gy) per pixel: d(-1) + 2 d(0) + d(+1) on clamped paired differences."""
+    a = np.asarray(pixels, dtype=float)
+    h, w = a.shape
+
+    def at(y, x):
+        return a[min(max(y, 0), h - 1), min(max(x, 0), w - 1)]
+
+    gx = np.zeros_like(a)
+    gy = np.zeros_like(a)
+    for y in range(h):
+        for x in range(w):
+            gx[y, x] = (
+                (at(y - 1, x + 1) - at(y - 1, x - 1)) + 2.0 * (at(y, x + 1) - at(y, x - 1))
+            ) + (at(y + 1, x + 1) - at(y + 1, x - 1))
+            gy[y, x] = (
+                (at(y + 1, x - 1) - at(y - 1, x - 1)) + 2.0 * (at(y + 1, x) - at(y - 1, x))
+            ) + (at(y + 1, x + 1) - at(y - 1, x + 1))
+    return gx, gy
 
 
 def finite_difference_gradients(net, states, actions, targets, h=1e-5):
@@ -171,6 +250,35 @@ def reference_ssim_quality(a, b, window=8, c1=1e-4, c2=9e-4):
             total += num / den
             count += 1
     return min(max(total / count, 0.0), 1.0)
+
+
+def legacy_ssim_quality(a, b, params=None):
+    """ssim_quality as first written: np.cumsum integral images and whole-array temporaries."""
+    from semcom.errors import TooSmallError
+    from semcom.metrics import SsimQuality, _check_shapes
+
+    if params is None:
+        params = SsimQuality()
+
+    def _window_means(arr, w):
+        c = np.cumsum(np.cumsum(arr, axis=0), axis=1)
+        c = np.pad(c, ((1, 0), (1, 0)))
+        return (c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]) / (w * w)
+
+    _check_shapes(a, b)
+    w = params.window
+    if a.width < w or a.height < w:
+        raise TooSmallError(f"both dimensions must be >= window {w}, got {a.width}x{a.height}")
+    x, y = a.pixels, b.pixels
+    mx = _window_means(x, w)
+    my = _window_means(y, w)
+    # sample (not Bessel-corrected) second moments
+    vx = _window_means(x * x, w) - mx * mx
+    vy = _window_means(y * y, w) - my * my
+    cov = _window_means(x * y, w) - mx * my
+    c1, c2 = params.c1, params.c2
+    ssim = ((2.0 * mx * my + c1) * (2.0 * cov + c2)) / ((mx * mx + my * my + c1) * (vx + vy + c2))
+    return min(max(float(np.mean(ssim)), 0.0), 1.0)
 
 
 def reference_vi_quality(a, b, k):

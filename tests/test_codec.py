@@ -127,6 +127,14 @@ def test_parse_rejects_corruption():
         parse_payload(good[:10])
 
 
+@pytest.mark.parametrize("levels", [0, 1])
+def test_parse_rejects_labels_payload_with_fewer_than_two_levels(levels):
+    good = serialize_payload(encode(SemanticMap(np.zeros((4, 4)), kind=LABELS, levels=3), 2))
+    assert parse_payload(good).levels == 3
+    with pytest.raises(CorruptPayloadError):
+        parse_payload(good[:14] + bytes([levels]) + good[15:])
+
+
 def test_payload_invariants_checked():
     with pytest.raises(CorruptPayloadError):
         EncodedPayload(4, 4, 2, 2, 2, "soft", None, bytes(3))

@@ -41,6 +41,27 @@ def test_dqn_train_matches_literal_loop_with_generation_noise():
         assert np.array_equal(got, want)
 
 
+def test_dqn_train_losses_use_the_sampled_instance_weights():
+    def instance(weight, image_shift):
+        services = (
+            ServiceSpec(id="edges", extractor=SobelMagnitude(), metric=SsimQuality()),
+            ServiceSpec(id="regions", extractor=QuantizeSegmentation(4), metric=ViQuality(4), weight=weight),
+        )
+        images = (diagonal(24), filled_square(24, 8 + image_shift))
+        return AllocationInstance(
+            services=services, images=images, factors=(1, 2, 4), channel=ChannelConfig(budget_bytes=900)
+        )
+
+    pool = [instance(1.0, 0), instance(5.0, 4)]
+    cfg = DqnConfig(seed=9, warmup=8, batch_size=4, buffer_capacity=16, hidden=(16,))
+    out = dqn_train(pool, 60, cfg, Surrogate())
+    rewards, losses, actions, _ = reference_dqn_train(pool, 60, cfg)
+    assert set(out.instance_indices) == {0, 1}
+    assert np.array_equal(out.rewards, rewards)
+    assert np.array_equal(out.action_indices, actions)
+    assert np.array_equal(out.losses, losses)
+
+
 def test_noisy_sweep_curve_matches_literal_factor_outer_loop():
     images = [diagonal(24), filled_square(24, 8), gradient_with_square(24)]
     factors = [1, 2, 4, 8]

@@ -16,7 +16,9 @@ from semcom.extractors import (
 )
 from semcom.image import BINARY, LABELS, SemanticMap, write_pgm
 
-from _reference import reference_canny
+from semcom.extractors import _gaussian_blur, _sobel_gradients
+
+from _reference import reference_canny, reference_separable_blur, reference_sobel_gradients
 
 
 def step_image(w=16, h=16):
@@ -75,6 +77,29 @@ def test_canny_matches_reference_on_random_images(seed):
     fast = canny(img).pixels
     slow = reference_canny(img.pixels)
     assert np.array_equal(fast, slow)
+
+
+def test_canny_matches_reference_when_blur_radius_exceeds_image():
+    params = Canny(sigma=3.0)  # radius 9 on a 6x7 image
+    img = SemanticMap(np.random.default_rng(6).random((6, 7)))
+    fast = canny(img, params).pixels
+    assert fast.any()
+    assert np.array_equal(fast, reference_canny(img.pixels, sigma=params.sigma))
+
+
+def test_canny_matches_reference_on_constant_image():
+    img = SemanticMap(np.full((9, 11), 0.6))
+    assert np.array_equal(canny(img).pixels, reference_canny(img.pixels))
+
+
+@pytest.mark.parametrize("shape, sigma", [((14, 17), 1.4), ((6, 7), 3.0), ((5, 30), 0.5)])
+def test_blur_and_gradients_equal_literal_loops_exactly(shape, sigma):
+    img = np.random.default_rng(shape[1]).random(shape)
+    blurred = _gaussian_blur(img, sigma)
+    assert np.array_equal(blurred, reference_separable_blur(img, sigma))
+    gx, gy = _sobel_gradients(blurred)
+    want_gx, want_gy = reference_sobel_gradients(blurred)
+    assert np.array_equal(gx, want_gx) and np.array_equal(gy, want_gy)
 
 
 @pytest.mark.parametrize("seed", [10, 11, 12])

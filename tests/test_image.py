@@ -18,6 +18,8 @@ from semcom.image import (
     write_pgm,
 )
 
+from _reference import reference_bilinear_upscale
+
 
 def test_map_invariants_enforced():
     with pytest.raises(DomainError):
@@ -165,6 +167,25 @@ def test_bilinear_from_1x1():
     m = SemanticMap([[0.7]])
     out = bilinear_upscale(m, Resolution(4, 3))
     assert np.all(out.pixels == 0.7)
+
+
+@pytest.mark.parametrize(
+    "shape, target",
+    [((1, 6), (3, 11)), ((6, 1), (13, 2)), ((1, 1), (5, 7)), ((5, 8), (11, 13)), ((6, 4), (6, 4)), ((9, 13), (4, 5))],
+    ids=["1xn", "nx1", "1x1", "non-square", "same-size", "shrink"],
+)
+def test_bilinear_equals_literal_loop_exactly(shape, target):
+    m = SemanticMap(np.random.default_rng(sum(shape)).random(shape))
+    out = bilinear_upscale(m, Resolution(target[1], target[0]))
+    assert out.kind == "soft"
+    assert np.array_equal(out.pixels, reference_bilinear_upscale(m.pixels, target[1], target[0]))
+
+
+def test_bilinear_same_resolution_of_binary_map_is_soft():
+    m = SemanticMap([[0.0, 1.0], [1.0, 1.0]], kind=BINARY)
+    out = bilinear_upscale(m, m.resolution)
+    assert out.kind == "soft"
+    assert np.array_equal(out.pixels, m.pixels)
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))

@@ -19,6 +19,7 @@ from semcom.metrics import (
 )
 
 from _reference import (
+    legacy_ssim_quality,
     reference_mse_quality,
     reference_psnr_quality,
     reference_ssim_quality,
@@ -155,6 +156,17 @@ def test_all_metrics_match_direct_formula_oracles():
         assert abs(psnr_quality(a, b) - reference_psnr_quality(a.pixels, b.pixels)) < 1e-9
         assert abs(ssim_quality(a, b) - reference_ssim_quality(a.pixels, b.pixels)) < 1e-9
         assert abs(vi_quality(a, b, 8) - reference_vi_quality(a.pixels, b.pixels, 8)) < 1e-9
+
+
+@pytest.mark.parametrize("shape, window", [((8, 8), 8), ((9, 13), 8), ((17, 10), 5), ((31, 8), 8), ((7, 3), 2)])
+def test_ssim_equals_first_implementation_exactly(shape, window):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    params = SsimQuality(window=window)
+    for _ in range(3):
+        a = SemanticMap(rng.random(shape))
+        b = SemanticMap(np.clip(a.pixels + rng.normal(0.0, 0.2, shape), 0.0, 1.0))
+        assert ssim_quality(a, b, params) == legacy_ssim_quality(a, b, params)
+        assert ssim_quality(b, a, params) == legacy_ssim_quality(b, a, params)
 
 
 def test_shape_mismatch_raises():

@@ -96,3 +96,22 @@ def test_checkpoint_rejects_corruption(tmp_path):
     short.write_bytes(raw + b"\x00")
     with pytest.raises(CorruptPayloadError):
         load_qnet(short)
+
+
+def test_checkpoint_rejects_truncation_and_impossible_sizes(tmp_path):
+    net = Mlp([3, 4, 2], np.random.default_rng(9))
+    path = tmp_path / "agent.bin"
+    save_qnet(net, path)
+    raw = path.read_bytes()
+    cases = {
+        "mid_weights": raw[: 8 + 4 * 3 + 8 * 5],
+        "no_count": raw[:6],
+        "huge_count": raw[:4] + (2**30).to_bytes(4, "little") + raw[8:],
+        "one_layer": raw[:4] + (1).to_bytes(4, "little") + raw[8:12],
+        "huge_size": raw[:8] + (2**31).to_bytes(4, "little") + raw[12:],
+    }
+    for name, data in cases.items():
+        bad = tmp_path / f"{name}.bin"
+        bad.write_bytes(data)
+        with pytest.raises(CorruptPayloadError):
+            load_qnet(bad)
