@@ -227,16 +227,20 @@ def action_rewards(
 ) -> np.ndarray:
     """Reward of every joint action, indexed by the flat action index."""
     table = quality_table(inst, backend, rng)
-    base = len(inst.factors)
-    rewards = np.empty(inst.n_actions)
-    for index in range(inst.n_actions):
-        positions = []
-        rem = index
-        for _ in range(inst.n_services):
-            positions.append(rem % base)
-            rem //= base
-        rewards[index] = _table_reward(inst, table, tuple(reversed(positions)))
-    return rewards
+    n, base = inst.n_services, len(inst.factors)
+    weights = np.array([svc.weight for svc in inst.services])
+    # Axis s of the action grid is service s's factor index; the last axis
+    # holds each service's weighted quality, so summing it adds every
+    # action's terms exactly as weighted_quality's np.sum does.
+    terms = np.empty((base,) * n + (n,))
+    totals = np.zeros((base,) * n, dtype=np.int64)
+    for s in range(n):
+        shape = tuple(base if axis == s else 1 for axis in range(n))
+        terms[..., s] = (weights[s] * table[s]).reshape(shape)
+        totals += inst.cost_table[s].reshape(shape)
+    rewards = terms.sum(axis=-1) / weights.sum()
+    rewards[totals > inst.channel.budget_bytes] = -1.0
+    return rewards.ravel()
 
 
 def exhaustive_oracle(

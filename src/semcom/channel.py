@@ -15,6 +15,10 @@ import numpy as np
 from .codec import CostModel, EncodedPayload, cost_bytes
 from .errors import DomainError
 
+# Payload bytes whose per-bit uniforms are drawn and applied together: 2 MiB
+# of float64 uniforms at a time, however long the payload.
+_BLOCK_BYTES = 1 << 15
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
@@ -53,10 +57,18 @@ def transmit(payload: EncodedPayload, cfg: ChannelConfig, rng: np.random.Generat
     if p == 0.0:
         return TransmitResult(delivered=payload, bytes_used=used, flipped_bits=0)
     raw = np.frombuffer(payload.payload, dtype=np.uint8)
-    flips = rng.random((raw.size, 8)) < p
-    mask = np.packbits(flips, axis=1).ravel()
-    delivered = replace(payload, payload=(raw ^ mask).tobytes())
-    return TransmitResult(delivered=delivered, bytes_used=used, flipped_bits=int(flips.sum()))
+    out = raw.copy()
+    # Consecutive blocks consume the stream exactly as one (n, 8) draw would.
+    uniforms = np.empty((min(raw.size, _BLOCK_BYTES), 8))
+    flipped = 0
+    for start in range(0, raw.size, _BLOCK_BYTES):
+        block = uniforms[: raw.size - start]
+        rng.random(out=block)
+        flips = block < p
+        flipped += int(np.count_nonzero(flips))
+        out[start : start + len(block)] ^= np.packbits(flips, axis=1).ravel()
+    delivered = replace(payload, payload=out.tobytes())
+    return TransmitResult(delivered=delivered, bytes_used=used, flipped_bits=flipped)
 
 
 def budget_check(costs: Sequence[int], cfg: ChannelConfig) -> BudgetCheck:

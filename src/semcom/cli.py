@@ -7,7 +7,8 @@ service).  All outputs are CSV or binary artifacts in the configured
 output directory; reruns with the same config are byte-identical.
 
 Exit codes: 0 success, 1 a domain failure (a service failed validation,
-or the delivered bytes exceed the budget), 2 usage or config errors.
+scored below its threshold after the channel, or the delivered bytes
+exceed the budget), 2 usage or config errors.
 """
 
 from __future__ import annotations
@@ -186,7 +187,8 @@ def _deliver(entry, config: ExperimentConfig, manifest: RunManifest, gen_rng, ch
     manifest.record(payload_path)
 
     quality = core.score_reconstruction(decode(result.delivered), gen_rng)
-    return (spec.id, "ok", validation.accepted_d, result.bytes_used, quality)
+    status = "ok" if quality >= spec.threshold else "below_threshold"
+    return (spec.id, status, validation.accepted_d, result.bytes_used, quality)
 
 
 def cmd_pipeline(args) -> int:
@@ -207,6 +209,13 @@ def cmd_pipeline(args) -> int:
             continue
         rows.append(row)
         delivered_bytes.append(row[3])
+        if row[1] == "below_threshold":
+            any_failed = True
+            print(
+                f"service {entry.spec.id}: scores {row[4]:.6f} after the channel, "
+                f"below threshold {entry.spec.threshold}",
+                file=sys.stderr,
+            )
 
     report_path = os.path.join(config.output_dir, "pipeline_report.csv")
     _write_csv(report_path, ["service", "status", "accepted_d", "bytes", "quality"], rows)

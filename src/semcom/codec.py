@@ -23,6 +23,7 @@ import numpy as np
 from .errors import CorruptPayloadError, DomainError
 from .image import (
     LABELS,
+    SOFT,
     Resolution,
     SemanticMap,
     bilinear_upscale,
@@ -78,7 +79,9 @@ def encode(map: SemanticMap, d: int) -> EncodedPayload:
     if map.width > 65535 or map.height > 65535:
         raise DomainError("resolution exceeds the wire format limit of 65535")
     small = box_downscale(map, d)
-    payload = np.rint(small.pixels * 255.0).astype(np.uint8).tobytes()
+    levels = small.pixels * 255.0
+    np.rint(levels, out=levels)
+    payload = levels.astype(np.uint8).tobytes()
     return EncodedPayload(
         orig_width=map.width,
         orig_height=map.height,
@@ -92,10 +95,16 @@ def encode(map: SemanticMap, d: int) -> EncodedPayload:
 
 
 def decode(payload: EncodedPayload) -> SemanticMap:
-    """Dequantize, upscale back to the original resolution, restore the kind."""
-    raw = np.frombuffer(payload.payload, dtype=np.uint8).astype(np.float64) / 255.0
+    """Dequantize, upscale back to the original resolution, restore the kind.
+
+    A soft payload's upscaled map is returned as it is; binary and labels
+    payloads are coerced back onto their value sets.
+    """
+    raw = np.frombuffer(payload.payload, dtype=np.uint8) / 255.0
     small = SemanticMap(raw.reshape(payload.enc_height, payload.enc_width))
     full = bilinear_upscale(small, Resolution(payload.orig_width, payload.orig_height))
+    if payload.kind == SOFT:
+        return full
     return restore_kind(full.pixels, payload.kind, payload.levels)
 
 

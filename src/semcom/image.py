@@ -60,9 +60,10 @@ class SemanticMap:
         if self.kind == LABELS:
             if self.levels is None or self.levels < 2:
                 raise DomainError("labels map needs a level count K >= 2")
-            scaled = arr * (self.levels - 1)
-            nearest = np.rint(scaled)
-            if not np.all(np.abs(scaled - nearest) <= 1e-9):
+            residue = arr * (self.levels - 1)
+            residue -= np.rint(residue)
+            np.abs(residue, out=residue)
+            if not np.all(residue <= 1e-9):
                 raise DomainError(f"labels map values must lie on the {self.levels}-level grid")
         elif self.levels is not None:
             raise DomainError("levels is only meaningful for labels maps")
@@ -88,9 +89,16 @@ def quantize_levels(pixels: np.ndarray, k: int) -> np.ndarray:
     Bin edges sit at i/K; the value 1.0 is nudged down so it lands in the
     top bin instead of overflowing to K.
     """
+    return _level_floor(pixels, k).astype(np.int64)
+
+
+def _level_floor(pixels: np.ndarray, k: int) -> np.ndarray:
+    """quantize_levels' bins as float64, computed in one buffer."""
     if k < 2:
         raise DomainError(f"level count must be >= 2, got {k}")
-    return np.floor(np.minimum(pixels, 1.0 - 1e-9) * k).astype(np.int64)
+    bins = np.minimum(pixels, 1.0 - 1e-9)
+    bins *= k
+    return np.floor(bins, out=bins)
 
 
 def restore_kind(pixels: np.ndarray, kind: str, levels: int | None) -> SemanticMap:
@@ -102,8 +110,9 @@ def restore_kind(pixels: np.ndarray, kind: str, levels: int | None) -> SemanticM
     if kind == BINARY:
         return SemanticMap(np.where(pixels >= 0.5, 1.0, 0.0), kind=BINARY)
     if kind == LABELS:
-        bins = quantize_levels(pixels, levels)
-        return SemanticMap(bins / (levels - 1), kind=LABELS, levels=levels)
+        grid = _level_floor(pixels, levels)
+        grid /= levels - 1
+        return SemanticMap(grid, kind=LABELS, levels=levels)
     return SemanticMap(pixels, kind=SOFT)
 
 
@@ -169,10 +178,7 @@ def read_pgm(path) -> SemanticMap:
         raise TruncatedError(
             f"payload has {len(payload)} bytes, header {width}x{height} (maxval {maxval}) needs {need}"
         )
-    if two_byte:
-        raw = np.frombuffer(payload, dtype=">u2").astype(np.float64)
-    else:
-        raw = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
+    raw = np.frombuffer(payload, dtype=">u2" if two_byte else np.uint8)
     return SemanticMap((raw / maxval).reshape(height, width))
 
 

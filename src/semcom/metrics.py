@@ -87,18 +87,16 @@ def psnr_quality(a: SemanticMap, b: SemanticMap, cap_db: float = 50.0) -> float:
     return min(10.0 * math.log10(1.0 / mse), cap_db) / cap_db
 
 
-def _window_means(arr: np.ndarray, w: int) -> np.ndarray:
+def _window_means(c: np.ndarray, w: int) -> np.ndarray:
     """Mean of every w x w sliding window (stride 1) via an integral image.
 
-    The integral image is summed down the columns first, then along the
-    rows, into one array with a zero top row and left column.
+    ``c`` has a zero top row and left column and holds the values in its
+    interior, which is turned into the integral image in place: summed
+    down the columns first, then along the rows.
     """
-    h, n = arr.shape
-    c = np.zeros((h + 1, n + 1))
     inner = c[1:, 1:]
-    inner[0] = arr[0]
-    for i in range(1, h):
-        np.add(inner[i - 1], arr[i], out=inner[i])
+    for i in range(1, inner.shape[0]):
+        np.add(inner[i - 1], inner[i], out=inner[i])
     np.cumsum(inner, axis=1, out=inner)
     out = c[w:, w:] - c[:-w, w:]
     out -= c[w:, :-w]
@@ -115,29 +113,44 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
         raise TooSmallError(f"both dimensions must be >= window {w}, got {a.width}x{a.height}")
     x, y = a.pixels, b.pixels
     c1, c2 = params.c1, params.c2
-    mx = _window_means(x, w)
-    my = _window_means(y, w)
+    # One integral-image buffer serves all five window means; each product
+    # is written straight into its interior.
+    c = np.zeros((x.shape[0] + 1, x.shape[1] + 1))
+    inner = c[1:, 1:]
+    inner[...] = x
+    mx = _window_means(c, w)
+    inner[...] = y
+    my = _window_means(c, w)
+    np.multiply(x, y, out=inner)
+    cov = _window_means(c, w)
     # ((2 mx my + c1)(2 cov + c2)) / ((mx^2 + my^2 + c1)(vx + vy + c2)) with
-    # sample (not Bessel-corrected) second moments, evaluated in place in
-    # that left-to-right order.
-    cov = _window_means(x * y, w)
-    cov -= mx * my
-    num = 2.0 * mx
-    num *= my
-    num += c1
+    # sample (not Bessel-corrected) second moments, each factor evaluated in
+    # that left-to-right order; the buffer's interior is scratch until the
+    # next product overwrites it.
+    scratch = inner[: mx.shape[0], : mx.shape[1]]
+    np.multiply(mx, my, out=scratch)
+    cov -= scratch
+    np.multiply(2.0, mx, out=scratch)
+    scratch *= my
+    scratch += c1
     cov *= 2.0
     cov += c2
-    num *= cov
-    vx = _window_means(x * x, w)
+    num = cov
+    num *= scratch
+    np.multiply(x, x, out=inner)
+    vx = _window_means(c, w)
     mx *= mx
     vx -= mx
-    vy = _window_means(y * y, w)
+    np.multiply(y, y, out=inner)
+    vy = _window_means(c, w)
+    del c, inner, scratch
     my *= my
     vy -= my
     den = mx
     den += my
     den += c1
     vx += vy
+    del vy
     vx += c2
     den *= vx
     num /= den
@@ -150,7 +163,9 @@ def vi_quality(a: SemanticMap, b: SemanticMap, levels: int) -> float:
     la = quantize_levels(a.pixels, levels).ravel()
     lb = quantize_levels(b.pixels, levels).ravel()
     n = la.size
-    joint = np.bincount(la * levels + lb, minlength=levels * levels).reshape(levels, levels) / n
+    la *= levels
+    la += lb
+    joint = np.bincount(la, minlength=levels * levels).reshape(levels, levels) / n
 
     def entropy(p: np.ndarray) -> float:
         nz = p[p > 0.0]

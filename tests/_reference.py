@@ -371,3 +371,51 @@ def reference_dqn_train(pool, episodes, config):
         losses.append(float(np.sum(weights * (1.0 - q)) / np.sum(weights)))
         actions.append(a_idx)
     return np.array(rewards), np.array(losses), np.array(actions), net
+
+
+def reference_transmit(payload, p, rng):
+    """transmit as first written, drawing every per-bit uniform at once.
+
+    Returns the delivered payload bytes and the number of flipped bits.
+    """
+    raw = np.frombuffer(payload.payload, dtype=np.uint8)
+    if p == 0.0:
+        return raw.tobytes(), 0
+    flips = rng.random((raw.size, 8)) < p
+    mask = np.packbits(flips, axis=1).ravel()
+    return (raw ^ mask).tobytes(), int(flips.sum())
+
+
+def reference_on_label_grid(pixels, k):
+    """SemanticMap's K-level grid verdict as first written, with four full-size temporaries."""
+    scaled = pixels * (k - 1)
+    nearest = np.rint(scaled)
+    return bool(np.all(np.abs(scaled - nearest) <= 1e-9))
+
+
+def legacy_decode(payload):
+    """decode as first written: every kind, soft included, rebuilt through restore_kind."""
+    from semcom.image import Resolution, SemanticMap, bilinear_upscale, restore_kind
+
+    raw = np.frombuffer(payload.payload, dtype=np.uint8).astype(np.float64) / 255.0
+    small = SemanticMap(raw.reshape(payload.enc_height, payload.enc_width))
+    full = bilinear_upscale(small, Resolution(payload.orig_width, payload.orig_height))
+    return restore_kind(full.pixels, payload.kind, payload.levels)
+
+
+def reference_action_rewards(inst, table):
+    """Reward of every joint action on a given quality table, one flat index at a time."""
+    base = len(inst.factors)
+    weights = np.array([svc.weight for svc in inst.services])
+    rewards = np.empty(inst.n_actions)
+    for index in range(inst.n_actions):
+        positions = []
+        rem = index
+        for _ in range(inst.n_services):
+            positions.append(rem % base)
+            rem //= base
+        positions.reverse()
+        total = sum(int(inst.cost_table[s, j]) for s, j in enumerate(positions))
+        q = np.array([table[s, j] for s, j in enumerate(positions)])
+        rewards[index] = float(np.sum(weights * q) / np.sum(weights)) if total <= inst.channel.budget_bytes else -1.0
+    return rewards

@@ -28,6 +28,7 @@ from semcom.qnet import Mlp
 from semcom.rng import stream
 
 from _fixtures import diagonal, filled_square, gradient, random_instance
+from _reference import reference_action_rewards
 
 
 def two_service_instance(budget=10**6, factors=(1, 2, 4, 8), weights=(1.0, 1.0)):
@@ -148,6 +149,45 @@ def test_oracle_dominates_every_enumerated_action():
     res = exhaustive_oracle(inst, Surrogate(), stream(2, "gen"))
     assert res.reward >= rewards.max() - 1e-15
     assert res.reward == rewards[encode_action(res.action, inst.factors)]
+
+
+def test_action_rewards_equal_the_per_action_loop():
+    for seed in range(20):
+        inst = random_instance(np.random.default_rng(seed))
+        table = quality_table(inst, Surrogate(), stream(seed, "gen"))
+        rewards = action_rewards(inst, Surrogate(), stream(seed, "gen"))
+        assert np.array_equal(rewards, reference_action_rewards(inst, table))
+
+
+def crafted_instance(weights, factors, budget):
+    services = tuple(
+        ServiceSpec(id=f"s{i}", extractor=SobelMagnitude(), metric=MseQuality(), weight=w) for i, w in enumerate(weights)
+    )
+    images = tuple(gradient(8) for _ in weights)
+    return AllocationInstance(
+        services=services, images=images, factors=factors, channel=ChannelConfig(budget_bytes=budget)
+    )
+
+
+@pytest.mark.parametrize(
+    "weights, factors, budget, tied",
+    [
+        ((1.0, 1.0, 1.0), (1, 2, 4), 10**6, True),  # equal weights and rows: permuted actions tie
+        ((0.7, 1.3, 2.9), (1, 2, 4), 2 * encoded_cost(8, 8, 2) + encoded_cost(8, 8, 1), False),
+        ((0.3, 1.7, 0.9, 2.2, 1.1, 0.5, 1.9, 0.8, 1.4, 0.6), (2, 4), 10**6, False),  # ten terms per sum
+    ],
+)
+def test_action_rewards_equal_the_loop_on_crafted_tables(monkeypatch, weights, factors, budget, tied):
+    inst = crafted_instance(weights, factors, budget)
+    table = np.random.default_rng(len(weights)).random((len(weights), len(factors)))
+    if tied:
+        table[:] = table[0]
+    table[-1] = 0.0  # a service that scores zero at every factor
+    monkeypatch.setattr("semcom.allocator.quality_table", lambda *args: table)
+    rewards = action_rewards(inst, Surrogate(), stream(0, "gen"))
+    expected = reference_action_rewards(inst, table)
+    assert np.array_equal(rewards, expected)
+    assert len(set(expected.tolist())) < len(expected)
 
 
 def test_greedy_reaches_all_ones_under_ample_budget():

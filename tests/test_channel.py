@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from semcom.channel import BudgetCheck, ChannelConfig, budget_check, transmit
-from semcom.codec import cost_bytes, encode
+from semcom.channel import _BLOCK_BYTES, BudgetCheck, ChannelConfig, budget_check, transmit
+from semcom.codec import EncodedPayload, cost_bytes, encode
 from semcom.errors import DomainError
 from semcom.image import SemanticMap
 from semcom.rng import stream
+
+from _reference import reference_transmit
 
 
 def payload_fixture(seed=0, shape=(16, 16), d=2):
@@ -83,3 +86,35 @@ def test_label_streams_are_independent():
     c = stream(9, "channel").random(4)
     assert np.array_equal(a, c)
     assert not np.array_equal(a, b)
+
+
+def raw_payload(n, seed=0):
+    """An n-byte soft payload of random bytes, one row of n pixels at d = 1."""
+    body = np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8).tobytes()
+    return EncodedPayload(n, 1, n, 1, 1, "soft", None, body)
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK_BYTES - 1, _BLOCK_BYTES, _BLOCK_BYTES + 1, 3 * _BLOCK_BYTES + 5])
+@pytest.mark.parametrize("p", [0.0, 1e-4, 0.5, 1.0])
+def test_blocked_draws_equal_one_draw(n, p):
+    payload = raw_payload(n, seed=n)
+    rng, ref_rng = stream(13, "channel"), stream(13, "channel")
+    out = transmit(payload, ChannelConfig(budget_bytes=10**9, bit_flip_prob=p), rng)
+    delivered, flipped = reference_transmit(payload, p, ref_rng)
+    assert out.delivered.payload == delivered
+    assert out.flipped_bits == flipped
+    assert rng.random() == ref_rng.random()
+
+
+def test_transmit_of_a_mebibyte_peaks_under_8_mib():
+    payload = raw_payload(1 << 20)
+    cfg = ChannelConfig(budget_bytes=10**9, bit_flip_prob=1e-4)
+    rng = stream(5, "channel")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        transmit(payload, cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20

@@ -11,7 +11,7 @@ from semcom.extractors import Canny, ExternalMap, QuantizeSegmentation, SobelMag
 from semcom.image import read_pgm, write_pgm
 from semcom.metrics import MseQuality, PsnrQuality, SsimQuality, ViQuality
 
-from _fixtures import diagonal, filled_square, gradient, vertical_step
+from _fixtures import diagonal, filled_square, gradient, gradient_with_square, vertical_step
 
 
 def write_images(tmp_path):
@@ -360,3 +360,38 @@ def test_pipeline_extracts_once_per_service(tmp_path, extract_calls):
     cfg.write_text(cfg.read_text().replace("edges.threshold = 0.0", "edges.threshold = 0.999"))
     assert main(["pipeline", "--config", str(cfg)]) == 0
     assert len(extract_calls) == len(set(extract_calls)) == 2
+
+
+def test_pipeline_shortfall_after_the_channel_is_a_domain_failure(tmp_path, capsys):
+    write_pgm(gradient_with_square(64), tmp_path / "a.pgm")
+    cfg = write_config(
+        tmp_path,
+        f"""
+[services]
+a.extractor = sobel
+a.metric = psnr
+a.image = {tmp_path / 'a.pgm'}
+a.threshold = 0.9
+
+[channel]
+budget_bytes = 1000000
+bit_flip_prob = 0.05
+seed = 11
+
+[factors]
+d = 1,2,4
+
+[output]
+dir = {tmp_path / 'out'}
+""",
+    )
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    assert "below threshold 0.9" in capsys.readouterr().err
+    out = tmp_path / "out"
+    (row,) = (out / "pipeline_report.csv").read_text().splitlines()[1:]
+    service, status, accepted, nbytes, quality = row.split(",")
+    # validated noise-free at d = 1, then damaged by the channel
+    assert (service, status, accepted, nbytes) == ("a", "below_threshold", "1", str(64 * 64 + 16))
+    assert float(quality) < 0.9
+    assert parse_payload((out / "a_payload.bin").read_bytes()).factor == 1
+    assert f"budget: total={64 * 64 + 16} feasible=True" in (out / "pipeline_manifest.txt").read_text()

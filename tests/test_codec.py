@@ -13,6 +13,8 @@ from semcom.codec import (
 from semcom.errors import CorruptPayloadError, DomainError
 from semcom.image import BINARY, LABELS, SemanticMap
 
+from _reference import legacy_decode
+
 
 def test_compression_ratio_16x_at_d4():
     rng = np.random.default_rng(1)
@@ -72,6 +74,20 @@ def test_round_trip_restores_resolution_and_kind():
         assert (out.width, out.height) == (m.width, m.height)
         assert out.kind == m.kind
         assert out.levels == m.levels
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (12, 15), (33, 64)])
+def test_decode_equals_the_first_restore_path(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    soft = SemanticMap(rng.random(shape))
+    binary = SemanticMap((rng.random(shape) > 0.5).astype(float), kind=BINARY)
+    labels = SemanticMap(np.floor(rng.random(shape) * 4) / 3, kind=LABELS, levels=4)
+    for m in (soft, binary, labels):
+        for d in (1, 2, 3, 8):
+            payload = encode(m, d)
+            out, expected = decode(payload), legacy_decode(payload)
+            assert (out.kind, out.levels) == (expected.kind, expected.levels)
+            assert np.array_equal(out.pixels.view(np.int64), expected.pixels.view(np.int64))
 
 
 def test_binary_stays_binary_at_any_d():

@@ -18,7 +18,7 @@ from semcom.image import (
     write_pgm,
 )
 
-from _reference import reference_bilinear_upscale
+from _reference import reference_bilinear_upscale, reference_on_label_grid
 
 
 def test_map_invariants_enforced():
@@ -69,6 +69,16 @@ def test_read_pgm_comment_and_16bit(tmp_path):
     p.write_bytes(b"P5\n# a comment\n2 1\n65535\n" + bytes([0, 0, 255, 255]))
     m = read_pgm(p)
     assert np.allclose(m.pixels, [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("maxval", [1, 7, 100, 254, 255, 65535])
+def test_read_pgm_scales_samples_like_a_float_conversion(tmp_path, maxval):
+    samples = np.arange(maxval + 1, dtype=np.uint16 if maxval > 255 else np.uint8)
+    body = samples.astype(">u2").tobytes() if maxval > 255 else samples.tobytes()
+    p = tmp_path / "ramp.pgm"
+    p.write_bytes(f"P5\n{samples.size} 1\n{maxval}\n".encode() + body)
+    expected = samples.astype(np.float64) / maxval
+    assert np.array_equal(read_pgm(p).pixels.view(np.int64), expected.view(np.int64)[None, :])
 
 
 def test_write_pgm_roundtrip_quantization(tmp_path):
@@ -235,3 +245,29 @@ def test_restore_kind_binary_and_labels():
     l = restore_kind(raw, LABELS, 3)
     assert l.kind == LABELS and l.levels == 3
     assert np.array_equal(l.pixels, [[0.0, 0.5, 1.0]])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 8, 255])
+def test_labels_restore_bits_equal_quantized_levels(k):
+    edges = np.arange(k + 1) / k
+    rng = np.random.default_rng(k)
+    pixels = np.concatenate([[0.0, 1.0, 1.0 - 1e-10], edges, np.nextafter(edges, 0.0), rng.random(200)])[None, :]
+    restored = restore_kind(pixels, LABELS, k)
+    expected = quantize_levels(pixels, k) / (k - 1)
+    assert np.array_equal(restored.pixels.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 8, 255])
+@pytest.mark.parametrize("offset, on_grid", [(0.0, True), (0.9e-9, True), (2e-9, False)])
+def test_label_grid_verdicts_match_first_formula(k, offset, on_grid):
+    grid = np.arange(k, dtype=np.float64)
+    # nudge each level towards the inside of [0, k - 1] by `offset` grid units
+    scaled = np.where(grid < k - 1, grid + offset, grid - offset)
+    pixels = (scaled / (k - 1))[None, :]
+    assert reference_on_label_grid(pixels, k) is on_grid
+    try:
+        SemanticMap(pixels, kind=LABELS, levels=k)
+        accepted = True
+    except DomainError:
+        accepted = False
+    assert accepted is on_grid

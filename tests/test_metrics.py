@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,20 @@ def test_ssim_equals_first_implementation_exactly(shape, window):
         b = SemanticMap(np.clip(a.pixels + rng.normal(0.0, 0.2, shape), 0.0, 1.0))
         assert ssim_quality(a, b, params) == legacy_ssim_quality(a, b, params)
         assert ssim_quality(b, a, params) == legacy_ssim_quality(b, a, params)
+
+
+def test_ssim_peaks_under_seven_arrays_of_its_size():
+    rng = np.random.default_rng(12)
+    a = SemanticMap(rng.random((512, 512)))
+    b = SemanticMap(rng.random((512, 512)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ssim_quality(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * a.pixels.nbytes
 
 
 def test_shape_mismatch_raises():
