@@ -140,6 +140,8 @@ def _read_sections(path) -> dict[str, list[tuple[int, str, str]]]:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     sections: dict[str, list[tuple[int, str, str]]] = {}
     current = None
     for lineno, raw in enumerate(lines, start=1):

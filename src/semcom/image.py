@@ -200,6 +200,15 @@ def box_downscale(map: SemanticMap, d: int) -> SemanticMap:
     Output is ceil(W/d) x ceil(H/d); partial blocks at the right/bottom
     edges are averaged over the pixels actually present, so the output
     range and (for exact tilings) the mean are preserved.  Result is soft.
+
+    The block sums are those of ``np.add.reduceat`` down the rows, then
+    along the columns, bit for bit.  They mirror numpy's rule for a
+    reduceat block: its first row (or column) plus numpy's pairwise sum
+    of the rest (``_pairwise``).  They are formed one band of output rows
+    at a time, so the only full-size buffer is the output.
+    ``tests/test_image.py::test_box_downscale_bits_equal_reduceat`` pins
+    the bytes against the ``reduceat`` form, so a numpy release that
+    changes its summation order fails there.
     """
     if d < 1:
         raise DomainError(f"downscale factor must be >= 1, got {d}")
@@ -207,12 +216,78 @@ def box_downscale(map: SemanticMap, d: int) -> SemanticMap:
         return SemanticMap(map.pixels)
     arr = map.pixels
     h, w = arr.shape
+    sums = np.empty((-(-h // d), -(-w // d)))
+    band = max(1, _BAND // w)
+    for i in range(0, sums.shape[0], band):
+        rows = _block_sums(arr[i * d : (i + band) * d], d)
+        _block_sums(rows.T, d, out=sums[i : i + band].T)
     row_idx = np.arange(0, h, d)
     col_idx = np.arange(0, w, d)
-    sums = np.add.reduceat(np.add.reduceat(arr, row_idx, axis=0), col_idx, axis=1)
     row_counts = np.minimum(row_idx + d, h) - row_idx
     col_counts = np.minimum(col_idx + d, w) - col_idx
-    return SemanticMap(sums / np.outer(row_counts, col_counts))
+    sums /= np.outer(row_counts, col_counts)
+    return SemanticMap(sums)
+
+
+# Elements of the row sums box_downscale holds for one band; no temporary is larger.
+_BAND = 1 << 13
+
+
+def _block_sums(arr: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum each run of d slices along axis 0 of ``arr`` (the last may be short), as ``np.add.reduceat``.
+
+    reduceat starts each run from its first slice and adds numpy's
+    pairwise sum of the others.  Full runs are summed here from strided
+    views; a short last run is left to reduceat itself.
+    """
+    full = arr.shape[0] // d
+    if out is None:
+        out = np.empty((-(-arr.shape[0] // d),) + arr.shape[1:])
+    if full:
+        acc = out[:full]
+        _pairwise([arr[k : full * d : d] for k in range(1, d)], acc)
+        np.add(arr[: full * d : d], acc, out=acc)
+    if full < out.shape[0]:
+        np.add.reduceat(arr[full * d :], [0], axis=0, out=out[full:])
+    return out
+
+
+def _pairwise(terms: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of the same-shape arrays ``terms``, elementwise, into ``out``.
+
+    Below 8 terms they are added in sequence (numpy starts from -0.0,
+    which leaves the first term's bits unchanged).  Up to 128 terms,
+    accumulator j sums terms j, j + 8, ... in sequence; the eight are
+    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and the
+    terms past the last multiple of 8 added after.  Beyond 128 terms the
+    sum splits in two at half the count, rounded down to a multiple of 8.
+    """
+    n = len(terms)
+    if n < 8:
+        np.copyto(out, terms[0])
+        for t in terms[1:]:
+            out += t
+    elif n <= 128:
+        stop = n - n % 8
+
+        def r(j):
+            acc = terms[j]
+            for t in terms[j + 8 : stop : 8]:
+                acc = acc + t
+            return acc
+
+        left = r(0) + r(1)
+        left += r(2) + r(3)
+        right = r(4) + r(5)
+        right += r(6) + r(7)
+        np.add(left, right, out=out)
+        for t in terms[stop:]:
+            out += t
+    else:
+        half = n // 2 - n // 2 % 8
+        _pairwise(terms[:half], out)
+        out += _pairwise(terms[half:], np.empty_like(out))
+    return out
 
 
 def bilinear_upscale(map: SemanticMap, target: Resolution) -> SemanticMap:

@@ -6,6 +6,9 @@ Every metric maps to [0, 1] with 1 meaning an exact match:
     psnr  q = min(10 log10(1 / mse), cap) / cap, with q = 1 when mse = 0
     ssim  mean over all sliding windows of the standard SSIM ratio, clamped
     vi    q = 1 - VI / (2 ln K) on K-level quantizations, clamped
+
+A map scored against itself (the same object) is an exact match: ``score``
+returns 1.0 for it without computing, after the same argument checks.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ class PsnrQuality:
     cap_db: float = 50.0
 
     def __post_init__(self):
-        if self.cap_db <= 0.0:
-            raise DomainError(f"cap must be positive, got {self.cap_db}")
+        if not (math.isfinite(self.cap_db) and self.cap_db > 0.0):
+            raise DomainError(f"cap must be finite and positive, got {self.cap_db}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,10 @@ class SsimQuality:
     def __post_init__(self):
         if self.window < 2:
             raise DomainError(f"window must be >= 2, got {self.window}")
+        # A flat window's ratio is c1 c2 / (c1 c2): zero constants make it 0/0.
+        for name, c in (("c1", self.c1), ("c2", self.c2)):
+            if not (math.isfinite(c) and c > 0.0):
+                raise DomainError(f"{name} must be finite and positive, got {c}")
 
 
 @dataclass(frozen=True)
@@ -105,12 +112,16 @@ def _window_means(c: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
+def _check_window(a: SemanticMap, w: int) -> None:
+    if a.width < w or a.height < w:
+        raise TooSmallError(f"both dimensions must be >= window {w}, got {a.width}x{a.height}")
+
+
 def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuality()) -> float:
     """Mean SSIM over all w x w windows (Wang et al., IEEE TIP 13(4), 2004)."""
     _check_shapes(a, b)
     w = params.window
-    if a.width < w or a.height < w:
-        raise TooSmallError(f"both dimensions must be >= window {w}, got {a.width}x{a.height}")
+    _check_window(a, w)
     x, y = a.pixels, b.pixels
     c1, c2 = params.c1, params.c2
     # One integral-image buffer serves all five window means; each product
@@ -180,13 +191,22 @@ def vi_quality(a: SemanticMap, b: SemanticMap, levels: int) -> float:
 
 
 def score(kind: MetricKind, a: SemanticMap, b: SemanticMap) -> float:
-    """Dispatch to the metric variant; all scores lie in [0, 1]."""
+    """Dispatch to the metric variant; all scores lie in [0, 1].
+
+    When ``a is b`` the score is an exact match, 1.0, returned without
+    computing once the arguments have passed the metric's checks (SSIM
+    still rejects a map smaller than its window).
+    """
+    if not isinstance(kind, MetricKind):
+        raise DomainError(f"unknown metric kind {kind!r}")
+    if a is b:
+        if isinstance(kind, SsimQuality):
+            _check_window(a, kind.window)
+        return 1.0
     if isinstance(kind, MseQuality):
         return mse_quality(a, b)
     if isinstance(kind, PsnrQuality):
         return psnr_quality(a, b, kind.cap_db)
     if isinstance(kind, SsimQuality):
         return ssim_quality(a, b, kind)
-    if isinstance(kind, ViQuality):
-        return vi_quality(a, b, kind.levels)
-    raise DomainError(f"unknown metric kind {kind!r}")
+    return vi_quality(a, b, kind.levels)

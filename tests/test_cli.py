@@ -85,6 +85,29 @@ def test_parse_extractor_and_metric_specs():
         parse_metric("fid")
 
 
+@pytest.mark.parametrize("spec", ["psnr(cap=inf)", "psnr(cap=nan)", "psnr(cap=-inf)", "psnr(cap=0)"])
+def test_parse_metric_rejects_a_non_finite_or_non_positive_cap(spec):
+    with pytest.raises(ConfigError, match="cap must be finite and positive"):
+        parse_metric(spec)
+
+
+def test_sweep_with_an_infinite_psnr_cap_is_a_config_error(tmp_path, capsys):
+    cfg = small_two_service_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("a.metric = mse", "a.metric = psnr(cap=inf)"))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "cap must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "curves.csv").exists()
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"[services]\na.extractor = sobel\xff\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_load_config_round_trip(tmp_path):
     paths = write_images(tmp_path)
     cfg = load_config(base_config(tmp_path, paths))

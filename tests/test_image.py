@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,7 +20,7 @@ from semcom.image import (
     write_pgm,
 )
 
-from _reference import reference_bilinear_upscale, reference_on_label_grid
+from _reference import reference_bilinear_upscale, reference_box_downscale, reference_on_label_grid
 
 
 def test_map_invariants_enforced():
@@ -153,6 +155,39 @@ def test_box_downscale_rejects_zero():
 def test_box_downscale_kind_becomes_soft():
     m = SemanticMap([[0.0, 1.0]], kind=BINARY)
     assert box_downscale(m, 2).kind == "soft"
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 200), (97, 131), (1000, 1023), (1024, 1024)])
+def test_box_downscale_bits_equal_reduceat(shape):
+    # Raw bytes, not ==, so that a sign of zero or a last-bit difference shows.
+    rng = np.random.default_rng(shape[0] * 7919 + shape[1])
+    maps = [SemanticMap(rng.random(shape)), SemanticMap(np.full(shape, -0.0))]
+    for m in maps:
+        for d in range(1, 18):
+            assert box_downscale(m, d).pixels.tobytes() == reference_box_downscale(m, d).pixels.tobytes(), d
+
+
+@pytest.mark.parametrize("d", [129, 130, 137, 300])
+def test_box_downscale_bits_equal_reduceat_beyond_128_terms(d):
+    # Blocks of more than 129 pixels take numpy's split of the pairwise sum.
+    m = SemanticMap(np.random.default_rng(d).random((301, 2 * d + 5)))
+    assert box_downscale(m, d).pixels.tobytes() == reference_box_downscale(m, d).pixels.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 10])
+def test_box_downscale_peaks_no_higher_than_reduceat(d):
+    m = SemanticMap(np.random.default_rng(d).random((1024, 1024)))
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fn(m, d)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    assert peak(box_downscale) <= peak(reference_box_downscale)
 
 
 def test_bilinear_constant_is_exact():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semcom.errors import DomainError, ShapeError, TooSmallError
-from semcom.image import LABELS, SemanticMap
+from semcom.image import BINARY, LABELS, SemanticMap
 from semcom.metrics import (
     MseQuality,
     PsnrQuality,
@@ -201,3 +201,66 @@ def test_kind_validation():
         SsimQuality(window=1)
     with pytest.raises(DomainError):
         ViQuality(1)
+
+
+SELF_KINDS = [
+    MseQuality(),
+    PsnrQuality(50.0),
+    PsnrQuality(20.0),
+    SsimQuality(2),
+    SsimQuality(8),
+    ViQuality(2),
+    ViQuality(4),
+    ViQuality(8),
+]
+
+
+def self_score_maps(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    spike = np.zeros(shape)
+    spike[shape[0] // 2, shape[1] // 3] = 1.0
+    return {
+        "soft": SemanticMap(rng.random(shape)),
+        "binary": SemanticMap((rng.random(shape) < 0.3).astype(float), kind=BINARY),
+        "labels": SemanticMap(rng.integers(0, 5, size=shape) / 4.0, kind=LABELS, levels=5),
+        "constant": const(0.37, shape),
+        "spike": SemanticMap(spike),
+        "tiny": SemanticMap(rng.random(shape) * 1e-160),
+    }
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (13, 21), (96, 128)])
+@pytest.mark.parametrize("kind", SELF_KINDS, ids=metric_label)
+def test_self_score_is_one_and_equals_the_computed_score(kind, shape):
+    for name, m in self_score_maps(shape).items():
+        fast = score(kind, m, m)
+        computed = score(kind, m, SemanticMap(m.pixels))
+        assert fast == 1.0, name
+        assert fast.hex() == computed.hex(), name
+
+
+def test_self_score_still_checks_the_ssim_window():
+    m = const(0.5, (4, 4))
+    with pytest.raises(TooSmallError):
+        score(SsimQuality(8), m, m)
+    with pytest.raises(TooSmallError):
+        score(SsimQuality(5), const(0.5, (8, 4)), const(0.5, (8, 4)))
+    assert score(SsimQuality(4), m, m) == 1.0
+
+
+def test_self_score_rejects_an_unknown_kind():
+    m = const(0.5)
+    with pytest.raises(DomainError):
+        score("psnr", m, m)
+
+
+@pytest.mark.parametrize("cap", [math.inf, -math.inf, math.nan])
+def test_psnr_cap_must_be_finite_and_positive(cap):
+    with pytest.raises(DomainError):
+        PsnrQuality(cap_db=cap)
+
+
+@pytest.mark.parametrize("c1, c2", [(0.0, 0.0), (0.0, 9e-4), (1e-4, 0.0), (-1e-4, 9e-4), (math.nan, 9e-4), (1e-4, math.inf)])
+def test_ssim_constants_must_be_finite_and_positive(c1, c2):
+    with pytest.raises(DomainError):
+        SsimQuality(c1=c1, c2=c2)
