@@ -66,7 +66,9 @@ def transmit(payload: EncodedPayload, cfg: ChannelConfig, rng: np.random.Generat
         rng.random(out=block)
         flips = block < p
         flipped += int(np.count_nonzero(flips))
-        out[start : start + len(block)] ^= np.packbits(flips, axis=1).ravel()
+        # flips is C-contiguous with 8 bits per byte, so one flat pack gives
+        # each byte's bits in order, as packing along axis 1 would.
+        out[start : start + len(block)] ^= np.packbits(flips.reshape(-1))
     delivered = replace(payload, payload=out.tobytes())
     return TransmitResult(delivered=delivered, bytes_used=used, flipped_bits=flipped)
 

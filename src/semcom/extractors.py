@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MissingMapError, ShapeError
-from .image import BINARY, LABELS, SemanticMap, quantize_levels, read_pgm
+from .image import BINARY, LABELS, MAX_LEVELS, SemanticMap, quantize_levels, read_pgm
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ class QuantizeSegmentation:
     levels: int
 
     def __post_init__(self):
-        if self.levels < 2:
-            raise DomainError(f"level count must be >= 2, got {self.levels}")
+        if not 2 <= self.levels <= MAX_LEVELS:
+            raise DomainError(f"level count must lie in [2, {MAX_LEVELS}], got {self.levels}")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,10 @@ SOFT = "soft"
 BINARY = "binary"
 LABELS = "labels"
 
+# Largest level count K of a quantizer or a labels metric: the payload
+# header stores K in one byte.
+MAX_LEVELS = 255
+
 _KINDS = (SOFT, BINARY, LABELS)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, TooSmallError
-from .image import SemanticMap, quantize_levels
+from .image import MAX_LEVELS, SemanticMap, quantize_levels
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class ViQuality:
     levels: int
 
     def __post_init__(self):
-        if self.levels < 2:
-            raise DomainError(f"level count must be >= 2, got {self.levels}")
+        if not 2 <= self.levels <= MAX_LEVELS:
+            raise DomainError(f"level count must lie in [2, {MAX_LEVELS}], got {self.levels}")
 
 
 MetricKind = MseQuality | PsnrQuality | SsimQuality | ViQuality
@@ -94,22 +94,10 @@ def psnr_quality(a: SemanticMap, b: SemanticMap, cap_db: float = 50.0) -> float:
     return min(10.0 * math.log10(1.0 / mse), cap_db) / cap_db
 
 
-def _window_means(c: np.ndarray, w: int) -> np.ndarray:
-    """Mean of every w x w sliding window (stride 1) via an integral image.
-
-    ``c`` has a zero top row and left column and holds the values in its
-    interior, which is turned into the integral image in place: summed
-    down the columns first, then along the rows.
-    """
-    inner = c[1:, 1:]
-    for i in range(1, inner.shape[0]):
-        np.add(inner[i - 1], inner[i], out=inner[i])
-    np.cumsum(inner, axis=1, out=inner)
-    out = c[w:, w:] - c[:-w, w:]
-    out -= c[w:, :-w]
-    out += c[:-w, :-w]
-    out /= w * w
-    return out
+# Elements of one moment's integral-image rows that ssim_quality builds per
+# band of output rows: with five moments, its band buffers hold 2 to 3 MB
+# at window 8, whatever the image size.
+_BAND = 1 << 14
 
 
 def _check_window(a: SemanticMap, w: int) -> None:
@@ -118,54 +106,93 @@ def _check_window(a: SemanticMap, w: int) -> None:
 
 
 def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuality()) -> float:
-    """Mean SSIM over all w x w windows (Wang et al., IEEE TIP 13(4), 2004)."""
+    """Mean SSIM over all w x w windows (Wang et al., IEEE TIP 13(4), 2004).
+
+    The window means come from integral images of the five moments x, y,
+    xy, x^2 and y^2, built one band of output rows at a time. Each step
+    repeats the whole-array arithmetic in its order: column sums
+    S_r = S_(r-1) + v_r from the first row itself, a running sum along
+    each row, then the four-term window sum over w*w. Only the ratio map
+    is image-sized, and one ``np.mean`` over all of it keeps numpy's
+    pairwise summation, so the score has the same bits as the whole-array
+    form.
+    """
     _check_shapes(a, b)
     w = params.window
     _check_window(a, w)
     x, y = a.pixels, b.pixels
     c1, c2 = params.c1, params.c2
-    # One integral-image buffer serves all five window means; each product
-    # is written straight into its interior.
-    c = np.zeros((x.shape[0] + 1, x.shape[1] + 1))
-    inner = c[1:, 1:]
-    inner[...] = x
-    mx = _window_means(c, w)
-    inner[...] = y
-    my = _window_means(c, w)
-    np.multiply(x, y, out=inner)
-    cov = _window_means(c, w)
-    # ((2 mx my + c1)(2 cov + c2)) / ((mx^2 + my^2 + c1)(vx + vy + c2)) with
-    # sample (not Bessel-corrected) second moments, each factor evaluated in
-    # that left-to-right order; the buffer's interior is scratch until the
-    # next product overwrites it.
-    scratch = inner[: mx.shape[0], : mx.shape[1]]
-    np.multiply(mx, my, out=scratch)
-    cov -= scratch
-    np.multiply(2.0, mx, out=scratch)
-    scratch *= my
-    scratch += c1
-    cov *= 2.0
-    cov += c2
-    num = cov
-    num *= scratch
-    np.multiply(x, x, out=inner)
-    vx = _window_means(c, w)
-    mx *= mx
-    vx -= mx
-    np.multiply(y, y, out=inner)
-    vy = _window_means(c, w)
-    del c, inner, scratch
-    my *= my
-    vy -= my
-    den = mx
-    den += my
-    den += c1
-    vx += vy
-    del vy
-    vx += c2
-    den *= vx
-    num /= den
-    return min(max(float(np.mean(num)), 0.0), 1.0)
+    height, width = x.shape
+    oh, ow = height - w + 1, width - w + 1
+    span = width + 1
+    band = min(max(1, _BAND // width), oh)
+    # cs[1:] holds the running column sums of a band's source rows, the five
+    # moments side by side in each row, and cs[0] those of the row before.
+    cs = np.empty((band + w, 5, width))
+    # g[m] holds rows of moment m's integral image, zero in column 0; the
+    # first w rows of each band are the last w of the band before.
+    g = np.zeros((5, band + w, span))
+    flat = g.reshape(5, -1)
+    # Window means and ratio terms run over each plane's rows laid end to
+    # end, so every operand is contiguous: position r * span + c is window
+    # (r, c) for c < ow, and the wrapped positions past ow are finite and
+    # never read.
+    means = np.empty((5, band * span))
+    # The ratio terms' scratch lies clear of cs[0], in rows free once in g.
+    scratch = cs.reshape(-1)[-band * span :]
+    ratio = np.empty((oh, ow))
+    top, src = 1, 0  # next integral row to fill, and the source row it comes from
+    for i in range(0, oh, band):
+        n = min(band, oh - i)
+        end = i + n + w - 1
+        rows = cs[1 : 1 + end - src]
+        xs, ys = x[src:end], y[src:end]
+        rows[:, 0] = xs
+        rows[:, 1] = ys
+        np.multiply(xs, ys, out=rows[:, 2])
+        np.multiply(xs, xs, out=rows[:, 3])
+        np.multiply(ys, ys, out=rows[:, 4])
+        for r in range(1 if src else 2, len(rows) + 1):
+            np.add(cs[r - 1], cs[r], out=cs[r])
+        cs[0] = rows[-1]
+        np.cumsum(rows, axis=2, out=g[:, top : n + w, 1:].transpose(1, 0, 2))
+        # (c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]) / (w * w) for each
+        # plane's integral image c, in that order.
+        k = (n - 1) * span + ow
+        below = w * span
+        m = means[:, :k]
+        np.subtract(flat[:, below + w : below + w + k], flat[:, w : w + k], out=m)
+        m -= flat[:, below : below + k]
+        m += flat[:, :k]
+        m /= w * w
+        g[:, :w] = g[:, n : n + w]
+        top, src = w, end
+        # ((2 mx my + c1)(2 cov + c2)) / ((mx^2 + my^2 + c1)(vx + vy + c2))
+        # with sample (not Bessel-corrected) second moments, each factor
+        # evaluated in that left-to-right order. The xy, x^2 and y^2 means
+        # turn into cov, vx and vy in place.
+        mx, my, cov, vx, vy = m
+        t = scratch[:k]
+        np.multiply(mx, my, out=t)
+        cov -= t
+        np.multiply(2.0, mx, out=t)
+        t *= my
+        t += c1
+        cov *= 2.0
+        cov += c2
+        cov *= t
+        mx *= mx
+        vx -= mx
+        my *= my
+        vy -= my
+        mx += my
+        mx += c1
+        vx += vy
+        vx += c2
+        mx *= vx
+        grid = means[:, : n * span].reshape(5, n, span)[:, :, :ow]
+        np.divide(grid[2], grid[0], out=ratio[i : i + n])
+    return min(max(float(np.mean(ratio)), 0.0), 1.0)
 
 
 def vi_quality(a: SemanticMap, b: SemanticMap, levels: int) -> float:

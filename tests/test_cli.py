@@ -99,6 +99,34 @@ def test_sweep_with_an_infinite_psnr_cap_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "curves.csv").exists()
 
 
+def test_level_counts_up_to_the_wire_format_limit_parse():
+    assert parse_extractor("quantize(k=255)") == QuantizeSegmentation(255)
+    assert parse_metric("vi(k=255)") == ViQuality(255)
+    for spec in ("quantize(k=256)", "quantize(k=1)"):
+        with pytest.raises(ConfigError, match=r"level count must lie in \[2, 255\]"):
+            parse_extractor(spec)
+    for spec in ("vi(k=256)", "vi(k=1)"):
+        with pytest.raises(ConfigError, match=r"level count must lie in \[2, 255\]"):
+            parse_metric(spec)
+
+
+@pytest.mark.parametrize("command", ["sweep", "pipeline"])
+@pytest.mark.parametrize(
+    "old, new",
+    [("b.extractor = sobel", "b.extractor = quantize(k=300)"), ("b.metric = ssim", "b.metric = vi(k=10000000)")],
+    ids=["quantize-k300", "vi-k10000000"],
+)
+def test_a_level_count_above_the_wire_format_limit_is_a_config_error(tmp_path, capsys, command, old, new):
+    cfg = small_two_service_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(old, new))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "level count must lie in [2, 255]" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "curves.csv").exists()
+    assert not (tmp_path / "out" / "pipeline_report.csv").exists()
+
+
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_bytes(b"[services]\na.extractor = sobel\xff\n")

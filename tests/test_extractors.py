@@ -245,6 +245,8 @@ def test_kind_param_validation():
     with pytest.raises(DomainError):
         QuantizeSegmentation(1)
     with pytest.raises(DomainError):
+        QuantizeSegmentation(256)
+    with pytest.raises(DomainError):
         ExternalMap("maps/pose.pgm")
 
 
