@@ -8,7 +8,8 @@ output directory; reruns with the same config are byte-identical.
 
 Exit codes: 0 success, 1 a domain failure (a service failed validation,
 scored below its threshold after the channel, or the delivered bytes
-exceed the budget), 2 usage or config errors.
+exceed the budget), 2 usage or config errors, unreadable inputs and
+unwritable outputs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .allocator import (
 from .channel import budget_check, transmit
 from .codec import decode, encode, serialize_payload
 from .config import ExperimentConfig, RunManifest, load_config, parse_extractor
-from .errors import SemcomError, ValidationFailedError
+from .errors import IoError, SemcomError, ValidationFailedError
 from .extractors import extract, extractor_label
 from .generation import Surrogate, validate_and_adjust
 from .image import read_pgm, write_pgm
@@ -51,10 +52,13 @@ def _cell(value) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_cell(v) for v in row) + "\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _now() -> str:
@@ -62,7 +66,10 @@ def _now() -> str:
 
 
 def _start_manifest(command: str, config: ExperimentConfig) -> RunManifest:
-    os.makedirs(config.output_dir, exist_ok=True)
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {config.output_dir}: {exc}") from exc
     return RunManifest(command=command, config=config, started_at=_now())
 
 
@@ -182,8 +189,11 @@ def _deliver(entry, config: ExperimentConfig, manifest: RunManifest, gen_rng, ch
     core = validation.core
     result = transmit(encode(core.semantic, validation.accepted_d), config.channel, chan_rng)
     payload_path = os.path.join(config.output_dir, f"{spec.id}_payload.bin")
-    with open(payload_path, "wb") as fh:
-        fh.write(serialize_payload(result.delivered))
+    try:
+        with open(payload_path, "wb") as fh:
+            fh.write(serialize_payload(result.delivered))
+    except OSError as exc:
+        raise IoError(f"cannot write {payload_path}: {exc}") from exc
     manifest.record(payload_path)
 
     quality = core.score_reconstruction(decode(result.delivered), gen_rng)

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import CorruptPayloadError, DomainError
 from .image import (
     LABELS,
+    MAX_LEVELS,
     SOFT,
     Resolution,
     SemanticMap,
@@ -68,6 +69,15 @@ class EncodedPayload:
             raise CorruptPayloadError(
                 f"payload has {len(self.payload)} bytes, header needs {self.enc_width * self.enc_height}"
             )
+        if self.kind not in _KIND_TAGS:
+            raise CorruptPayloadError(f"unknown payload kind {self.kind!r}")
+        if self.kind == LABELS:
+            if not (isinstance(self.levels, (int, np.integer)) and 2 <= self.levels <= MAX_LEVELS):
+                raise CorruptPayloadError(
+                    f"labels payload needs a level count K in [2, {MAX_LEVELS}], got {self.levels!r}"
+                )
+        elif self.levels is not None:
+            raise CorruptPayloadError(f"{self.kind} payload has a level count {self.levels!r}; only labels payloads do")
 
 
 def encode(map: SemanticMap, d: int) -> EncodedPayload:
@@ -147,8 +157,6 @@ def parse_payload(data: bytes) -> EncodedPayload:
     if len(body) != ew * eh:
         raise CorruptPayloadError(f"payload has {len(body)} bytes, header needs {ew * eh}")
     kind = _TAG_KINDS[tag]
-    if kind == LABELS and k < 2:
-        raise CorruptPayloadError(f"labels payload needs a level count K >= 2, got {k}")
     return EncodedPayload(
         orig_width=ow,
         orig_height=oh,

@@ -32,7 +32,7 @@ import numpy as np
 
 from .allocator import DqnConfig
 from .channel import ChannelConfig
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, IoError
 from .extractors import Canny, ExternalMap, ExtractorKind, QuantizeSegmentation, SobelMagnitude
 from .generation import ServiceSpec
 from .metrics import MetricKind, MseQuality, PsnrQuality, SsimQuality, ViQuality
@@ -303,6 +303,9 @@ class RunManifest:
         ]
         lines.extend(f"  {p}" for p in self.emitted)
         tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise IoError(f"cannot write {path}: {exc}") from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MissingMapError, ShapeError
-from .image import BINARY, LABELS, MAX_LEVELS, SemanticMap, quantize_levels, read_pgm
+from .image import BINARY, LABELS, MAX_LEVELS, SemanticMap, read_pgm, restore_kind
 
 
 @dataclass(frozen=True)
@@ -200,8 +200,7 @@ def sobel_magnitude(image: SemanticMap) -> SemanticMap:
 
 def quantize_segmentation(image: SemanticMap, levels: int) -> SemanticMap:
     """Quantize intensities into K levels on the grid {0/(K-1), ..., 1}."""
-    bins = quantize_levels(image.pixels, levels)
-    return SemanticMap(bins / (levels - 1), kind=LABELS, levels=levels)
+    return restore_kind(image.pixels, LABELS, levels)
 
 
 def external_map(template: str, image_id: str) -> SemanticMap:

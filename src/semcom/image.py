@@ -52,22 +52,28 @@ class SemanticMap:
         arr = np.array(self.pixels, dtype=np.float64, copy=True, order="C")
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ShapeError(f"pixels must be a non-empty 2D array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("pixel values must be finite")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        # Each check scans the copy in bands of _CHECK_BAND values, and its
+        # verdict is the whole array's; the checks keep their order.
+        flat = arr.reshape(-1)
+        bands = [flat[i : i + _CHECK_BAND] for i in range(0, flat.size, _CHECK_BAND)]
+        in_range = True
+        for band in bands:
+            lo, hi = band.min(), band.max()
+            # min and max propagate NaN, so both are finite exactly when every value is.
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise DomainError("pixel values must be finite")
+            in_range = in_range and lo >= 0.0 and hi <= 1.0
+        if not in_range:
             raise DomainError(f"pixel values must lie in [0, 1], got range [{arr.min()}, {arr.max()}]")
         if self.kind not in _KINDS:
             raise DomainError(f"unknown map kind {self.kind!r}")
         if self.kind == BINARY:
-            if not np.all((arr == 0.0) | (arr == 1.0)):
+            if not all(np.all((band == 0.0) | (band == 1.0)) for band in bands):
                 raise DomainError("binary map values must be exactly 0 or 1")
         if self.kind == LABELS:
             if self.levels is None or self.levels < 2:
                 raise DomainError("labels map needs a level count K >= 2")
-            residue = arr * (self.levels - 1)
-            residue -= np.rint(residue)
-            np.abs(residue, out=residue)
-            if not np.all(residue <= 1e-9):
+            if not _on_label_grid(bands, self.levels):
                 raise DomainError(f"labels map values must lie on the {self.levels}-level grid")
         elif self.levels is not None:
             raise DomainError("levels is only meaningful for labels maps")
@@ -87,6 +93,26 @@ class SemanticMap:
         return Resolution(self.width, self.height)
 
 
+# Values of a map's pixels that SemanticMap's checks scan at a time: a
+# band and the grid check's two float64 buffers of its size take 768 KB,
+# which fits a core's L2 cache.
+_CHECK_BAND = 1 << 15
+
+
+def _on_label_grid(bands: list[np.ndarray], levels: int) -> bool:
+    """Whether every value v of ``bands`` has |v (K - 1) - rint(v (K - 1))| <= 1e-9 for K = levels."""
+    residue = np.empty(bands[0].size)
+    nearest = np.empty_like(residue)
+    for band in bands:
+        r = np.multiply(band, levels - 1, out=residue[: band.size])
+        r -= np.rint(r, out=nearest[: band.size])
+        np.abs(r, out=r)
+        # max propagates NaN, so this fails exactly when some value fails the bound.
+        if not r.max() <= 1e-9:
+            return False
+    return True
+
+
 def quantize_levels(pixels: np.ndarray, k: int) -> np.ndarray:
     """Bin intensities in [0, 1] into integer levels 0..K-1.
 
@@ -96,11 +122,11 @@ def quantize_levels(pixels: np.ndarray, k: int) -> np.ndarray:
     return _level_floor(pixels, k).astype(np.int64)
 
 
-def _level_floor(pixels: np.ndarray, k: int) -> np.ndarray:
-    """quantize_levels' bins as float64, computed in one buffer."""
+def _level_floor(pixels: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """quantize_levels' bins as float64, computed in one buffer: ``out`` if given, else a new one."""
     if k < 2:
         raise DomainError(f"level count must be >= 2, got {k}")
-    bins = np.minimum(pixels, 1.0 - 1e-9)
+    bins = np.minimum(pixels, 1.0 - 1e-9, out=out)
     bins *= k
     return np.floor(bins, out=bins)
 
@@ -320,17 +346,33 @@ def bilinear_upscale(map: SemanticMap, target: Resolution) -> SemanticMap:
     # Lerp form keeps constants exact and stays inside [min, max].  Each
     # source row is lerped along x once; gathering rows y0 and y1 of that
     # gives the same top and bottom rows as gathering the four corners.
-    left = arr[:, x0]
-    rows = arr[:, x1]
-    rows -= left
-    rows *= fx
-    rows += left
-    top = rows[y0]
-    out = rows[y1]
-    out -= top
-    out *= fy
-    out += top
+    # Each pass fills its result one band of rows at a time, and np.take
+    # keeps every gather C-ordered.  The indices lie in range by
+    # construction; mode="clip" lets np.take write into its ``out``
+    # argument directly, where the default mode buffers the write.
+    rows = np.empty((h, tw))
+    band = max(1, _UPSCALE_BAND // tw)
+    for i in range(0, h, band):
+        part = rows[i : i + band]
+        src = arr[i : i + band]
+        left = np.take(src, x0, axis=1)
+        np.take(src, x1, axis=1, out=part, mode="clip")
+        part -= left
+        part *= fx
+        part += left
+    out = np.empty((th, tw))
+    for i in range(0, th, band):
+        part = out[i : i + band]
+        top = np.take(rows, y0[i : i + band], axis=0)
+        np.take(rows, y1[i : i + band], axis=0, out=part, mode="clip")
+        part -= top
+        part *= fy[i : i + band]
+        part += top
     return SemanticMap(out)
+
+
+# Elements of the rows bilinear_upscale lerps at a time, in each of its two passes.
+_UPSCALE_BAND = 1 << 15
 
 
 def downscaled_resolution(width: int, height: int, d: int) -> Resolution:

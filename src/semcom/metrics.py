@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, TooSmallError
-from .image import MAX_LEVELS, SemanticMap, quantize_levels
+from .image import MAX_LEVELS, SemanticMap, _level_floor
 
 
 @dataclass(frozen=True)
@@ -195,15 +195,31 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
     return min(max(float(np.mean(ratio)), 0.0), 1.0)
 
 
+# Pixels of each map vi_quality bins at a time.
+_VI_BAND = 1 << 15
+
+
 def vi_quality(a: SemanticMap, b: SemanticMap, levels: int) -> float:
-    """Variation-of-information score on K-level quantizations, in nats."""
+    """Variation-of-information score on K-level quantizations, in nats.
+
+    The joint histogram of the two maps' levels is counted one band of
+    _VI_BAND pixels at a time into one integer count vector, so it holds
+    the same counts as a histogram of the whole maps.
+    """
     _check_shapes(a, b)
-    la = quantize_levels(a.pixels, levels).ravel()
-    lb = quantize_levels(b.pixels, levels).ravel()
-    n = la.size
-    la *= levels
-    la += lb
-    joint = np.bincount(la, minlength=levels * levels).reshape(levels, levels) / n
+    x, y = a.pixels.reshape(-1), b.pixels.reshape(-1)
+    n = x.size
+    band = min(n, _VI_BAND)
+    bx, by = np.empty(band), np.empty(band)
+    counts = 0  # the first band's histogram replaces it; _level_floor checks levels first
+    for i in range(0, n, band):
+        m = min(band, n - i)
+        # Levels are whole numbers below K, so K la + lb is exact in float64.
+        la = _level_floor(x[i : i + m], levels, out=bx[:m])
+        la *= levels
+        la += _level_floor(y[i : i + m], levels, out=by[:m])
+        counts += np.bincount(la.astype(np.intp), minlength=levels * levels)
+    joint = counts.reshape(levels, levels) / n
 
     def entropy(p: np.ndarray) -> float:
         nz = p[p > 0.0]

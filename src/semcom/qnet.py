@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .errors import CorruptPayloadError, ShapeError
+from .errors import CorruptPayloadError, IoError, ShapeError
 
 _MAGIC = b"DQN1"
 
@@ -114,18 +114,24 @@ class SgdMomentum:
 
 
 def save_qnet(net: Mlp, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(net.sizes)))
-        fh.write(struct.pack(f"<{len(net.sizes)}I", *net.sizes))
-        for w, b in zip(net.weights, net.biases):
-            fh.write(w.astype("<f8").tobytes())
-            fh.write(b.astype("<f8").tobytes())
+    try:
+        with open(path, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<I", len(net.sizes)))
+            fh.write(struct.pack(f"<{len(net.sizes)}I", *net.sizes))
+            for w, b in zip(net.weights, net.biases):
+                fh.write(w.astype("<f8").tobytes())
+                fh.write(b.astype("<f8").tobytes())
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def load_qnet(path) -> Mlp:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
     if data[:4] != _MAGIC:
         raise CorruptPayloadError(f"bad checkpoint magic {data[:4]!r}")
     if len(data) < 8:

@@ -435,3 +435,94 @@ def reference_box_downscale(map, d):
     row_counts = np.minimum(row_idx + d, h) - row_idx
     col_counts = np.minimum(col_idx + d, w) - col_idx
     return SemanticMap(sums / np.outer(row_counts, col_counts))
+
+
+def reference_validate(pixels, kind="soft", levels=None):
+    """SemanticMap's checks as first written, each over the whole array; returns the copy it keeps."""
+    from semcom.errors import DomainError, ShapeError
+    from semcom.image import _KINDS, BINARY, LABELS
+
+    arr = np.array(pixels, dtype=np.float64, copy=True, order="C")
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ShapeError(f"pixels must be a non-empty 2D array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("pixel values must be finite")
+    if arr.min() < 0.0 or arr.max() > 1.0:
+        raise DomainError(f"pixel values must lie in [0, 1], got range [{arr.min()}, {arr.max()}]")
+    if kind not in _KINDS:
+        raise DomainError(f"unknown map kind {kind!r}")
+    if kind == BINARY:
+        if not np.all((arr == 0.0) | (arr == 1.0)):
+            raise DomainError("binary map values must be exactly 0 or 1")
+    if kind == LABELS:
+        if levels is None or levels < 2:
+            raise DomainError("labels map needs a level count K >= 2")
+        residue = arr * (levels - 1)
+        residue -= np.rint(residue)
+        np.abs(residue, out=residue)
+        if not np.all(residue <= 1e-9):
+            raise DomainError(f"labels map values must lie on the {levels}-level grid")
+    elif levels is not None:
+        raise DomainError("levels is only meaningful for labels maps")
+    return arr
+
+
+def legacy_bilinear_upscale(map, target):
+    """bilinear_upscale as first vectorised: whole-array gathers, the column gathers F-ordered."""
+    from semcom.image import SOFT, SemanticMap
+
+    arr = map.pixels
+    h, w = arr.shape
+    th, tw = target.height, target.width
+    if (th, tw) == (h, w):
+        return map if map.kind == SOFT else SemanticMap(arr)
+
+    def sample_coords(n_in, n_out):
+        if n_out == 1 or n_in == 1:
+            return np.zeros(n_out)
+        return np.arange(n_out) * ((n_in - 1) / (n_out - 1))
+
+    ys = sample_coords(h, th)
+    xs = sample_coords(w, tw)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    left = arr[:, x0]
+    rows = arr[:, x1]
+    rows -= left
+    rows *= fx
+    rows += left
+    top = rows[y0]
+    out = rows[y1]
+    out -= top
+    out *= fy
+    out += top
+    return SemanticMap(out)
+
+
+def legacy_vi_quality(a, b, levels):
+    """vi_quality as first vectorised: whole-map int64 levels and one bincount."""
+    from semcom.image import quantize_levels
+    from semcom.metrics import _check_shapes
+
+    _check_shapes(a, b)
+    la = quantize_levels(a.pixels, levels).ravel()
+    lb = quantize_levels(b.pixels, levels).ravel()
+    n = la.size
+    la *= levels
+    la += lb
+    joint = np.bincount(la, minlength=levels * levels).reshape(levels, levels) / n
+
+    def entropy(p):
+        nz = p[p > 0.0]
+        return float(-np.sum(nz * np.log(nz)))
+
+    hx = entropy(joint.sum(axis=1))
+    hy = entropy(joint.sum(axis=0))
+    hxy = entropy(joint.ravel())
+    mutual = hx + hy - hxy
+    vi = hx + hy - 2.0 * mutual
+    return min(max(1.0 - vi / (2.0 * math.log(levels)), 0.0), 1.0)

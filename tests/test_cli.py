@@ -446,3 +446,48 @@ dir = {tmp_path / 'out'}
     assert float(quality) < 0.9
     assert parse_payload((out / "a_payload.bin").read_bytes()).factor == 1
     assert f"budget: total={64 * 64 + 16} feasible=True" in (out / "pipeline_manifest.txt").read_text()
+
+
+_COMMANDS = {
+    "sweep": ["sweep"],
+    "allocate-greedy": ["allocate", "--solver", "greedy"],
+    "allocate-dqn": ["allocate", "--solver", "dqn"],
+    "pipeline": ["pipeline"],
+}
+
+
+def run_command(name, cfg):
+    command, *rest = _COMMANDS[name]
+    return main([command, "--config", str(cfg), *rest])
+
+
+@pytest.mark.parametrize("name", ["sweep", "allocate-greedy", "pipeline"])
+def test_an_output_dir_below_a_regular_file_exits_2(tmp_path, capsys, name):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    (tmp_path / "blocker").write_text("")
+    cfg.write_text(cfg.read_text().replace(f"dir = {tmp_path / 'out'}", f"dir = {tmp_path / 'blocker' / 'out'}"))
+    assert run_command(name, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {tmp_path / 'blocker' / 'out'}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, blocked",
+    [
+        ("sweep", "curves.csv"),
+        ("sweep", "sweep_manifest.txt.tmp"),
+        ("allocate-greedy", "allocation.csv"),
+        ("allocate-dqn", "dqn_agent.bin"),
+        ("pipeline", "edges_payload.bin"),
+        ("pipeline", "pipeline_report.csv"),
+    ],
+)
+def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, name, blocked):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    # a directory where the command writes a file
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    assert run_command(name, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / 'out'}{os.sep}")
+    assert "Traceback" not in err

@@ -156,3 +156,21 @@ def test_payload_invariants_checked():
         EncodedPayload(4, 4, 2, 2, 2, "soft", None, bytes(3))
     with pytest.raises(CorruptPayloadError):
         EncodedPayload(4, 4, 3, 2, 2, "soft", None, bytes(6))
+
+
+@pytest.mark.parametrize(
+    "kind, levels",
+    [("labels", None), ("labels", 1), ("labels", 256), ("labels", 2.5), ("soft", 300), ("binary", 2), ("edges", None)],
+    ids=["labels-without-k", "labels-k1", "labels-k256", "labels-fractional-k", "soft-k300", "binary-k2", "unknown-kind"],
+)
+def test_payload_rejects_a_kind_or_level_count_the_wire_format_cannot_carry(kind, levels):
+    # Each used to fail later: in decode, in serialize_payload, or in parse_payload on the written bytes.
+    with pytest.raises(CorruptPayloadError):
+        EncodedPayload(4, 4, 2, 2, 2, kind, levels, bytes(4))
+
+
+@pytest.mark.parametrize("kind, levels", [("soft", None), ("binary", None), ("labels", 2), ("labels", 255)])
+def test_payloads_the_wire_format_carries_round_trip(kind, levels):
+    payload = EncodedPayload(4, 4, 2, 2, 2, kind, levels, bytes(4))
+    back = parse_payload(serialize_payload(payload))
+    assert (back.kind, back.levels) == (kind, levels)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semcom.errors import DomainError, ParseError, ShapeError, TruncatedError
+import semcom.image
+from semcom.errors import DomainError, ParseError, SemcomError, ShapeError, TruncatedError
 from semcom.image import (
     BINARY,
     LABELS,
+    SOFT,
     Resolution,
     SemanticMap,
     bilinear_upscale,
@@ -20,7 +22,91 @@ from semcom.image import (
     write_pgm,
 )
 
-from _reference import reference_bilinear_upscale, reference_box_downscale, reference_on_label_grid
+from _reference import (
+    legacy_bilinear_upscale,
+    reference_bilinear_upscale,
+    reference_box_downscale,
+    reference_on_label_grid,
+    reference_validate,
+)
+
+
+def traced_peak(fn, *args):
+    """Bytes ``fn(*args)`` allocates at its peak, beyond what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def map_verdict(build, pixels, kind, levels):
+    """The array ``build`` keeps as bytes, or the type and message of the error it raises."""
+    try:
+        kept = build(pixels, kind=kind, levels=levels)
+    except SemcomError as exc:
+        return type(exc), str(exc)
+    return getattr(kept, "pixels", kept).tobytes()
+
+
+def put(values, flat_index, value):
+    out = values.copy()
+    out.reshape(-1)[flat_index] = value
+    return out
+
+
+# A 4 x 7 map; its first value lies in the checks' first band and its last
+# value in their last band, whatever the band size.
+_SOFT = np.random.default_rng(47).random((4, 7))
+_BINARY = (_SOFT > 0.5).astype(np.float64)
+_LABELS = np.floor(_SOFT * 3) / 2
+_CHECK_CASES = {
+    "soft": (_SOFT, SOFT, None),
+    "binary": (_BINARY, BINARY, None),
+    "labels": (_LABELS, LABELS, 3),
+    "negative-zero": (put(_BINARY, -1, -0.0), BINARY, None),
+    "nan-first": (put(_SOFT, 0, np.nan), SOFT, None),
+    "nan-last": (put(_SOFT, -1, np.nan), SOFT, None),
+    "inf-last": (put(_SOFT, -1, np.inf), SOFT, None),
+    "minus-inf-first": (put(_SOFT, 0, -np.inf), SOFT, None),
+    "above-first": (put(_SOFT, 0, 1.5), SOFT, None),
+    "below-last": (put(_SOFT, -1, -0.25), SOFT, None),
+    "nan-last-after-out-of-range-first": (put(put(_SOFT, 0, 2.0), -1, np.nan), SOFT, None),
+    "out-of-range-last-after-off-grid-first": (put(put(_LABELS, 0, 0.3), -1, 1.25), LABELS, 3),
+    "unknown-kind": (_SOFT, "edges", None),
+    "unknown-kind-nan-last": (put(_SOFT, -1, np.nan), "edges", None),
+    "unknown-kind-out-of-range-last": (put(_SOFT, -1, 7.0), "edges", None),
+    "binary-off-first": (put(_BINARY, 0, 0.5), BINARY, None),
+    "binary-off-last": (put(_BINARY, -1, 0.5), BINARY, None),
+    "labels-off-grid-first": (put(_LABELS, 0, 0.3), LABELS, 3),
+    "labels-off-grid-last": (put(_LABELS, -1, 0.5 + 2e-9), LABELS, 3),
+    "labels-within-tolerance-last": (put(_LABELS, -1, 0.5 + 4e-10), LABELS, 3),
+    "labels-without-levels": (_LABELS, LABELS, None),
+    "labels-one-level": (_LABELS, LABELS, 1),
+    "labels-without-levels-nan-last": (put(_LABELS, -1, np.nan), LABELS, None),
+    "labels-many-levels": (_LABELS, LABELS, 10**6 + 1),
+    "soft-with-levels": (_SOFT, SOFT, 3),
+    "binary-with-levels-off-last": (put(_BINARY, -1, 0.5), BINARY, 3),
+    "one-dimensional": (_SOFT[0], SOFT, None),
+}
+
+
+@pytest.mark.parametrize("band", [1, 5, 27, 28, 1 << 15])
+@pytest.mark.parametrize("case", sorted(_CHECK_CASES))
+def test_map_checks_give_the_whole_array_verdicts_across_band_edges(monkeypatch, band, case):
+    # Same kept bytes, or the same error type and message, as the checks on the whole array.
+    monkeypatch.setattr(semcom.image, "_CHECK_BAND", band)
+    pixels, kind, levels = _CHECK_CASES[case]
+    assert map_verdict(SemanticMap, pixels, kind, levels) == map_verdict(reference_validate, pixels, kind, levels)
+
+
+def test_building_a_labels_map_peaks_under_one_and_a_half_arrays_of_its_size():
+    # The defensive copy is the one image-sized buffer; the grid check's
+    # band buffers add 0.5 MB.
+    pixels = np.floor(np.random.default_rng(3).random((1024, 1024)) * 4) / 3
+    assert traced_peak(lambda: SemanticMap(pixels, kind=LABELS, levels=4)) < 1.5 * pixels.nbytes
 
 
 def test_map_invariants_enforced():
@@ -177,17 +263,7 @@ def test_box_downscale_bits_equal_reduceat_beyond_128_terms(d):
 @pytest.mark.parametrize("d", [2, 3, 10])
 def test_box_downscale_peaks_no_higher_than_reduceat(d):
     m = SemanticMap(np.random.default_rng(d).random((1024, 1024)))
-
-    def peak(fn):
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            fn(m, d)
-            return tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-
-    assert peak(box_downscale) <= peak(reference_box_downscale)
+    assert traced_peak(box_downscale, m, d) <= traced_peak(reference_box_downscale, m, d)
 
 
 def test_bilinear_constant_is_exact():
@@ -224,6 +300,35 @@ def test_bilinear_equals_literal_loop_exactly(shape, target):
     out = bilinear_upscale(m, Resolution(target[1], target[0]))
     assert out.kind == "soft"
     assert np.array_equal(out.pixels, reference_bilinear_upscale(m.pixels, target[1], target[0]))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("w, tw", [(1, 2), (6, 11), (13, 5), (4, 4)], ids=["nx1", "widen", "narrow", "same-width"])
+def test_bilinear_bits_equal_literal_loop_across_band_edges(monkeypatch, rows, w, tw):
+    # Source and target heights of one row, a band less or more one row, one
+    # band, and two bands and a row: both passes cross band edges, and 1 x n
+    # sources, shrinking and same-size targets are among the cases.
+    monkeypatch.setattr(semcom.image, "_UPSCALE_BAND", rows * tw)
+    heights = sorted({n for n in (1, rows - 1, rows, rows + 1, 2 * rows + 1) if n >= 1})
+    rng = np.random.default_rng(100 * rows + w)
+    for h in heights:
+        m = SemanticMap(rng.random((h, w)))
+        for th in heights:
+            out = bilinear_upscale(m, Resolution(tw, th))
+            assert out.pixels.tobytes() == reference_bilinear_upscale(m.pixels, tw, th).tobytes()
+
+
+@pytest.mark.parametrize("size", [103, 512])
+def test_bilinear_bits_equal_first_vectorised_form_at_1024(size):
+    m = SemanticMap(np.random.default_rng(size).random((size, size)))
+    target = Resolution(1024, 1024)
+    assert bilinear_upscale(m, target).pixels.tobytes() == legacy_bilinear_upscale(m, target).pixels.tobytes()
+
+
+def test_bilinear_upscale_peaks_under_its_first_vectorised_form():
+    m = SemanticMap(np.random.default_rng(5).random((512, 512)))
+    target = Resolution(1024, 1024)
+    assert traced_peak(bilinear_upscale, m, target) < traced_peak(legacy_bilinear_upscale, m, target)
 
 
 def test_bilinear_same_resolution_of_binary_map_is_soft():

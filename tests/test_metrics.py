@@ -22,6 +22,7 @@ from semcom.metrics import (
 
 from _reference import (
     legacy_ssim_quality,
+    legacy_vi_quality,
     reference_mse_quality,
     reference_psnr_quality,
     reference_ssim_quality,
@@ -222,6 +223,44 @@ def test_ssim_peaks_under_one_and_a_half_arrays_of_its_size():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * a.pixels.nbytes
+
+
+def quantized_pair(rng, shape, k):
+    """A map with values on and just below its K bin edges, and a noisy copy."""
+    edges = np.arange(k + 1) / k
+    values = np.concatenate([edges, np.nextafter(edges, 0.0), rng.random(shape[0] * shape[1])])
+    a = SemanticMap(rng.permutation(values)[: shape[0] * shape[1]].reshape(shape))
+    return a, SemanticMap(np.clip(a.pixels + rng.normal(0.0, 0.3, shape), 0.0, 1.0))
+
+
+@pytest.mark.parametrize("band", [1, 7, 64])
+@pytest.mark.parametrize("k", [2, 3, 8, 255])
+def test_vi_bits_equal_first_vectorised_form_across_band_edges(monkeypatch, band, k):
+    # Pixel counts of a band less or more one, one band, two bands and one,
+    # and many bands with a short last one.
+    monkeypatch.setattr(semcom.metrics, "_VI_BAND", band)
+    rng = np.random.default_rng(1000 * band + k)
+    shapes = [(1, band + 1), (band, 1), (2 * band + 1, 1), (9, 13), (31, 5)]
+    if band > 1:
+        shapes.append((1, band - 1))
+    for shape in shapes:
+        a, b = quantized_pair(rng, shape, k)
+        assert vi_quality(a, b, k).hex() == legacy_vi_quality(a, b, k).hex()
+        assert vi_quality(b, a, k).hex() == legacy_vi_quality(b, a, k).hex()
+
+
+def test_vi_peaks_under_half_an_array_of_its_size():
+    # Only band buffers: measured at 0.09 of a 1024 x 1024 float64 map.
+    rng = np.random.default_rng(13)
+    a, b = quantized_pair(rng, (1024, 1024), 4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        vi_quality(a, b, 4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * a.pixels.nbytes
 
 
 def test_shape_mismatch_raises():

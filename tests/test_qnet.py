@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semcom.errors import CorruptPayloadError, ShapeError
+from semcom.errors import CorruptPayloadError, IoError, ShapeError
 from semcom.qnet import Mlp, SgdMomentum, load_qnet, save_qnet, td_loss_and_gradients
 
 from _reference import finite_difference_gradients, gradient_relative_error
@@ -115,3 +115,15 @@ def test_checkpoint_rejects_truncation_and_impossible_sizes(tmp_path):
         bad.write_bytes(data)
         with pytest.raises(CorruptPayloadError):
             load_qnet(bad)
+
+
+def test_checkpoint_io_failures_are_io_errors(tmp_path):
+    with pytest.raises(IoError, match="cannot read"):
+        load_qnet(tmp_path / "missing" / "agent.bin")
+    with pytest.raises(IoError, match="cannot read"):
+        load_qnet(tmp_path)
+    net = Mlp([2, 2], np.random.default_rng(10))
+    with pytest.raises(IoError, match="cannot write"):
+        save_qnet(net, tmp_path / "missing" / "agent.bin")
+    with pytest.raises(IoError, match="cannot write"):
+        save_qnet(net, tmp_path)
