@@ -37,6 +37,8 @@ HEADER_BYTES = 16
 _MAGIC = b"SMAP"
 _KIND_TAGS = {"soft": 0, "binary": 1, "labels": 2}
 _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
+_MAX_FACTOR = 255
+_MAX_DIM = 65535
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,14 @@ class EncodedPayload:
     payload: bytes
 
     def __post_init__(self):
-        if self.factor < 1:
-            raise DomainError(f"factor must be >= 1, got {self.factor}")
+        # The header holds each dimension in 16 bits and the factor in 8.
+        if not 1 <= self.factor <= _MAX_FACTOR:
+            raise CorruptPayloadError(f"factor must lie in [1, {_MAX_FACTOR}], got {self.factor}")
+        # The encoded dims must then be ceil(orig / d), no larger.
+        if not (1 <= self.orig_width <= _MAX_DIM and 1 <= self.orig_height <= _MAX_DIM):
+            raise CorruptPayloadError(
+                f"original dims {self.orig_width}x{self.orig_height} must each lie in [1, {_MAX_DIM}]"
+            )
         expected = downscaled_resolution(self.orig_width, self.orig_height, self.factor)
         if (self.enc_width, self.enc_height) != (expected.width, expected.height):
             raise CorruptPayloadError(
@@ -84,10 +92,10 @@ def encode(map: SemanticMap, d: int) -> EncodedPayload:
     """Box-downscale by d and quantize to one byte per pixel."""
     if d < 1:
         raise DomainError(f"downscale factor must be >= 1, got {d}")
-    if d > 255:
-        raise DomainError(f"factor {d} exceeds the wire format limit of 255")
-    if map.width > 65535 or map.height > 65535:
-        raise DomainError("resolution exceeds the wire format limit of 65535")
+    if d > _MAX_FACTOR:
+        raise DomainError(f"factor {d} exceeds the wire format limit of {_MAX_FACTOR}")
+    if map.width > _MAX_DIM or map.height > _MAX_DIM:
+        raise DomainError(f"resolution exceeds the wire format limit of {_MAX_DIM}")
     small = box_downscale(map, d)
     levels = small.pixels * 255.0
     np.rint(levels, out=levels)

@@ -1,4 +1,6 @@
-"""Shared synthetic images and random allocation instances for the tests."""
+"""Shared synthetic images, random allocation instances and a memory probe for the tests."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -9,6 +11,17 @@ from semcom.extractors import Canny, QuantizeSegmentation, SobelMagnitude
 from semcom.generation import ServiceSpec
 from semcom.image import SemanticMap
 from semcom.metrics import MseQuality, PsnrQuality, SsimQuality, ViQuality
+
+
+def traced_peak(fn, *args):
+    """Bytes ``fn(*args)`` allocates at its peak, beyond what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def vertical_step(size=16, at=None):

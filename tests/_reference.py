@@ -526,3 +526,134 @@ def legacy_vi_quality(a, b, levels):
     mutual = hx + hy - hxy
     vi = hx + hy - 2.0 * mutual
     return min(max(1.0 - vi / (2.0 * math.log(levels)), 0.0), 1.0)
+
+
+def _legacy_edge_padded(arr, ry, rx):
+    """arr with ry rows and rx columns of clamped border on each side.
+
+    Slice ``[ry + dy : ry + dy + h, rx + dx : rx + dx + w]`` of the result
+    is arr shifted by (dy, dx) with border coordinates clamped, for any
+    |dy| <= ry and |dx| <= rx, even when the pad is wider than arr.
+    """
+    return np.pad(arr, ((ry, ry), (rx, rx)), mode="edge")
+
+
+def _legacy_gaussian_blur(arr, sigma):
+    radius = math.ceil(3.0 * sigma)
+    offsets = np.arange(-radius, radius + 1)
+    weights = np.exp(-(offsets.astype(float) ** 2) / (2.0 * sigma * sigma))
+    weights /= weights.sum()
+    h, w = arr.shape
+    # Separable passes with per-axis clamping equal the 2D product kernel.
+    # Taps are added in offset order, starting from zero.
+    term = np.empty_like(arr)
+    out = np.zeros_like(arr)
+    padded = _legacy_edge_padded(arr, 0, radius)
+    for k in range(offsets.size):
+        out += np.multiply(padded[:, k : k + w], weights[k], out=term)
+    final = np.zeros_like(arr)
+    padded = _legacy_edge_padded(out, radius, 0)
+    for k in range(offsets.size):
+        final += np.multiply(padded[k : k + h], weights[k], out=term)
+    return final
+
+
+def _legacy_sobel_gradients(arr):
+    # Paired differences keep flat regions at exactly zero gradient.  gx
+    # smooths the column differences of three adjacent rows, gy the row
+    # differences of three adjacent columns.
+    padded = _legacy_edge_padded(arr, 1, 1)
+    gx = _legacy_smooth_121(padded[:, 2:] - padded[:, :-2], axis=0)
+    gy = _legacy_smooth_121(padded[2:] - padded[:-2], axis=1)
+    return gx, gy
+
+
+def _legacy_smooth_121(diff, axis):
+    """d[-1] + 2 d[0] + d[1] over neighbouring slices of diff along axis, summed in that order."""
+    if axis == 0:
+        out = diff[:-2] + diff[1:-1] * 2.0
+        out += diff[2:]
+    else:
+        out = diff[:, :-2] + diff[:, 1:-1] * 2.0
+        out += diff[:, 2:]
+    return out
+
+
+_LEGACY_SECTOR_NEIGHBORS = ((0, 1), (1, 1), (1, 0), (1, -1))
+
+
+def legacy_canny(image, params=None):
+    """extractors.canny as first vectorised: every stage over the whole array.
+
+    Binary edge map via blur, Sobel, non-maximum suppression, hysteresis.
+
+    Stages: Gaussian blur (radius ceil(3*sigma), clamped borders), 3x3
+    Sobel gradients, direction quantized to 4 sectors, keep-if->= NMS
+    along the gradient, double threshold at low/high fractions of the
+    maximum magnitude, then 8-connected hysteresis from strong pixels.
+    """
+    from semcom.errors import DomainError
+    from semcom.extractors import Canny
+    from semcom.image import BINARY, SemanticMap
+
+    params = Canny() if params is None else params
+    if min(image.width, image.height) < 5:
+        raise DomainError(f"canny needs min dimension >= 5, got {image.width}x{image.height}")
+    blurred = _legacy_gaussian_blur(image.pixels, params.sigma)
+    gx, gy = _legacy_sobel_gradients(blurred)
+    mag = np.hypot(gx, gy)
+    gmax = mag.max()
+    if gmax == 0.0:
+        return SemanticMap(np.zeros_like(mag), kind=BINARY)
+
+    # Direction modulo 180 degrees.  Adding 180 to the negative angles is
+    # what % 180 computes for them; -180 and 180 (0 under %) and -0.0 all
+    # fall in sector 0 either way.
+    deg = np.degrees(np.arctan2(gy, gx))
+    np.add(deg, 180.0, out=deg, where=deg < 0.0)
+    bands = [(deg >= lo) & (deg < lo + 45.0) for lo in (22.5, 67.5, 112.5)]
+    sectors = [~(bands[0] | bands[1] | bands[2]), *bands]
+
+    h, w = mag.shape
+    padded = _legacy_edge_padded(mag, 1, 1)
+    keep = np.zeros(mag.shape, dtype=bool)
+    for in_sector, (dy, dx) in zip(sectors, _LEGACY_SECTOR_NEIGHBORS):
+        fwd = padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
+        bwd = padded[1 - dy : 1 - dy + h, 1 - dx : 1 - dx + w]
+        keep |= in_sector & (mag >= fwd) & (mag >= bwd)
+    nms = np.where(keep, mag, 0.0)
+
+    strong = nms >= params.high * gmax
+    weak = nms >= params.low * gmax
+    edges = strong.copy()
+    frontier = strong
+    while frontier.any():
+        # 3x3 dilation as a row pass then a column pass; the centre term
+        # adds only pixels already in edges.
+        padded = _legacy_edge_padded(frontier, 1, 1)
+        rows = padded[:, :-2] | padded[:, 1:-1]
+        rows |= padded[:, 2:]
+        reach = rows[:-2] | rows[1:-1]
+        reach |= rows[2:]
+        newly = reach & weak & ~edges
+        edges |= newly
+        frontier = newly
+    return SemanticMap(edges.astype(np.float64), kind=BINARY)
+
+
+def legacy_sobel_magnitude(image):
+    """extractors.sobel_magnitude as first vectorised, over the whole array.
+
+    Gradient magnitude rescaled by its maximum; all-flat input gives zeros.
+    """
+    from semcom.errors import DomainError
+    from semcom.image import SemanticMap
+
+    if min(image.width, image.height) < 3:
+        raise DomainError(f"sobel needs min dimension >= 3, got {image.width}x{image.height}")
+    gx, gy = _legacy_sobel_gradients(image.pixels)
+    mag = np.hypot(gx, gy)
+    gmax = mag.max()
+    if gmax == 0.0:
+        return SemanticMap(np.zeros_like(mag))
+    return SemanticMap(mag / gmax)

@@ -89,9 +89,10 @@ def test_label_streams_are_independent():
 
 
 def raw_payload(n, seed=0):
-    """An n-byte soft payload of random bytes, one row of n pixels at d = 1."""
+    """An n-byte soft payload of random bytes at d = 1, in the fewest rows of at most 65,535 pixels."""
     body = np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8).tobytes()
-    return EncodedPayload(n, 1, n, 1, 1, "soft", None, body)
+    rows = next(h for h in range(1, n + 1) if n % h == 0 and n // h <= 65535)
+    return EncodedPayload(n // rows, rows, n // rows, rows, 1, "soft", None, body)
 
 
 @pytest.mark.parametrize("n", [1, _BLOCK_BYTES - 1, _BLOCK_BYTES, _BLOCK_BYTES + 1, 3 * _BLOCK_BYTES + 5])

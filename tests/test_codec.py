@@ -159,6 +159,26 @@ def test_payload_invariants_checked():
 
 
 @pytest.mark.parametrize(
+    "dims, factor",
+    [((300, 1, 1, 1), 300), ((70000, 1, 70000, 1), 1), ((4, 4, 4, 4), 0), ((0, 4, 0, 4), 1), ((-1, -1, -1, -1), 1)],
+    ids=["factor-300", "width-70000", "factor-0", "width-0", "negative-dims"],
+)
+def test_payload_rejects_a_factor_or_dims_the_header_cannot_hold(dims, factor):
+    # serialize_payload used to die in struct.pack on the first two; the others raised DomainError.
+    ow, oh, ew, eh = dims
+    with pytest.raises(CorruptPayloadError):
+        EncodedPayload(ow, oh, ew, eh, factor, "soft", None, bytes(abs(ew * eh)))
+
+
+@pytest.mark.parametrize("offset", [4, 6, 12], ids=["width", "height", "factor"])
+def test_parse_rejects_a_zero_width_height_or_factor(offset):
+    good = serialize_payload(encode(SemanticMap(np.zeros((4, 4))), 2))
+    size = 1 if offset == 12 else 2
+    with pytest.raises(CorruptPayloadError):
+        parse_payload(good[:offset] + bytes(size) + good[offset + size :])
+
+
+@pytest.mark.parametrize(
     "kind, levels",
     [("labels", None), ("labels", 1), ("labels", 256), ("labels", 2.5), ("soft", 300), ("binary", 2), ("edges", None)],
     ids=["labels-without-k", "labels-k1", "labels-k256", "labels-fractional-k", "soft-k300", "binary-k2", "unknown-kind"],

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import semcom.extractors
 from semcom.errors import DomainError, MissingMapError
 from semcom.extractors import (
     Canny,
@@ -16,9 +19,16 @@ from semcom.extractors import (
 )
 from semcom.image import BINARY, LABELS, SemanticMap, write_pgm
 
-from semcom.extractors import _gaussian_blur, _sobel_gradients
+from semcom.extractors import _gradient_bands
 
-from _reference import reference_canny, reference_separable_blur, reference_sobel_gradients
+from _fixtures import traced_peak
+from _reference import (
+    legacy_canny,
+    legacy_sobel_magnitude,
+    reference_canny,
+    reference_separable_blur,
+    reference_sobel_gradients,
+)
 
 
 def step_image(w=16, h=16):
@@ -92,14 +102,57 @@ def test_canny_matches_reference_on_constant_image():
     assert np.array_equal(canny(img).pixels, reference_canny(img.pixels))
 
 
-@pytest.mark.parametrize("shape, sigma", [((14, 17), 1.4), ((6, 7), 3.0), ((5, 30), 0.5)])
-def test_blur_and_gradients_equal_literal_loops_exactly(shape, sigma):
+@pytest.mark.parametrize("shape, sigma", [((14, 17), 1.4), ((6, 7), 3.0), ((5, 30), 0.5), ((9, 12), None)])
+def test_blur_and_gradients_equal_literal_loops_exactly(monkeypatch, shape, sigma):
     img = np.random.default_rng(shape[1]).random(shape)
-    blurred = _gaussian_blur(img, sigma)
-    assert np.array_equal(blurred, reference_separable_blur(img, sigma))
-    gx, gy = _sobel_gradients(blurred)
+    blurred = img if sigma is None else reference_separable_blur(img, sigma)
     want_gx, want_gy = reference_sobel_gradients(blurred)
-    assert np.array_equal(gx, want_gx) and np.array_equal(gy, want_gy)
+    want_mag = np.pad(np.hypot(want_gx, want_gy), 1, mode="edge")
+    for rows in (1, 3, 64):
+        monkeypatch.setattr(semcom.extractors, "_EDGE_BAND", rows * shape[1])
+        done = 0
+        for i, gx, gy, mag in _gradient_bands(img, sigma):
+            n = len(gx)
+            assert i == done
+            assert gx.tobytes() == want_gx[i : i + n].tobytes(), (rows, i)
+            assert gy.tobytes() == want_gy[i : i + n].tobytes(), (rows, i)
+            # One clamped row and column either side, as the NMS reads them.
+            assert mag.tobytes() == want_mag[i : i + n + 2].tobytes(), (rows, i)
+            done += n
+        assert done == shape[0]
+
+
+def edge_pin_maps(h, w):
+    """A random map, a constant one, and one whose steepest gradient (blurred or not) lies in its last row."""
+    rng = np.random.default_rng([h, w])
+    bottom = 0.5 + 0.01 * rng.random((h, w))
+    bottom[-1, : w // 2] = 0.0
+    bottom[-1, w // 2 :] = 1.0
+    return {"random": rng.random((h, w)), "constant": np.full((h, w), 0.25), "step in the last row": bottom}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 64])
+@pytest.mark.parametrize("w", [5, 7, 300])
+def test_banded_extractors_equal_whole_array_forms_bit_for_bit(monkeypatch, rows, w):
+    monkeypatch.setattr(semcom.extractors, "_EDGE_BAND", rows * w)
+    for params in (Canny(), Canny(sigma=3.0), Canny(low=0.05, high=0.5, sigma=0.5)):
+        radius = math.ceil(3.0 * params.sigma)
+        for h in sorted({5, 6, radius + 1, rows - 1, rows, rows + 1, 2 * rows + 1}):
+            if h < 5:
+                continue
+            for name, pixels in edge_pin_maps(h, w).items():
+                img = SemanticMap(pixels)
+                case = (params, h, name)
+                assert canny(img, params).pixels.tobytes() == legacy_canny(img, params).pixels.tobytes(), case
+                assert sobel_magnitude(img).pixels.tobytes() == legacy_sobel_magnitude(img).pixels.tobytes(), case
+
+
+def test_banded_extractors_peak_memory_at_1024():
+    y, x = np.mgrid[0:1024, 0:1024] / 1024.0
+    img = SemanticMap(0.5 + 0.25 * np.sin(2 * np.pi * 3 * x) * np.cos(2 * np.pi * 2 * y))
+    size = img.pixels.nbytes
+    assert traced_peak(canny, img) < 4.0 * size
+    assert traced_peak(sobel_magnitude, img) < 2.5 * size
 
 
 @pytest.mark.parametrize("seed", [10, 11, 12])

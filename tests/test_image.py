@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,6 +20,7 @@ from semcom.image import (
     write_pgm,
 )
 
+from _fixtures import traced_peak
 from _reference import (
     legacy_bilinear_upscale,
     reference_bilinear_upscale,
@@ -29,17 +28,6 @@ from _reference import (
     reference_on_label_grid,
     reference_validate,
 )
-
-
-def traced_peak(fn, *args):
-    """Bytes ``fn(*args)`` allocates at its peak, beyond what was allocated before the call."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
 
 
 def map_verdict(build, pixels, kind, levels):

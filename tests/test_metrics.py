@@ -54,6 +54,17 @@ def test_psnr_identity_and_anchor():
     assert abs(got - 6.020599913279624 / 50.0) < 1e-6
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (7, 13), (64, 64), (257, 129)])
+def test_mse_and_psnr_bits_equal_the_squared_difference_form(shape):
+    rng = np.random.default_rng(shape)
+    a, b = SemanticMap(rng.random(shape)), SemanticMap(rng.random(shape))
+    mse = float(np.mean((a.pixels - b.pixels) ** 2))
+    assert mse_quality(a, b).hex() == (1.0 - mse).hex()
+    for cap in (50.0, 200.0):
+        want = min(10.0 * math.log10(1.0 / mse), cap) / cap
+        assert psnr_quality(a, b, cap).hex() == want.hex()
+
+
 def test_psnr_cap_clamps_to_one():
     a = const(0.5)
     nearly = SemanticMap(np.full((8, 8), 0.5 + 1e-4))
