@@ -24,7 +24,6 @@ from .allocator import (
 )
 from .channel import BudgetCheck, ChannelConfig, TransmitResult, budget_check, transmit
 from .codec import (
-    CostModel,
     EncodedPayload,
     cost_bytes,
     decode,

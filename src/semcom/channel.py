@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import CostModel, EncodedPayload, cost_bytes
+from .codec import EncodedPayload, cost_bytes
 from .errors import DomainError
 
 # Payload bytes whose per-bit uniforms are drawn and applied together: 2 MiB
@@ -52,7 +52,7 @@ def transmit(payload: EncodedPayload, cfg: ChannelConfig, rng: np.random.Generat
     Bytes are accounted whether or not noise corrupted them.  A single rng
     stream must not be shared across concurrent transmissions.
     """
-    used = cost_bytes(payload, CostModel())
+    used = cost_bytes(payload)
     p = cfg.bit_flip_prob
     if p == 0.0:
         return TransmitResult(delivered=payload, bytes_used=used, flipped_bits=0)

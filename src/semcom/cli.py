@@ -33,6 +33,7 @@ from .codec import decode, encode, serialize_payload
 from .config import ExperimentConfig, RunManifest, load_config, parse_extractor
 from .errors import IoError, SemcomError, ValidationFailedError
 from .extractors import extract, extractor_label
+from .files import write_atomic
 from .generation import Surrogate, validate_and_adjust
 from .image import read_pgm, write_pgm
 from .metrics import metric_label
@@ -52,13 +53,8 @@ def _cell(value) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_cell(v) for v in row) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    lines = [",".join(header), *(",".join(_cell(v) for v in row) for row in rows)]
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _now() -> str:
@@ -189,11 +185,7 @@ def _deliver(entry, config: ExperimentConfig, manifest: RunManifest, gen_rng, ch
     core = validation.core
     result = transmit(encode(core.semantic, validation.accepted_d), config.channel, chan_rng)
     payload_path = os.path.join(config.output_dir, f"{spec.id}_payload.bin")
-    try:
-        with open(payload_path, "wb") as fh:
-            fh.write(serialize_payload(result.delivered))
-    except OSError as exc:
-        raise IoError(f"cannot write {payload_path}: {exc}") from exc
+    write_atomic(payload_path, serialize_payload(result.delivered))
     manifest.record(payload_path)
 
     quality = core.score_reconstruction(decode(result.delivered), gen_rng)

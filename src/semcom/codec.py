@@ -41,12 +41,6 @@ _MAX_FACTOR = 255
 _MAX_DIM = 65535
 
 
-@dataclass(frozen=True)
-class CostModel:
-    header_bytes: int = HEADER_BYTES
-    bytes_per_pixel: int = 1
-
-
 @dataclass(frozen=True, eq=False)
 class EncodedPayload:
     orig_width: int
@@ -126,15 +120,15 @@ def decode(payload: EncodedPayload) -> SemanticMap:
     return restore_kind(full.pixels, payload.kind, payload.levels)
 
 
-def cost_bytes(payload: EncodedPayload, model: CostModel = CostModel()) -> int:
+def cost_bytes(payload: EncodedPayload) -> int:
     """Total transmission cost: fixed header plus one byte per encoded pixel."""
-    return model.header_bytes + len(payload.payload) * model.bytes_per_pixel
+    return HEADER_BYTES + len(payload.payload)
 
 
-def encoded_cost(width: int, height: int, d: int, model: CostModel = CostModel()) -> int:
+def encoded_cost(width: int, height: int, d: int) -> int:
     """cost_bytes of encoding a width x height map at factor d, without encoding it."""
     res = downscaled_resolution(width, height, d)
-    return model.header_bytes + res.width * res.height * model.bytes_per_pixel
+    return HEADER_BYTES + res.width * res.height
 
 
 def serialize_payload(payload: EncodedPayload) -> bytes:

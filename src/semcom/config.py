@@ -14,6 +14,8 @@ headers; ``#`` starts a comment.  Sections:
                  ignored
     [output]     dir
 
+Any other key or section is a config error.
+
 Extractor values: canny[(low=..;high=..;sigma=..)], sobel,
 quantize(k=..), external(template=..).  Metric values: mse,
 psnr[(cap=..)], ssim[(window=..)], vi(k=..).  ',' and ';' both separate
@@ -24,6 +26,7 @@ substituted before loading.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import platform
 from dataclasses import dataclass, field
@@ -32,8 +35,9 @@ import numpy as np
 
 from .allocator import DqnConfig
 from .channel import ChannelConfig
-from .errors import ConfigError, DomainError, IoError
+from .errors import ConfigError, DomainError
 from .extractors import Canny, ExternalMap, ExtractorKind, QuantizeSegmentation, SobelMagnitude
+from .files import read_bytes, write_atomic
 from .generation import ServiceSpec
 from .metrics import MetricKind, MseQuality, PsnrQuality, SsimQuality, ViQuality
 
@@ -134,14 +138,12 @@ class ExperimentConfig:
         return hashlib.sha256(self.source_bytes).hexdigest()
 
 
-def _read_sections(path) -> dict[str, list[tuple[int, str, str]]]:
+def _read_sections(data: bytes, path) -> dict[str, list[tuple[int, str, str]]]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
+    lines = io.StringIO(text, newline=None).readlines()
     sections: dict[str, list[tuple[int, str, str]]] = {}
     current = None
     for lineno, raw in enumerate(lines, start=1):
@@ -161,9 +163,26 @@ def _read_sections(path) -> dict[str, list[tuple[int, str, str]]]:
     return sections
 
 
-def _as_dict(entries, path) -> dict[str, str]:
+# The keys each section knows; in [services], the field after "<name>.".
+_KEYS = {
+    "services": ("extractor", "metric", "image", "threshold", "weight", "sigma_gen", "d"),
+    "channel": ("budget_bytes", "bit_flip_prob", "seed"),
+    "factors": ("d",),
+    "dqn": ("episodes", "lr", "epsilon_min", "buffer", "batch", "hidden", "warmup", "gamma", "sync"),
+    "output": ("dir",),
+}
+
+
+def _check_key(path, lineno, section, key, field) -> None:
+    if field not in _KEYS[section]:
+        valid = ", ".join(_KEYS[section])
+        raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{section}]; valid keys: {valid}")
+
+
+def _as_dict(sections, section, path) -> dict[str, str]:
     out = {}
-    for lineno, key, value in entries:
+    for lineno, key, value in sections.get(section, []):
+        _check_key(path, lineno, section, key, key)
         if key in out:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = value
@@ -171,15 +190,15 @@ def _as_dict(entries, path) -> dict[str, str]:
 
 
 def load_config(path) -> ExperimentConfig:
-    sections = _read_sections(path)
-    known = {"services", "channel", "factors", "dqn", "output"}
+    source_bytes = read_bytes(path)
+    sections = _read_sections(source_bytes, path)
     for name in sections:
-        if name not in known:
-            raise ConfigError(f"{path}: unknown section [{name}]; valid sections: {sorted(known)}")
+        if name not in _KEYS:
+            raise ConfigError(f"{path}: unknown section [{name}]; valid sections: {sorted(_KEYS)}")
     if "services" not in sections or not sections["services"]:
         raise ConfigError(f"{path}: config needs a [services] section with at least one service")
 
-    factors_raw = _as_dict(sections.get("factors", []), path).get("d", "1,2,4,8,10")
+    factors_raw = _as_dict(sections, "factors", path).get("d", "1,2,4,8,10")
     try:
         factors = tuple(sorted({int(v) for v in factors_raw.replace(";", ",").split(",") if v.strip()}))
     except ValueError as exc:
@@ -187,7 +206,7 @@ def load_config(path) -> ExperimentConfig:
     if not factors or factors[0] < 1:
         raise ConfigError(f"{path}: factors must be positive integers, got {factors_raw!r}")
 
-    chan = _as_dict(sections.get("channel", []), path)
+    chan = _as_dict(sections, "channel", path)
     try:
         channel = ChannelConfig(
             budget_bytes=int(chan.get("budget_bytes", 10**9)),
@@ -203,6 +222,7 @@ def load_config(path) -> ExperimentConfig:
         if "." not in key:
             raise ConfigError(f"{path}:{lineno}: service keys look like <name>.<field>, got {key!r}")
         name, fieldname = key.split(".", 1)
+        _check_key(path, lineno, "services", key, fieldname)
         per_service.setdefault(name, {})
         if fieldname in per_service[name]:
             raise ConfigError(f"{path}:{lineno}: duplicate field {key!r}")
@@ -235,7 +255,7 @@ def load_config(path) -> ExperimentConfig:
             )
         services.append(ServiceEntry(spec=spec, image_path=image_path, requested_d=requested_d))
 
-    dqn_fields = _as_dict(sections.get("dqn", []), path)
+    dqn_fields = _as_dict(sections, "dqn", path)
     try:
         episodes = int(dqn_fields.get("episodes", 500))
         hidden = tuple(
@@ -255,9 +275,7 @@ def load_config(path) -> ExperimentConfig:
     if episodes < 1:
         raise ConfigError(f"{path}: episodes must be >= 1, got {episodes}")
 
-    output_dir = _as_dict(sections.get("output", []), path).get("dir", "out")
-    with open(path, "rb") as fh:
-        source_bytes = fh.read()
+    output_dir = _as_dict(sections, "output", path).get("dir", "out")
     return ExperimentConfig(
         services=tuple(services),
         channel=channel,
@@ -302,10 +320,4 @@ class RunManifest:
             "emitted:",
         ]
         lines.extend(f"  {p}" for p in self.emitted)
-        tmp = f"{path}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
+        write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -59,4 +59,4 @@ class ValidationFailedError(SemcomError):
 
 
 class ConfigError(SemcomError):
-    """Experiment config file missing, malformed, or violating invariants."""
+    """Experiment config malformed, not UTF-8 text, or violating invariants (unreadable: IoError)."""

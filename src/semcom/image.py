@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, IoError, ParseError, ShapeError, TruncatedError
+from .errors import DomainError, ParseError, ShapeError, TruncatedError
+from .files import read_bytes, write_atomic
 
 SOFT = "soft"
 BINARY = "binary"
@@ -148,12 +149,7 @@ def restore_kind(pixels: np.ndarray, kind: str, levels: int | None) -> SemanticM
 
 def read_pgm(path) -> SemanticMap:
     """Read a binary (P5) PGM file into a soft map, scaling by its maxval."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-
+    data = read_bytes(path)
     pos = 0
 
     def skip_separators(pos: int) -> int:
@@ -203,25 +199,18 @@ def read_pgm(path) -> SemanticMap:
 
     two_byte = maxval > 255
     need = width * height * (2 if two_byte else 1)
-    payload = data[pos : pos + need]
-    if len(payload) < need:
+    if len(data) - pos < need:
         raise TruncatedError(
-            f"payload has {len(payload)} bytes, header {width}x{height} (maxval {maxval}) needs {need}"
+            f"payload has {len(data) - pos} bytes, header {width}x{height} (maxval {maxval}) needs {need}"
         )
-    raw = np.frombuffer(payload, dtype=">u2" if two_byte else np.uint8)
+    raw = np.frombuffer(data, dtype=">u2" if two_byte else np.uint8, count=width * height, offset=pos)
     return SemanticMap((raw / maxval).reshape(height, width))
 
 
 def write_pgm(map: SemanticMap, path) -> None:
     """Write a map as binary PGM with maxval 255; values are rounded to 8 bits."""
     body = np.rint(map.pixels * 255.0).astype(np.uint8)
-    header = f"P5\n{map.width} {map.height}\n255\n".encode("ascii")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(body.tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_atomic(path, f"P5\n{map.width} {map.height}\n255\n".encode("ascii"), body)
 
 
 def box_downscale(map: SemanticMap, d: int) -> SemanticMap:

@@ -17,7 +17,8 @@ import struct
 
 import numpy as np
 
-from .errors import CorruptPayloadError, IoError, ShapeError
+from .errors import CorruptPayloadError, ShapeError
+from .files import read_bytes, write_atomic
 
 _MAGIC = b"DQN1"
 
@@ -114,24 +115,13 @@ class SgdMomentum:
 
 
 def save_qnet(net: Mlp, path) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", len(net.sizes)))
-            fh.write(struct.pack(f"<{len(net.sizes)}I", *net.sizes))
-            for w, b in zip(net.weights, net.biases):
-                fh.write(w.astype("<f8").tobytes())
-                fh.write(b.astype("<f8").tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    sizes = struct.pack(f"<{1 + len(net.sizes)}I", len(net.sizes), *net.sizes)
+    params = [np.ascontiguousarray(p, dtype="<f8") for wb in zip(net.weights, net.biases) for p in wb]
+    write_atomic(path, _MAGIC, sizes, *params)
 
 
 def load_qnet(path) -> Mlp:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    data = read_bytes(path)
     if data[:4] != _MAGIC:
         raise CorruptPayloadError(f"bad checkpoint magic {data[:4]!r}")
     if len(data) < 8:

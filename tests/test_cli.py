@@ -1,12 +1,16 @@
+import builtins
+import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
 
+from semcom import files
 from semcom.cli import main
 from semcom.codec import parse_payload
 from semcom.config import load_config, parse_extractor, parse_metric
-from semcom.errors import ConfigError
+from semcom.errors import ConfigError, IoError
 from semcom.extractors import Canny, ExternalMap, QuantizeSegmentation, SobelMagnitude
 from semcom.image import read_pgm, write_pgm
 from semcom.metrics import MseQuality, PsnrQuality, SsimQuality, ViQuality
@@ -491,3 +495,109 @@ def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, name, blocke
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {tmp_path / 'out'}{os.sep}")
     assert "Traceback" not in err
+
+
+_ALL_COMMANDS = [
+    ["sweep"],
+    *(["allocate", "--solver", solver] for solver in ("dqn", "exhaustive", "greedy", "random")),
+    ["pipeline"],
+]
+
+
+@pytest.mark.parametrize("argv", _ALL_COMMANDS, ids=lambda argv: "-".join(argv[::2]))
+def test_a_run_leaves_no_temporary_files(tmp_path, argv):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    command, *rest = argv
+    assert main([command, "--config", str(cfg), *rest]) == 0
+    names = os.listdir(tmp_path / "out")
+    assert f"{command}_manifest.txt" in names
+    assert not [n for n in names if n.endswith(".tmp")]
+
+
+def test_a_failed_rename_keeps_the_previous_outputs(tmp_path, capsys, monkeypatch):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(files.os, "replace", fail)
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}{os.sep}") and "rename refused" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "section, line, valid",
+    [
+        ("services", "edges.treshold = 0.9999", "extractor, metric, image, threshold, weight, sigma_gen, d"),
+        ("channel", "bugdet_bytes = 10", "budget_bytes, bit_flip_prob, seed"),
+        ("factors", "ds = 1,2", "d"),
+        ("dqn", "episode = 3", "episodes, lr, epsilon_min, buffer, batch, hidden, warmup, gamma, sync"),
+        ("output", "directory = elsewhere", "dir"),
+    ],
+    ids=["services", "channel", "factors", "dqn", "output"],
+)
+def test_an_unknown_config_key_is_a_config_error(tmp_path, capsys, section, line, valid):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    text = cfg.read_text()
+    assert f"[{section}]\n" in text
+    cfg.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    with pytest.raises(ConfigError, match=re.escape(f"unknown key {line.split(' = ')[0]!r} in [{section}]")):
+        load_config(cfg)
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(f"valid keys: {valid}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_former_dqn_keys_gamma_and_sync_are_accepted(tmp_path):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    cfg.write_text(cfg.read_text().replace("[dqn]\n", "[dqn]\ngamma = 0.9\nsync = 100\n"))
+    assert load_config(cfg).episodes == 40
+
+
+def test_load_config_reads_its_file_once_and_hashes_those_bytes(tmp_path, monkeypatch):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    config = load_config(cfg)
+    monkeypatch.undo()
+    assert opened == [str(cfg)]
+    assert config.config_hash() == hashlib.sha256(cfg.read_bytes()).hexdigest()
+
+
+def test_a_missing_config_is_an_io_error_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(IoError, match=re.escape(f"cannot read {missing}: ")):
+        load_config(missing)
+    assert main(["sweep", "--config", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
+
+def test_config_lines_split_as_in_text_mode(tmp_path):
+    """\\r\\n and \\r end a line; \\x0b, \\x85 and \\u2028 stay inside the value."""
+    write_pgm(diagonal(16), tmp_path / "a.pgm")
+    cfg = tmp_path / "exp.cfg"
+    body = (
+        f"[services]\r\na.extractor = sobel\r\na.metric = mse\ra.image = {tmp_path / 'a.pgm'}\n"
+        "[channel]\rseed = 5\r\n[output]\ndir = out\x0bx\x85y\u2028z\n"
+    )
+    cfg.write_bytes(body.encode("utf-8"))
+    config = load_config(cfg)
+    assert config.seed == 5
+    assert config.output_dir == "out\x0bx\x85y\u2028z"
+    with open(cfg, encoding="utf-8") as fh:
+        assert len(fh.readlines()) == 8
+    cfg.write_bytes(body.replace("seed = 5", "seed 5").encode("utf-8"))
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}:6: expected key = value")):
+        load_config(cfg)

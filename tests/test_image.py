@@ -139,6 +139,21 @@ def test_read_pgm_truncated(tmp_path):
         read_pgm(p)
 
 
+@pytest.mark.parametrize("maxval, short", [(255, 3), (65535, 7)])
+def test_read_pgm_counts_the_payload_after_the_header(tmp_path, maxval, short):
+    header = f"P5\n2 2\n{maxval}\n".encode()
+    sample_bytes = 2 if maxval > 255 else 1
+    body = bytes(range(1, 4 * sample_bytes + 1))
+    p = tmp_path / "img.pgm"
+    # trailing bytes past the declared pixels are ignored
+    p.write_bytes(header + body + b"trailing")
+    expected = np.frombuffer(body, dtype=">u2" if sample_bytes == 2 else np.uint8) / maxval
+    assert np.array_equal(read_pgm(p).pixels, expected.reshape(2, 2))
+    p.write_bytes(header + body[:short])
+    with pytest.raises(TruncatedError, match=f"payload has {short} bytes, header 2x2 \\(maxval {maxval}\\) needs {4 * sample_bytes}"):
+        read_pgm(p)
+
+
 def test_read_pgm_comment_and_16bit(tmp_path):
     p = tmp_path / "wide.pgm"
     # maxval 65535 -> two big-endian bytes per sample
