@@ -14,6 +14,7 @@ The names ``dqn_*`` are kept for the CLI solver and the checkpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,11 +24,18 @@ from .channel import ChannelConfig, budget_check
 from .codec import encoded_cost
 from .errors import DomainError, ShapeError, TooLargeError
 from .extractors import extract
-from .generation import GenerationBackend, QualityCore, ServiceSpec, Surrogate, reconstruct_and_score
+from .generation import GenerationBackend, QualityCore, ServiceSpec, Surrogate
 from .image import SemanticMap
 from .qnet import Mlp, SgdMomentum, td_loss_and_gradients
 
 JOINT_ACTION_GUARD = 4096
+# Most training episodes a config may ask for; each keeps four numbers in the trace.
+EPISODE_GUARD = 10**6
+# Exploration starts at EPSILON_START and decays to the configured floor over
+# the first EPSILON_DECAY_FRACTION of the episodes; SGD uses MOMENTUM.
+EPSILON_START = 1.0
+EPSILON_DECAY_FRACTION = 0.8
+MOMENTUM = 0.9
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,13 +81,26 @@ class AllocationInstance:
             for svc, img in zip(self.services, self.images)
         )
 
+    def cores(self, backend: GenerationBackend) -> tuple[QualityCore, ...]:
+        """Per-service evaluators for one backend, kept for the instance's life.
+
+        Surrogate cores share the extracted maps and run each (service,
+        factor) round trip once; other backends score their own files and
+        extract nothing.
+        """
+        kept = self.__dict__.setdefault("_cores", {})
+        if backend not in kept:
+            maps = self.semantic_maps if isinstance(backend, Surrogate) else (None,) * self.n_services
+            kept[backend] = tuple(
+                QualityCore(svc, img, backend, semantic=smap, memo=smap is not None)
+                for svc, img, smap in zip(self.services, self.images, maps)
+            )
+        return kept[backend]
+
     @cached_property
-    def cores(self) -> tuple[QualityCore, ...]:
-        """Per-service Surrogate evaluators; each (service, factor) round trip runs once per instance."""
-        return tuple(
-            QualityCore(svc, img, semantic=smap, memo=True)
-            for svc, img, smap in zip(self.services, self.images, self.semantic_maps)
-        )
+    def weights(self) -> np.ndarray:
+        """Service weights as floats, in service order."""
+        return np.array([svc.weight for svc in self.services], dtype=float)
 
     @cached_property
     def cost_table(self) -> np.ndarray:
@@ -108,6 +129,16 @@ class AllocationInstance:
         full_cost = sum(encoded_cost(img.width, img.height, 1) for img in self.images)
         feats.append(min(self.channel.budget_bytes / full_cost, 1.0))
         return np.clip(np.array(feats), 0.0, 1.0)
+
+    def action_costs(self, action) -> list[int]:
+        """Byte cost of each service under a joint action of admissible factors."""
+        action = tuple(action)
+        if len(action) != self.n_services:
+            raise DomainError(f"action has {len(action)} factors for {self.n_services} services")
+        pos = {d: i for i, d in enumerate(self.factors)}
+        if any(d not in pos for d in action):
+            raise DomainError(f"action {action} leaves the admissible set {list(self.factors)}")
+        return [int(self.cost_table[s, pos[d]]) for s, d in enumerate(action)]
 
 
 def encode_action(action, factors) -> int:
@@ -156,14 +187,6 @@ class ActionEvaluation:
     feasible: bool
 
 
-def _service_quality(
-    inst: AllocationInstance, s: int, d: int, backend: GenerationBackend, rng: np.random.Generator
-) -> float:
-    if isinstance(backend, Surrogate):
-        return inst.cores[s].quality(d, rng)
-    return reconstruct_and_score(inst.services[s], inst.images[s], d, backend, rng)
-
-
 def evaluate_action(
     inst: AllocationInstance,
     action,
@@ -172,20 +195,14 @@ def evaluate_action(
 ) -> ActionEvaluation:
     """Score one joint action; infeasible actions earn -1 but still report qualities."""
     action = tuple(action)
-    if len(action) != inst.n_services:
-        raise DomainError(f"action has {len(action)} factors for {inst.n_services} services")
-    pos = {d: i for i, d in enumerate(inst.factors)}
-    if any(d not in pos for d in action):
-        raise DomainError(f"action {action} leaves the admissible set {list(inst.factors)}")
-    costs = [int(inst.cost_table[s, pos[d]]) for s, d in enumerate(action)]
+    costs = inst.action_costs(action)
     check = budget_check(costs, inst.channel)
-    qualities = [_service_quality(inst, s, d, backend, rng) for s, d in enumerate(action)]
+    qualities = [core.quality(d, rng) for core, d in zip(inst.cores(backend), action)]
     reports = tuple(
         QualityReport(service_id=svc.id, factor=d, quality=q, cost_bytes=c)
         for svc, d, q, c in zip(inst.services, action, qualities, costs)
     )
-    weights = [svc.weight for svc in inst.services]
-    reward = weighted_quality(weights, qualities) if check.feasible else -1.0
+    reward = weighted_quality(inst.weights, qualities) if check.feasible else -1.0
     return ActionEvaluation(reward=reward, reports=reports, total_bytes=check.total, feasible=check.feasible)
 
 
@@ -198,22 +215,8 @@ def quality_table(
     solver building the table from an identically seeded generator sees
     identical values.
     """
-    streams = rng.spawn(inst.n_services * len(inst.factors))
-    table = np.empty((inst.n_services, len(inst.factors)))
-    k = 0
-    for s in range(inst.n_services):
-        for j, d in enumerate(inst.factors):
-            table[s, j] = _service_quality(inst, s, d, backend, streams[k])
-            k += 1
-    return table
-
-
-def _table_reward(inst: AllocationInstance, table: np.ndarray, positions) -> float:
-    total = int(sum(inst.cost_table[s, j] for s, j in enumerate(positions)))
-    if total > inst.channel.budget_bytes:
-        return -1.0
-    weights = [svc.weight for svc in inst.services]
-    return weighted_quality(weights, [table[s, j] for s, j in enumerate(positions)])
+    streams = iter(rng.spawn(inst.n_services * len(inst.factors)))
+    return np.array([[core.quality(d, next(streams)) for d in inst.factors] for core in inst.cores(backend)])
 
 
 @dataclass(frozen=True)
@@ -226,9 +229,12 @@ def action_rewards(
     inst: AllocationInstance, backend: GenerationBackend, rng: np.random.Generator
 ) -> np.ndarray:
     """Reward of every joint action, indexed by the flat action index."""
-    table = quality_table(inst, backend, rng)
-    n, base = inst.n_services, len(inst.factors)
-    weights = np.array([svc.weight for svc in inst.services])
+    return _broadcast_rewards(inst, quality_table(inst, backend, rng))
+
+
+def _broadcast_rewards(inst: AllocationInstance, table: np.ndarray) -> np.ndarray:
+    """Reward of every joint action on a quality table, indexed by the flat action index."""
+    n, base, weights = inst.n_services, len(inst.factors), inst.weights
     # Axis s of the action grid is service s's factor index; the last axis
     # holds each service's weighted quality, so summing it adds every
     # action's terms exactly as weighted_quality's np.sum does.
@@ -266,12 +272,8 @@ def greedy_allocate(
     table = quality_table(inst, backend, rng)
     last = len(inst.factors) - 1
     positions = [last] * inst.n_services
-    total = int(sum(inst.cost_table[s, last] for s in range(inst.n_services)))
-    if total > inst.channel.budget_bytes:
-        return AllocationResult(action=tuple(max(inst.factors) for _ in inst.services), reward=-1.0)
-
-    weights = np.array([svc.weight for svc in inst.services])
-    weight_sum = float(weights.sum())
+    total = sum(inst.action_costs(inst.factors[last] for _ in inst.services))
+    weight_sum = float(inst.weights.sum())
     while True:
         best_ratio = 0.0
         best_service = None
@@ -282,19 +284,21 @@ def greedy_allocate(
             extra = int(inst.cost_table[s, j - 1] - inst.cost_table[s, j])
             if total + extra > inst.channel.budget_bytes:
                 continue
-            gain = weights[s] * (table[s, j - 1] - table[s, j]) / weight_sum
+            gain = inst.weights[s] * (table[s, j - 1] - table[s, j]) / weight_sum
             if gain <= 0.0:
                 continue
             ratio = np.inf if extra == 0 else gain / extra
             if ratio > best_ratio:
                 best_ratio = ratio
                 best_service = s
+                best_extra = extra
         if best_service is None:
             break
         positions[best_service] -= 1
-        total = int(sum(inst.cost_table[s, j] for s, j in enumerate(positions)))
+        total += best_extra
     action = tuple(inst.factors[j] for j in positions)
-    return AllocationResult(action=action, reward=_table_reward(inst, table, positions))
+    reward = _broadcast_rewards(inst, table)[encode_action(action, inst.factors)]
+    return AllocationResult(action=action, reward=float(reward))
 
 
 def random_allocate(
@@ -312,12 +316,19 @@ class DqnConfig:
     buffer_capacity: int = 4096
     batch_size: int = 32
     learning_rate: float = 1e-3
-    momentum: float = 0.9
-    epsilon_start: float = 1.0
     epsilon_min: float = 0.05
-    epsilon_decay_fraction: float = 0.8
     warmup: int = 64
     seed: int = 0
+
+    def __post_init__(self):
+        if any(size < 1 for size in self.hidden):
+            raise DomainError(f"hidden layer sizes must be >= 1, got {self.hidden}")
+        if self.buffer_capacity < 1 or self.batch_size < 1:
+            raise DomainError(f"buffer and batch must be >= 1, got {self.buffer_capacity} and {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise DomainError(f"learning rate must be finite and positive, got {self.learning_rate}")
+        if not 0.0 <= self.epsilon_min <= 1.0:
+            raise DomainError(f"epsilon_min must lie in [0, 1], got {self.epsilon_min}")
 
 
 class DqnAgent:
@@ -349,10 +360,10 @@ class TrainResult:
 
 
 def epsilon_schedule(episodes: int, config: DqnConfig) -> np.ndarray:
-    """Multiplicative decay from epsilon_start, reaching the floor after the decay fraction."""
-    decay_episodes = max(1, round(config.epsilon_decay_fraction * episodes))
-    ratio = (config.epsilon_min / config.epsilon_start) ** (1.0 / decay_episodes)
-    eps = config.epsilon_start * ratio ** np.arange(episodes)
+    """Multiplicative decay from EPSILON_START to the floor over EPSILON_DECAY_FRACTION of the episodes."""
+    decay_episodes = max(1, round(EPSILON_DECAY_FRACTION * episodes))
+    ratio = (config.epsilon_min / EPSILON_START) ** (1.0 / decay_episodes)
+    eps = EPSILON_START * ratio ** np.arange(episodes)
     return np.maximum(eps, config.epsilon_min)
 
 
@@ -406,7 +417,7 @@ def dqn_train(
     init_rng, instance_rng, explore_rng, replay_rng, eval_rng = base.spawn(5)
 
     online = Mlp([state_dim, *config.hidden, n_actions], init_rng)
-    optimizer = SgdMomentum(online, config.learning_rate, config.momentum)
+    optimizer = SgdMomentum(online, config.learning_rate, MOMENTUM)
     buffer = _ReplayBuffer(config.buffer_capacity, state_dim)
     epsilons = epsilon_schedule(episodes, config)
 
@@ -414,7 +425,6 @@ def dqn_train(
     losses = np.zeros(episodes)
     action_indices = np.zeros(episodes, dtype=np.int64)
     instance_indices = np.zeros(episodes, dtype=np.int64)
-    pool_weights = [np.array([svc.weight for svc in inst.services]) for inst in pool]
 
     for e in range(episodes):
         inst_idx = int(instance_rng.integers(len(pool)))
@@ -436,8 +446,7 @@ def dqn_train(
 
         rewards[e] = evaluation.reward
         qualities = np.array([rep.quality for rep in evaluation.reports])
-        weights = pool_weights[inst_idx]
-        losses[e] = float(np.sum(weights * (1.0 - qualities)) / np.sum(weights))
+        losses[e] = weighted_quality(inst.weights, 1.0 - qualities)
         action_indices[e] = a_idx
         instance_indices[e] = inst_idx
 

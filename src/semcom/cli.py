@@ -37,7 +37,7 @@ from .files import write_atomic
 from .generation import Surrogate, validate_and_adjust
 from .image import read_pgm, write_pgm
 from .metrics import metric_label
-from .pairing import fit_predictability, sweep_curve
+from .pairing import fit_predictability, rank_reports, sweep_candidates
 from .qnet import save_qnet
 from .rng import stream
 
@@ -93,34 +93,28 @@ def cmd_sweep(args) -> int:
     images = [read_pgm(p) for p in first_ids]
     ids = list(first_ids.values())
 
-    pairs = []
-    seen = set()
+    # one candidate per distinct (extractor, metric) label, in first-appearance order
+    pairs = {}
     for entry in config.services:
         label = (extractor_label(entry.spec.extractor), metric_label(entry.spec.metric))
-        if label not in seen:
-            seen.add(label)
-            pairs.append((entry.spec.extractor, entry.spec.metric))
-
+        pairs.setdefault(label, (entry.spec.extractor, entry.spec.metric))
     rng = stream(config.seed, "gen")
-    reports = []
-    curve_rows = []
-    for (extractor, metric), sub in zip(pairs, rng.spawn(len(pairs))):
-        curve = sweep_curve(extractor, metric, images, config.factors, Surrogate(), sub, image_ids=ids)
-        report = fit_predictability(curve)
-        reports.append(report)
-        for d, q in zip(curve.factors, curve.qualities):
-            curve_rows.append((report.pair_label, d, q))
+    curves = sweep_candidates(list(pairs.values()), images, config.factors, Surrogate(), rng, image_ids=ids)
+    reports = [fit_predictability(curve) for curve in curves]
 
     curves_path = os.path.join(config.output_dir, "curves.csv")
-    _write_csv(curves_path, ["pair", "factor", "quality"], curve_rows)
+    _write_csv(
+        curves_path,
+        ["pair", "factor", "quality"],
+        [(r.pair_label, d, q) for r, c in zip(reports, curves) for d, q in zip(c.factors, c.qualities)],
+    )
     manifest.record(curves_path)
 
-    reports.sort(key=lambda r: (-r.r_squared, -abs(r.spearman), r.pair_label))
     report_path = os.path.join(config.output_dir, "pairing_report.csv")
     _write_csv(
         report_path,
         ["pair", "r_squared", "slope", "spearman"],
-        [(r.pair_label, r.r_squared, r.slope, r.spearman) for r in reports],
+        [(r.pair_label, r.r_squared, r.slope, r.spearman) for r in rank_reports(reports)],
     )
     manifest.record(report_path)
     _finish_manifest(manifest, config, "sweep_manifest.txt")
@@ -159,15 +153,8 @@ def cmd_allocate(args) -> int:
     else:
         solvers = {"exhaustive": exhaustive_oracle, "greedy": greedy_allocate, "random": random_allocate}
         result = solvers[args.solver](inst, Surrogate(), rng)
-        pos = {d: j for j, d in enumerate(inst.factors)}
-        total = int(sum(inst.cost_table[s, pos[d]] for s, d in enumerate(result.action)))
-        row = (
-            args.solver,
-            "|".join(str(d) for d in result.action),
-            result.reward,
-            total,
-            total <= config.channel.budget_bytes,
-        )
+        check = budget_check(inst.action_costs(result.action), config.channel)
+        row = (args.solver, "|".join(str(d) for d in result.action), result.reward, check.total, check.feasible)
         alloc_path = os.path.join(config.output_dir, "allocation.csv")
         _write_csv(alloc_path, ["solver", "factors", "reward", "total_bytes", "feasible"], [row])
         manifest.record(alloc_path)

@@ -155,9 +155,6 @@ def parse_payload(data: bytes) -> EncodedPayload:
         raise CorruptPayloadError(f"bad magic {magic!r}")
     if tag not in _TAG_KINDS:
         raise CorruptPayloadError(f"unknown kind tag {tag}")
-    body = data[HEADER_BYTES:]
-    if len(body) != ew * eh:
-        raise CorruptPayloadError(f"payload has {len(body)} bytes, header needs {ew * eh}")
     kind = _TAG_KINDS[tag]
     return EncodedPayload(
         orig_width=ow,
@@ -167,5 +164,5 @@ def parse_payload(data: bytes) -> EncodedPayload:
         factor=d,
         kind=kind,
         levels=k if kind == LABELS else None,
-        payload=body,
+        payload=data[HEADER_BYTES:],
     )

@@ -19,8 +19,8 @@ Any other key or section is a config error.
 Extractor values: canny[(low=..;high=..;sigma=..)], sobel,
 quantize(k=..), external(template=..).  Metric values: mse,
 psnr[(cap=..)], ssim[(window=..)], vi(k=..).  ',' and ';' both separate
-arguments.  An image value containing "{id}" has the service name
-substituted before loading.
+arguments; any other argument is a config error.  An image value
+containing "{id}" has the service name substituted before loading.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import DqnConfig
+from .allocator import EPISODE_GUARD, DqnConfig
 from .channel import ChannelConfig
 from .errors import ConfigError, DomainError
 from .extractors import Canny, ExternalMap, ExtractorKind, QuantizeSegmentation, SobelMagnitude
@@ -70,9 +70,23 @@ def _split_call(text: str) -> tuple[str, str]:
     return text.lower(), ""
 
 
-def parse_extractor(text: str) -> ExtractorKind:
+# The arguments each extractor and metric takes.
+_EXTRACTOR_ARGS = {"canny": ("low", "high", "sigma"), "sobel": (), "quantize": ("k",), "external": ("template",)}
+_METRIC_ARGS = {"mse": (), "psnr": ("cap",), "ssim": ("window",), "vi": ("k",)}
+
+
+def _parse_call(text: str, what: str, known: dict[str, tuple[str, ...]]) -> tuple[str, dict[str, str]]:
     name, argtext = _split_call(text)
-    args = _parse_args(argtext, f"extractor {name}")
+    args = _parse_args(argtext, f"{what} {name}")
+    for key in args:
+        if name in known and key not in known[name]:
+            valid = ", ".join(known[name]) or "none"
+            raise ConfigError(f"{what} {name!r} has unknown argument {key!r}; valid arguments: {valid}")
+    return name, args
+
+
+def parse_extractor(text: str) -> ExtractorKind:
+    name, args = _parse_call(text, "extractor", _EXTRACTOR_ARGS)
     try:
         if name == "canny":
             return Canny(
@@ -94,8 +108,7 @@ def parse_extractor(text: str) -> ExtractorKind:
 
 
 def parse_metric(text: str) -> MetricKind:
-    name, argtext = _split_call(text)
-    args = _parse_args(argtext, f"metric {name}")
+    name, args = _parse_call(text, "metric", _METRIC_ARGS)
     try:
         if name == "mse":
             return MseQuality()
@@ -270,10 +283,10 @@ def load_config(path) -> ExperimentConfig:
             warmup=int(dqn_fields.get("warmup", 64)),
             seed=_label_seed(channel.seed, "dqn"),
         )
-    except ValueError as exc:
+    except (ValueError, DomainError) as exc:
         raise ConfigError(f"{path}: bad [dqn] settings: {exc}") from exc
-    if episodes < 1:
-        raise ConfigError(f"{path}: episodes must be >= 1, got {episodes}")
+    if not 1 <= episodes <= EPISODE_GUARD:
+        raise ConfigError(f"{path}: episodes must lie in [1, {EPISODE_GUARD}], got {episodes}")
 
     output_dir = _as_dict(sections, "output", path).get("dir", "out")
     return ExperimentConfig(

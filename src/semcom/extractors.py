@@ -17,6 +17,10 @@ import numpy as np
 from .errors import DomainError, MissingMapError, ShapeError
 from .image import BINARY, LABELS, MAX_LEVELS, SemanticMap, read_pgm, restore_kind
 
+# Largest Canny sigma: the blur has 2 ceil(3 sigma) + 1 taps, and its
+# scratch buffers grow with the radius.
+MAX_SIGMA = 100.0
+
 
 @dataclass(frozen=True)
 class Canny:
@@ -33,8 +37,8 @@ class Canny:
     def __post_init__(self):
         if not 0.0 < self.low < self.high <= 1.0:
             raise DomainError(f"need 0 < low < high <= 1, got low={self.low} high={self.high}")
-        if self.sigma <= 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma <= MAX_SIGMA:
+            raise DomainError(f"sigma must lie in (0, {MAX_SIGMA}], got {self.sigma}")
 
 
 @dataclass(frozen=True)

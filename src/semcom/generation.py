@@ -10,6 +10,7 @@ offline, the ExternalPairs backend scores those instead, loading
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -37,10 +38,10 @@ class ServiceSpec:
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
             raise DomainError(f"threshold must lie in [0, 1], got {self.threshold}")
-        if self.weight <= 0.0:
-            raise DomainError(f"weight must be positive, got {self.weight}")
-        if self.sigma_gen < 0.0:
-            raise DomainError(f"generation noise must be >= 0, got {self.sigma_gen}")
+        if not (math.isfinite(self.weight) and self.weight > 0.0):
+            raise DomainError(f"weight must be finite and positive, got {self.weight}")
+        if not (math.isfinite(self.sigma_gen) and self.sigma_gen >= 0.0):
+            raise DomainError(f"generation noise must be finite and >= 0, got {self.sigma_gen}")
 
 
 @dataclass(frozen=True)

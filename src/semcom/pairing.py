@@ -190,6 +190,22 @@ def candidate_pairs(
     return pairs
 
 
+def sweep_candidates(
+    pairs: Sequence[tuple[ExtractorKind, MetricKind]],
+    images: Sequence[SemanticMap],
+    factors: Sequence[int],
+    backend: GenerationBackend,
+    rng: np.random.Generator,
+    sigma_gen: float = 0.0,
+    image_ids: Sequence[str] | None = None,
+) -> list[ResponseCurve]:
+    """Every candidate pair's curve; each pair gets its own stream, spawned in pair order."""
+    return [
+        sweep_curve(extractor, metric, images, factors, backend, sub, sigma_gen, image_ids)
+        for (extractor, metric), sub in zip(pairs, rng.spawn(len(pairs)))
+    ]
+
+
 def evaluate_candidates(
     pairs: Sequence[tuple[ExtractorKind, MetricKind]],
     images: Sequence[SemanticMap],
@@ -199,13 +215,13 @@ def evaluate_candidates(
     sigma_gen: float = 0.0,
     image_ids: Sequence[str] | None = None,
 ) -> list[PredictabilityReport]:
-    """Fit every candidate pair; each gets its own derived random stream."""
-    streams = rng.spawn(len(pairs))
-    reports = []
-    for (extractor, metric), sub in zip(pairs, streams):
-        curve = sweep_curve(extractor, metric, images, factors, backend, sub, sigma_gen, image_ids)
-        reports.append(fit_predictability(curve))
-    return reports
+    """Fit every candidate pair's curve from sweep_candidates."""
+    return [fit_predictability(c) for c in sweep_candidates(pairs, images, factors, backend, rng, sigma_gen, image_ids)]
+
+
+def rank_reports(reports: Sequence[PredictabilityReport]) -> list[PredictabilityReport]:
+    """Most predictable first: highest R squared, then largest |Spearman|, then pair name."""
+    return sorted(reports, key=lambda r: (-r.r_squared, -abs(r.spearman), r.pair_label))
 
 
 def select_pair(
@@ -221,5 +237,4 @@ def select_pair(
 ) -> PredictabilityReport:
     """Most predictable admissible pair for the mode's service archetype."""
     pairs = candidate_pairs(mode, extractors, metrics)
-    reports = evaluate_candidates(pairs, images, factors, backend, rng, sigma_gen, image_ids)
-    return min(reports, key=lambda r: (-r.r_squared, -abs(r.spearman), r.pair_label))
+    return rank_reports(evaluate_candidates(pairs, images, factors, backend, rng, sigma_gen, image_ids))[0]

@@ -328,14 +328,14 @@ def reference_dqn_train(pool, episodes, config):
     is kept between episodes.  Returns the rewards,
     losses, action indices and the trained network.
     """
-    from semcom.allocator import decode_action, epsilon_schedule
+    from semcom.allocator import MOMENTUM, decode_action, epsilon_schedule
     from semcom.codec import encoded_cost
     from semcom.qnet import Mlp, SgdMomentum, td_loss_and_gradients
 
     first = pool[0]
     init_rng, instance_rng, explore_rng, replay_rng, eval_rng = np.random.default_rng(config.seed).spawn(5)
     net = Mlp([3 * first.n_services + 1, *config.hidden, first.n_actions], init_rng)
-    optimizer = SgdMomentum(net, config.learning_rate, config.momentum)
+    optimizer = SgdMomentum(net, config.learning_rate, MOMENTUM)
     epsilons = epsilon_schedule(episodes, config)
     memory = []
     rewards, losses, actions = [], [], []

@@ -22,7 +22,8 @@ from semcom.channel import ChannelConfig
 from semcom.codec import encoded_cost
 from semcom.errors import DomainError, ShapeError, TooLargeError
 from semcom.extractors import QuantizeSegmentation, SobelMagnitude
-from semcom.generation import ServiceSpec, Surrogate
+from semcom.generation import ExternalPairs, ServiceSpec, Surrogate, reconstruct_and_score
+from semcom.image import SemanticMap, write_pgm
 from semcom.metrics import MseQuality, SsimQuality, ViQuality
 from semcom.qnet import Mlp
 from semcom.rng import stream
@@ -188,6 +189,53 @@ def test_action_rewards_equal_the_loop_on_crafted_tables(monkeypatch, weights, f
     expected = reference_action_rewards(inst, table)
     assert np.array_equal(rewards, expected)
     assert len(set(expected.tolist())) < len(expected)
+
+
+def external_pairs_instance(tmp_path, budget):
+    """Two services whose generated pairs are files: the reconstruction loses more pixels as d grows."""
+    factors = (1, 2, 4)
+    services = (
+        ServiceSpec(id="a", extractor=SobelMagnitude(), metric=MseQuality(), weight=1.0),
+        ServiceSpec(id="b", extractor=QuantizeSegmentation(4), metric=SsimQuality(), weight=3.0),
+    )
+    rng = np.random.default_rng(8)
+    for step, svc in enumerate(services, start=2):
+        ref = rng.random((12, 12))
+        for d in factors:
+            rec = ref.copy()
+            rec[: step * (d - 1)] = 0.0
+            write_pgm(SemanticMap(rec), tmp_path / f"{svc.id}_d{d}.pgm")
+    inst = AllocationInstance(
+        services=services,
+        images=(gradient(12), diagonal(12)),
+        factors=factors,
+        channel=ChannelConfig(budget_bytes=budget),
+    )
+    return inst, ExternalPairs(str(tmp_path))
+
+
+@pytest.mark.parametrize("budget", [10**6, encoded_cost(12, 12, 1) + encoded_cost(12, 12, 2), 0])
+def test_external_pairs_solvers_score_the_files_without_extracting(tmp_path, extract_calls, budget):
+    inst, backend = external_pairs_instance(tmp_path, budget)
+    expected = np.array(
+        [
+            [reconstruct_and_score(svc, img, d, backend, stream(0, "gen")) for d in inst.factors]
+            for svc, img in zip(inst.services, inst.images)
+        ]
+    )
+    assert len(set(expected[:, 1:].ravel().tolist())) == 4
+    assert np.array_equal(quality_table(inst, backend, stream(1, "gen")), expected)
+    rewards = reference_action_rewards(inst, expected)
+    for index in range(inst.n_actions):
+        action = decode_action(index, inst.factors, inst.n_services)
+        ev = evaluate_action(inst, action, backend, stream(2, "gen"))
+        assert [rep.quality for rep in ev.reports] == [expected[s, inst.factors.index(d)] for s, d in enumerate(action)]
+        assert ev.reward == rewards[index]
+    oracle = exhaustive_oracle(inst, backend, stream(3, "gen"))
+    assert oracle.reward == rewards.max() == rewards[encode_action(oracle.action, inst.factors)]
+    greedy = greedy_allocate(inst, backend, stream(4, "gen"))
+    assert greedy.reward == rewards[encode_action(greedy.action, inst.factors)]
+    assert extract_calls == []
 
 
 def test_greedy_reaches_all_ones_under_ample_budget():

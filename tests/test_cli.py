@@ -12,8 +12,11 @@ from semcom.codec import parse_payload
 from semcom.config import load_config, parse_extractor, parse_metric
 from semcom.errors import ConfigError, IoError
 from semcom.extractors import Canny, ExternalMap, QuantizeSegmentation, SobelMagnitude
+from semcom.generation import Surrogate
 from semcom.image import read_pgm, write_pgm
 from semcom.metrics import MseQuality, PsnrQuality, SsimQuality, ViQuality
+from semcom.pairing import evaluate_candidates, rank_reports
+from semcom.rng import stream
 
 from _fixtures import diagonal, filled_square, gradient, gradient_with_square, vertical_step
 
@@ -93,6 +96,29 @@ def test_parse_extractor_and_metric_specs():
 def test_parse_metric_rejects_a_non_finite_or_non_positive_cap(spec):
     with pytest.raises(ConfigError, match="cap must be finite and positive"):
         parse_metric(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, parse, message",
+    [
+        ("ssim(w=4)", parse_metric, "metric 'ssim' has unknown argument 'w'; valid arguments: window"),
+        (
+            "canny(lo=0.3)",
+            parse_extractor,
+            "extractor 'canny' has unknown argument 'lo'; valid arguments: low, high, sigma",
+        ),
+        ("psnr(cp=20)", parse_metric, "metric 'psnr' has unknown argument 'cp'; valid arguments: cap"),
+        (
+            "quantize(k=4, levels=9)",
+            parse_extractor,
+            "extractor 'quantize' has unknown argument 'levels'; valid arguments: k",
+        ),
+        ("sobel(k=3)", parse_extractor, "extractor 'sobel' has unknown argument 'k'; valid arguments: none"),
+    ],
+)
+def test_an_unknown_extractor_or_metric_argument_is_a_config_error(spec, parse, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse(spec)
 
 
 def test_sweep_with_an_infinite_psnr_cap_is_a_config_error(tmp_path, capsys):
@@ -223,6 +249,30 @@ def test_sweep_outputs(tmp_path):
     r2 = [float(line.split(",")[1]) for line in report[1:]]
     assert r2[0] == max(r2)
     assert (out / "sweep_manifest.txt").exists()
+
+
+def test_sweep_report_is_the_ranking_of_evaluate_candidates(tmp_path):
+    paths = write_images(tmp_path)
+    # a repeated pair on a third image, and a new pair on an image already named
+    extra = f"""
+[services]
+again.extractor = sobel
+again.metric = ssim
+again.image = {paths['grad']}
+edges2.extractor = canny
+edges2.metric = mse
+edges2.image = {paths['diag']}
+"""
+    cfg = base_config(tmp_path, paths, extra=extra)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    config = load_config(cfg)
+    images = [read_pgm(paths[name]) for name in ("diag", "square", "grad")]
+    pairs = [(SobelMagnitude(), SsimQuality()), (QuantizeSegmentation(4), ViQuality(4)), (Canny(), MseQuality())]
+    reports = evaluate_candidates(
+        pairs, images, config.factors, Surrogate(), stream(config.seed, "gen"), image_ids=["edges", "regions", "again"]
+    )
+    expected = [f"{r.pair_label},{r.r_squared!r},{r.slope!r},{r.spearman!r}" for r in rank_reports(reports)]
+    assert (tmp_path / "out" / "pairing_report.csv").read_text().splitlines()[1:] == expected
 
 
 def test_sweep_rerun_byte_identical(tmp_path):
@@ -551,6 +601,43 @@ def test_an_unknown_config_key_is_a_config_error(tmp_path, capsys, section, line
     assert main(["pipeline", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.rstrip().endswith(f"valid keys: {valid}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", _COMMANDS)
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("services", "edges.extractor", "canny(sigma=nan)", "sigma must lie in (0, 100.0], got nan"),
+        ("services", "edges.extractor", "canny(sigma=1e308)", "sigma must lie in (0, 100.0], got 1e+308"),
+        ("services", "edges.metric", "ssim(w=4)", "unknown argument 'w'; valid arguments: window"),
+        ("services", "regions.weight", "nan", "weight must be finite and positive, got nan"),
+        ("services", "regions.weight", "inf", "weight must be finite and positive, got inf"),
+        ("services", "edges.sigma_gen", "nan", "generation noise must be finite and >= 0, got nan"),
+        ("dqn", "hidden", "0", "hidden layer sizes must be >= 1, got (0,)"),
+        ("dqn", "hidden", "8,0", "hidden layer sizes must be >= 1, got (8, 0)"),
+        ("dqn", "hidden", "-4", "hidden layer sizes must be >= 1, got (-4,)"),
+        ("dqn", "batch", "-1", "buffer and batch must be >= 1, got 4096 and -1"),
+        ("dqn", "buffer", "0", "buffer and batch must be >= 1, got 0 and 8"),
+        ("dqn", "buffer", "-1", "buffer and batch must be >= 1, got -1 and 8"),
+        ("dqn", "episodes", "99999999999999999999", "episodes must lie in [1, 1000000], got 99999999999999999999"),
+        ("dqn", "epsilon_min", "-1", "epsilon_min must lie in [0, 1], got -1.0"),
+        ("dqn", "epsilon_min", "2", "epsilon_min must lie in [0, 1], got 2.0"),
+        ("dqn", "lr", "nan", "learning rate must be finite and positive, got nan"),
+    ],
+)
+def test_a_hostile_config_value_exits_2_before_any_work(tmp_path, capsys, name, section, key, value, message):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    text, line = cfg.read_text(), f"{key} = {value}"
+    if re.search(rf"^{re.escape(key)} = ", text, re.M):
+        text = re.sub(rf"^{re.escape(key)} = .*$", lambda _: line, text, flags=re.M)
+    else:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    cfg.write_text(text)
+    assert run_command(name, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
