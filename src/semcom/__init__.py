@@ -90,10 +90,6 @@ from .metrics import (
     vi_quality,
 )
 from .pairing import (
-    BothFixed,
-    ExtractorFixed,
-    Free,
-    MetricFixed,
     PredictabilityReport,
     ResponseCurve,
     fit_predictability,

@@ -46,6 +46,7 @@ class AllocationInstance:
     images: tuple[SemanticMap, ...]
     factors: tuple[int, ...]
     channel: ChannelConfig
+    backend: GenerationBackend = Surrogate()
 
     def __post_init__(self):
         object.__setattr__(self, "services", tuple(self.services))
@@ -81,21 +82,19 @@ class AllocationInstance:
             for svc, img in zip(self.services, self.images)
         )
 
-    def cores(self, backend: GenerationBackend) -> tuple[QualityCore, ...]:
-        """Per-service evaluators for one backend, kept for the instance's life.
+    @cached_property
+    def cores(self) -> tuple[QualityCore, ...]:
+        """Per-service evaluators for the instance's backend, kept for its life.
 
         Surrogate cores share the extracted maps and run each (service,
         factor) round trip once; other backends score their own files and
         extract nothing.
         """
-        kept = self.__dict__.setdefault("_cores", {})
-        if backend not in kept:
-            maps = self.semantic_maps if isinstance(backend, Surrogate) else (None,) * self.n_services
-            kept[backend] = tuple(
-                QualityCore(svc, img, backend, semantic=smap, memo=smap is not None)
-                for svc, img, smap in zip(self.services, self.images, maps)
-            )
-        return kept[backend]
+        maps = self.semantic_maps if isinstance(self.backend, Surrogate) else (None,) * self.n_services
+        return tuple(
+            QualityCore(svc, img, self.backend, semantic=smap, memo=smap is not None)
+            for svc, img, smap in zip(self.services, self.images, maps)
+        )
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -187,17 +186,12 @@ class ActionEvaluation:
     feasible: bool
 
 
-def evaluate_action(
-    inst: AllocationInstance,
-    action,
-    backend: GenerationBackend,
-    rng: np.random.Generator,
-) -> ActionEvaluation:
+def evaluate_action(inst: AllocationInstance, action, rng: np.random.Generator) -> ActionEvaluation:
     """Score one joint action; infeasible actions earn -1 but still report qualities."""
     action = tuple(action)
     costs = inst.action_costs(action)
     check = budget_check(costs, inst.channel)
-    qualities = [core.quality(d, rng) for core, d in zip(inst.cores(backend), action)]
+    qualities = [core.quality(d, rng) for core, d in zip(inst.cores, action)]
     reports = tuple(
         QualityReport(service_id=svc.id, factor=d, quality=q, cost_bytes=c)
         for svc, d, q, c in zip(inst.services, action, qualities, costs)
@@ -206,9 +200,7 @@ def evaluate_action(
     return ActionEvaluation(reward=reward, reports=reports, total_bytes=check.total, feasible=check.feasible)
 
 
-def quality_table(
-    inst: AllocationInstance, backend: GenerationBackend, rng: np.random.Generator
-) -> np.ndarray:
+def quality_table(inst: AllocationInstance, rng: np.random.Generator) -> np.ndarray:
     """Quality of service s at factor index j, shape (S, |D|).
 
     Each (s, j) cell gets its own stream spawned in a fixed order, so any
@@ -216,7 +208,7 @@ def quality_table(
     identical values.
     """
     streams = iter(rng.spawn(inst.n_services * len(inst.factors)))
-    return np.array([[core.quality(d, next(streams)) for d in inst.factors] for core in inst.cores(backend)])
+    return np.array([[core.quality(d, next(streams)) for d in inst.factors] for core in inst.cores])
 
 
 @dataclass(frozen=True)
@@ -225,11 +217,9 @@ class AllocationResult:
     reward: float
 
 
-def action_rewards(
-    inst: AllocationInstance, backend: GenerationBackend, rng: np.random.Generator
-) -> np.ndarray:
+def action_rewards(inst: AllocationInstance, rng: np.random.Generator) -> np.ndarray:
     """Reward of every joint action, indexed by the flat action index."""
-    return _broadcast_rewards(inst, quality_table(inst, backend, rng))
+    return _broadcast_rewards(inst, quality_table(inst, rng))
 
 
 def _broadcast_rewards(inst: AllocationInstance, table: np.ndarray) -> np.ndarray:
@@ -249,27 +239,23 @@ def _broadcast_rewards(inst: AllocationInstance, table: np.ndarray) -> np.ndarra
     return rewards.ravel()
 
 
-def exhaustive_oracle(
-    inst: AllocationInstance, backend: GenerationBackend, rng: np.random.Generator
-) -> AllocationResult:
+def exhaustive_oracle(inst: AllocationInstance, rng: np.random.Generator) -> AllocationResult:
     """Enumerate all joint actions; ties go to the lexicographically smallest tuple."""
-    rewards = action_rewards(inst, backend, rng)
+    rewards = action_rewards(inst, rng)
     best = int(np.argmax(rewards))  # first maximum = smallest index = lexicographic min
     return AllocationResult(
         action=decode_action(best, inst.factors, inst.n_services), reward=float(rewards[best])
     )
 
 
-def greedy_allocate(
-    inst: AllocationInstance, backend: GenerationBackend, rng: np.random.Generator
-) -> AllocationResult:
+def greedy_allocate(inst: AllocationInstance, rng: np.random.Generator) -> AllocationResult:
     """Start everything at max(D); repeatedly buy the best quality-per-byte upgrade.
 
     A move lowers one service's factor to the next smaller admissible
     value; only budget-feasible moves with a strict quality gain are
     considered, ranked by gain per extra byte.
     """
-    table = quality_table(inst, backend, rng)
+    table = quality_table(inst, rng)
     last = len(inst.factors) - 1
     positions = [last] * inst.n_services
     total = sum(inst.action_costs(inst.factors[last] for _ in inst.services))
@@ -301,13 +287,11 @@ def greedy_allocate(
     return AllocationResult(action=action, reward=float(reward))
 
 
-def random_allocate(
-    inst: AllocationInstance, backend: GenerationBackend, rng: np.random.Generator
-) -> AllocationResult:
+def random_allocate(inst: AllocationInstance, rng: np.random.Generator) -> AllocationResult:
     """Uniform random joint action, evaluated like any other."""
     index = int(rng.integers(inst.n_actions))
     action = decode_action(index, inst.factors, inst.n_services)
-    return AllocationResult(action=action, reward=evaluate_action(inst, action, backend, rng).reward)
+    return AllocationResult(action=action, reward=evaluate_action(inst, action, rng).reward)
 
 
 @dataclass(frozen=True)
@@ -325,6 +309,9 @@ class DqnConfig:
             raise DomainError(f"hidden layer sizes must be >= 1, got {self.hidden}")
         if self.buffer_capacity < 1 or self.batch_size < 1:
             raise DomainError(f"buffer and batch must be >= 1, got {self.buffer_capacity} and {self.batch_size}")
+        if self.warmup > self.buffer_capacity:
+            # the buffer holds at most its capacity, so training would never start
+            raise DomainError(f"warmup {self.warmup} exceeds the buffer capacity {self.buffer_capacity}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise DomainError(f"learning rate must be finite and positive, got {self.learning_rate}")
         if not 0.0 <= self.epsilon_min <= 1.0:
@@ -334,11 +321,10 @@ class DqnConfig:
 class DqnAgent:
     """Trained Q-network plus the action layout needed to decode its argmax."""
 
-    def __init__(self, online: Mlp, factors, n_services: int, config: DqnConfig):
+    def __init__(self, online: Mlp, factors, n_services: int):
         self.online = online
         self.factors = tuple(factors)
         self.n_services = n_services
-        self.config = config
 
     @property
     def state_dim(self) -> int:
@@ -389,19 +375,15 @@ class _ReplayBuffer:
         return self.states[idx], self.actions[idx], self.rewards[idx]
 
 
-def dqn_train(
-    pool,
-    episodes: int,
-    config: DqnConfig,
-    backend: GenerationBackend,
-) -> TrainResult:
+def dqn_train(pool, episodes: int, config: DqnConfig) -> TrainResult:
     """Train the contextual-bandit agent over a pool of allocation instances.
 
     Episodes are one joint decision: sample an instance, pick a joint
     action epsilon-greedily, collect the reward, store (state, action,
     reward), then take one gradient step regressing Q(s, a) on the stored
     reward over a uniform replay mini-batch once the warmup is filled.
-    Everything is driven by config.seed.
+    Everything is driven by config.seed.  A network that ends with a
+    non-finite weight or bias raises DomainError.
     """
     pool = list(pool)
     if not pool:
@@ -436,7 +418,7 @@ def dqn_train(
             q, _ = online.forward(state)
             a_idx = int(np.argmax(q[0]))
         action = decode_action(a_idx, inst.factors, inst.n_services)
-        evaluation = evaluate_action(inst, action, backend, eval_rng)
+        evaluation = evaluate_action(inst, action, eval_rng)
         buffer.push(state, a_idx, evaluation.reward)
 
         if buffer.size >= config.warmup:
@@ -450,7 +432,9 @@ def dqn_train(
         action_indices[e] = a_idx
         instance_indices[e] = inst_idx
 
-    agent = DqnAgent(online, first.factors, first.n_services, config)
+    if not all(np.isfinite(p).all() for p in online.weights + online.biases):
+        raise DomainError(f"training diverged to non-finite Q-network weights at learning rate {config.learning_rate}")
+    agent = DqnAgent(online, first.factors, first.n_services)
     return TrainResult(
         agent=agent,
         rewards=rewards,

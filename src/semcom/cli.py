@@ -136,7 +136,7 @@ def cmd_allocate(args) -> int:
     rng = stream(config.seed, "gen")
 
     if args.solver == "dqn":
-        result = dqn_train([inst], config.episodes, config.dqn, Surrogate())
+        result = dqn_train([inst], config.episodes, config.dqn)
         trace_path = os.path.join(config.output_dir, "dqn_trace.csv")
         _write_csv(
             trace_path,
@@ -152,7 +152,7 @@ def cmd_allocate(args) -> int:
         manifest.record(agent_path)
     else:
         solvers = {"exhaustive": exhaustive_oracle, "greedy": greedy_allocate, "random": random_allocate}
-        result = solvers[args.solver](inst, Surrogate(), rng)
+        result = solvers[args.solver](inst, rng)
         check = budget_check(inst.action_costs(result.action), config.channel)
         row = (args.solver, "|".join(str(d) for d in result.action), result.reward, check.total, check.feasible)
         alloc_path = os.path.join(config.output_dir, "allocation.csv")

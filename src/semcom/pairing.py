@@ -55,30 +55,6 @@ class PredictabilityReport:
         return f"{ext}+{met}"
 
 
-@dataclass(frozen=True)
-class MetricFixed:
-    metric: MetricKind
-
-
-@dataclass(frozen=True)
-class ExtractorFixed:
-    extractor: ExtractorKind
-
-
-@dataclass(frozen=True)
-class BothFixed:
-    extractor: ExtractorKind
-    metric: MetricKind
-
-
-@dataclass(frozen=True)
-class Free:
-    pass
-
-
-SelectionMode = MetricFixed | ExtractorFixed | BothFixed | Free
-
-
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares (slope, r_squared) of y on x; r_squared is 0 when y is flat."""
     xc = x - x.mean()
@@ -169,27 +145,6 @@ def fit_predictability(curve: ResponseCurve) -> PredictabilityReport:
     )
 
 
-def candidate_pairs(
-    mode: SelectionMode,
-    extractors: Sequence[ExtractorKind],
-    metrics: Sequence[MetricKind],
-) -> list[tuple[ExtractorKind, MetricKind]]:
-    """Admissible (extractor, metric) pairs for a selection mode."""
-    if isinstance(mode, BothFixed):
-        return [(mode.extractor, mode.metric)]
-    if isinstance(mode, MetricFixed):
-        pairs = [(e, mode.metric) for e in extractors]
-    elif isinstance(mode, ExtractorFixed):
-        pairs = [(mode.extractor, m) for m in metrics]
-    elif isinstance(mode, Free):
-        pairs = list(product(extractors, metrics))
-    else:
-        raise DomainError(f"unknown selection mode {mode!r}")
-    if not pairs:
-        raise DomainError("candidate set is empty for the free dimension")
-    return pairs
-
-
 def sweep_candidates(
     pairs: Sequence[tuple[ExtractorKind, MetricKind]],
     images: Sequence[SemanticMap],
@@ -206,26 +161,12 @@ def sweep_candidates(
     ]
 
 
-def evaluate_candidates(
-    pairs: Sequence[tuple[ExtractorKind, MetricKind]],
-    images: Sequence[SemanticMap],
-    factors: Sequence[int],
-    backend: GenerationBackend,
-    rng: np.random.Generator,
-    sigma_gen: float = 0.0,
-    image_ids: Sequence[str] | None = None,
-) -> list[PredictabilityReport]:
-    """Fit every candidate pair's curve from sweep_candidates."""
-    return [fit_predictability(c) for c in sweep_candidates(pairs, images, factors, backend, rng, sigma_gen, image_ids)]
-
-
 def rank_reports(reports: Sequence[PredictabilityReport]) -> list[PredictabilityReport]:
     """Most predictable first: highest R squared, then largest |Spearman|, then pair name."""
     return sorted(reports, key=lambda r: (-r.r_squared, -abs(r.spearman), r.pair_label))
 
 
 def select_pair(
-    mode: SelectionMode,
     extractors: Sequence[ExtractorKind],
     metrics: Sequence[MetricKind],
     images: Sequence[SemanticMap],
@@ -235,6 +176,13 @@ def select_pair(
     sigma_gen: float = 0.0,
     image_ids: Sequence[str] | None = None,
 ) -> PredictabilityReport:
-    """Most predictable admissible pair for the mode's service archetype."""
-    pairs = candidate_pairs(mode, extractors, metrics)
-    return rank_reports(evaluate_candidates(pairs, images, factors, backend, rng, sigma_gen, image_ids))[0]
+    """Most predictable pair in the product of the candidate lists.
+
+    A service archetype that fixes the extractor, the metric or both
+    passes one candidate for that dimension.
+    """
+    pairs = list(product(extractors, metrics))
+    if not pairs:
+        raise DomainError("candidate set is empty: pass at least one extractor and one metric")
+    curves = sweep_candidates(pairs, images, factors, backend, rng, sigma_gen, image_ids)
+    return rank_reports([fit_predictability(c) for c in curves])[0]

@@ -6,6 +6,7 @@ per criterion.
 
 import math
 import os
+from itertools import product
 
 import numpy as np
 
@@ -43,17 +44,7 @@ from semcom.metrics import (
     ssim_quality,
     vi_quality,
 )
-from semcom.pairing import (
-    BothFixed,
-    ExtractorFixed,
-    Free,
-    MetricFixed,
-    candidate_pairs,
-    evaluate_candidates,
-    fit_predictability,
-    select_pair,
-    sweep_curve,
-)
+from semcom.pairing import fit_predictability, select_pair, sweep_candidates, sweep_curve
 from semcom.codec import encode
 from semcom.qnet import Mlp, td_loss_and_gradients
 from semcom.rng import stream
@@ -188,21 +179,27 @@ def test_criterion_05_pairing_selection(tmp_path):
     metrics = [MseQuality(), ViQuality(2)]
     expected = (Canny(), MseQuality())
 
-    for mode in [Free(), MetricFixed(MseQuality()), ExtractorFixed(Canny()), BothFixed(*expected)]:
-        winner = select_pair(
-            mode, extractors, metrics, images, factors, backend, stream(5, "gen"), image_ids=ids
-        )
-        assert (winner.extractor, winner.metric) == expected, mode
+    # the four service archetypes: free, metric fixed, extractor fixed, both fixed
+    archetypes = [
+        (extractors, metrics),
+        (extractors, [MseQuality()]),
+        ([Canny()], metrics),
+        ([expected[0]], [expected[1]]),
+    ]
+    for archetype in archetypes:
+        winner = select_pair(*archetype, images, factors, backend, stream(5, "gen"), image_ids=ids)
+        assert (winner.extractor, winner.metric) == expected, archetype
         assert winner.r_squared == 1.0
         assert winner.slope == -1.0 / 32.0
-    reports = evaluate_candidates(
-        candidate_pairs(Free(), extractors, metrics),
+    curves = sweep_candidates(
+        list(product(extractors, metrics)),
         images,
         factors,
         backend,
         stream(5, "gen"),
         image_ids=ids,
     )
+    reports = [fit_predictability(c) for c in curves]
     assert winner.r_squared == max(r.r_squared for r in reports)
     _report(5, "pairing-selection")
 
@@ -228,10 +225,10 @@ def test_criterion_07_allocation_oracle_dominance():
     diffs = []
     for trial in range(50):
         inst = random_instance(rng, max_services=3, max_factors=4)
-        oracle = exhaustive_oracle(inst, Surrogate(), stream(trial, "gen"))
-        greedy = greedy_allocate(inst, Surrogate(), stream(trial, "gen"))
+        oracle = exhaustive_oracle(inst, stream(trial, "gen"))
+        greedy = greedy_allocate(inst, stream(trial, "gen"))
         assert oracle.reward >= greedy.reward - 1e-12
-        random_mean = float(action_rewards(inst, Surrogate(), stream(trial, "gen")).mean())
+        random_mean = float(action_rewards(inst, stream(trial, "gen")).mean())
         diffs.append(greedy.reward - random_mean)
     diffs = np.array(diffs)
     t_stat = diffs.mean() / (diffs.std(ddof=1) / math.sqrt(len(diffs)))
@@ -259,9 +256,9 @@ def dqn_pool():
 def test_criterion_08_dqn_convergence():
     pool = dqn_pool()
     assert pool[0].n_actions == 625
-    oracles = [exhaustive_oracle(inst, Surrogate(), stream(8, "gen")) for inst in pool]
+    oracles = [exhaustive_oracle(inst, stream(8, "gen")) for inst in pool]
     config = DqnConfig(seed=0, learning_rate=0.02)
-    out = dqn_train(pool, 500, config, Surrogate())
+    out = dqn_train(pool, 500, config)
 
     tail_rewards = out.rewards[-50:]
     tail_oracle = np.array([oracles[i].reward for i in out.instance_indices[-50:]])
@@ -269,7 +266,7 @@ def test_criterion_08_dqn_convergence():
 
     for inst, oracle in zip(pool, oracles):
         greedy_action = dqn_act(out.agent, inst.state_vector)
-        reward = evaluate_action(inst, greedy_action, Surrogate(), stream(9, "gen")).reward
+        reward = evaluate_action(inst, greedy_action, stream(9, "gen")).reward
         assert reward >= oracle.reward - 0.05
 
     assert out.rewards[-100:].var() < out.rewards[:100].var()

@@ -22,7 +22,7 @@ from semcom.channel import ChannelConfig
 from semcom.codec import encoded_cost
 from semcom.errors import DomainError, ShapeError, TooLargeError
 from semcom.extractors import QuantizeSegmentation, SobelMagnitude
-from semcom.generation import ExternalPairs, ServiceSpec, Surrogate, reconstruct_and_score
+from semcom.generation import ExternalPairs, ServiceSpec, reconstruct_and_score
 from semcom.image import SemanticMap, write_pgm
 from semcom.metrics import MseQuality, SsimQuality, ViQuality
 from semcom.qnet import Mlp
@@ -85,7 +85,7 @@ def test_instance_guard():
 
 def test_evaluate_all_ones_ample_budget():
     inst = two_service_instance()
-    out = evaluate_action(inst, (1, 1), Surrogate(), stream(0, "gen"))
+    out = evaluate_action(inst, (1, 1), stream(0, "gen"))
     assert out.reward == 1.0
     assert out.feasible
     assert all(rep.quality == 1.0 for rep in out.reports)
@@ -93,7 +93,7 @@ def test_evaluate_all_ones_ample_budget():
 
 def test_evaluate_zero_budget_penalty_with_reports():
     inst = two_service_instance(budget=0)
-    out = evaluate_action(inst, (2, 2), Surrogate(), stream(0, "gen"))
+    out = evaluate_action(inst, (2, 2), stream(0, "gen"))
     assert out.reward == -1.0
     assert not out.feasible
     assert len(out.reports) == 2
@@ -104,9 +104,9 @@ def test_evaluate_zero_budget_penalty_with_reports():
 def test_evaluate_rejects_inadmissible_action():
     inst = two_service_instance()
     with pytest.raises(DomainError):
-        evaluate_action(inst, (1, 3), Surrogate(), stream(0, "gen"))
+        evaluate_action(inst, (1, 3), stream(0, "gen"))
     with pytest.raises(DomainError):
-        evaluate_action(inst, (1,), Surrogate(), stream(0, "gen"))
+        evaluate_action(inst, (1,), stream(0, "gen"))
 
 
 def test_cost_table_matches_codec():
@@ -128,7 +128,7 @@ def test_oracle_single_service_lossless_dominates():
     inst = AllocationInstance(
         services=(svc,), images=(diagonal(16),), factors=(1, 2), channel=ChannelConfig(budget_bytes=10**6)
     )
-    res = exhaustive_oracle(inst, Surrogate(), stream(1, "gen"))
+    res = exhaustive_oracle(inst, stream(1, "gen"))
     assert res.action == (1,)
     assert res.reward == 1.0
 
@@ -140,14 +140,14 @@ def test_oracle_respects_budget():
     inst = AllocationInstance(
         services=(svc,), images=(img,), factors=(1, 2), channel=ChannelConfig(budget_bytes=only_d2)
     )
-    res = exhaustive_oracle(inst, Surrogate(), stream(1, "gen"))
+    res = exhaustive_oracle(inst, stream(1, "gen"))
     assert res.action == (2,)
 
 
 def test_oracle_dominates_every_enumerated_action():
     inst = two_service_instance(factors=(1, 2, 4))
-    rewards = action_rewards(inst, Surrogate(), stream(2, "gen"))
-    res = exhaustive_oracle(inst, Surrogate(), stream(2, "gen"))
+    rewards = action_rewards(inst, stream(2, "gen"))
+    res = exhaustive_oracle(inst, stream(2, "gen"))
     assert res.reward >= rewards.max() - 1e-15
     assert res.reward == rewards[encode_action(res.action, inst.factors)]
 
@@ -155,8 +155,8 @@ def test_oracle_dominates_every_enumerated_action():
 def test_action_rewards_equal_the_per_action_loop():
     for seed in range(20):
         inst = random_instance(np.random.default_rng(seed))
-        table = quality_table(inst, Surrogate(), stream(seed, "gen"))
-        rewards = action_rewards(inst, Surrogate(), stream(seed, "gen"))
+        table = quality_table(inst, stream(seed, "gen"))
+        rewards = action_rewards(inst, stream(seed, "gen"))
         assert np.array_equal(rewards, reference_action_rewards(inst, table))
 
 
@@ -185,7 +185,7 @@ def test_action_rewards_equal_the_loop_on_crafted_tables(monkeypatch, weights, f
         table[:] = table[0]
     table[-1] = 0.0  # a service that scores zero at every factor
     monkeypatch.setattr("semcom.allocator.quality_table", lambda *args: table)
-    rewards = action_rewards(inst, Surrogate(), stream(0, "gen"))
+    rewards = action_rewards(inst, stream(0, "gen"))
     expected = reference_action_rewards(inst, table)
     assert np.array_equal(rewards, expected)
     assert len(set(expected.tolist())) < len(expected)
@@ -205,13 +205,15 @@ def external_pairs_instance(tmp_path, budget):
             rec = ref.copy()
             rec[: step * (d - 1)] = 0.0
             write_pgm(SemanticMap(rec), tmp_path / f"{svc.id}_d{d}.pgm")
+    backend = ExternalPairs(str(tmp_path))
     inst = AllocationInstance(
         services=services,
         images=(gradient(12), diagonal(12)),
         factors=factors,
         channel=ChannelConfig(budget_bytes=budget),
+        backend=backend,
     )
-    return inst, ExternalPairs(str(tmp_path))
+    return inst, backend
 
 
 @pytest.mark.parametrize("budget", [10**6, encoded_cost(12, 12, 1) + encoded_cost(12, 12, 2), 0])
@@ -224,16 +226,16 @@ def test_external_pairs_solvers_score_the_files_without_extracting(tmp_path, ext
         ]
     )
     assert len(set(expected[:, 1:].ravel().tolist())) == 4
-    assert np.array_equal(quality_table(inst, backend, stream(1, "gen")), expected)
+    assert np.array_equal(quality_table(inst, stream(1, "gen")), expected)
     rewards = reference_action_rewards(inst, expected)
     for index in range(inst.n_actions):
         action = decode_action(index, inst.factors, inst.n_services)
-        ev = evaluate_action(inst, action, backend, stream(2, "gen"))
+        ev = evaluate_action(inst, action, stream(2, "gen"))
         assert [rep.quality for rep in ev.reports] == [expected[s, inst.factors.index(d)] for s, d in enumerate(action)]
         assert ev.reward == rewards[index]
-    oracle = exhaustive_oracle(inst, backend, stream(3, "gen"))
+    oracle = exhaustive_oracle(inst, stream(3, "gen"))
     assert oracle.reward == rewards.max() == rewards[encode_action(oracle.action, inst.factors)]
-    greedy = greedy_allocate(inst, backend, stream(4, "gen"))
+    greedy = greedy_allocate(inst, stream(4, "gen"))
     assert greedy.reward == rewards[encode_action(greedy.action, inst.factors)]
     assert extract_calls == []
 
@@ -242,15 +244,15 @@ def test_greedy_reaches_all_ones_under_ample_budget():
     # both services degrade strictly at every factor step, so every
     # decrease is an improving move and greedy walks down to d=1
     inst = two_service_instance()
-    res = greedy_allocate(inst, Surrogate(), stream(3, "gen"))
+    res = greedy_allocate(inst, stream(3, "gen"))
     assert res.action == (1, 1)
-    oracle = exhaustive_oracle(inst, Surrogate(), stream(3, "gen"))
+    oracle = exhaustive_oracle(inst, stream(3, "gen"))
     assert res.reward == oracle.reward
 
 
 def test_greedy_zero_budget_returns_all_max_with_penalty():
     inst = two_service_instance(budget=0)
-    res = greedy_allocate(inst, Surrogate(), stream(3, "gen"))
+    res = greedy_allocate(inst, stream(3, "gen"))
     assert res.action == (8, 8)
     assert res.reward == -1.0
 
@@ -259,23 +261,23 @@ def test_exhaustive_beats_greedy_on_random_instances():
     rng = np.random.default_rng(99)
     for trial in range(15):
         inst = random_instance(rng)
-        oracle = exhaustive_oracle(inst, Surrogate(), stream(trial, "gen"))
-        greedy = greedy_allocate(inst, Surrogate(), stream(trial, "gen"))
+        oracle = exhaustive_oracle(inst, stream(trial, "gen"))
+        greedy = greedy_allocate(inst, stream(trial, "gen"))
         assert oracle.reward >= greedy.reward - 1e-12
 
 
 def test_random_allocate_valid_and_seeded():
     inst = two_service_instance()
-    a = random_allocate(inst, Surrogate(), stream(4, "gen"))
-    b = random_allocate(inst, Surrogate(), stream(4, "gen"))
+    a = random_allocate(inst, stream(4, "gen"))
+    b = random_allocate(inst, stream(4, "gen"))
     assert a == b
     assert all(d in inst.factors for d in a.action)
 
 
 def test_quality_table_reproducible():
     inst = two_service_instance()
-    t1 = quality_table(inst, Surrogate(), stream(5, "gen"))
-    t2 = quality_table(inst, Surrogate(), stream(5, "gen"))
+    t1 = quality_table(inst, stream(5, "gen"))
+    t2 = quality_table(inst, stream(5, "gen"))
     assert np.array_equal(t1, t2)
     assert t1.shape == (2, 4)
     assert np.all(t1[:, 0] == 1.0)  # d=1 is lossless without generation noise
@@ -291,8 +293,8 @@ def test_epsilon_schedule_endpoints():
 def test_dqn_train_is_bit_reproducible():
     inst = two_service_instance(factors=(1, 2))
     cfg = DqnConfig(seed=11, warmup=8, batch_size=4)
-    a = dqn_train([inst], 30, cfg, Surrogate())
-    b = dqn_train([inst], 30, cfg, Surrogate())
+    a = dqn_train([inst], 30, cfg)
+    b = dqn_train([inst], 30, cfg)
     assert np.array_equal(a.rewards, b.rewards)
     assert np.array_equal(a.action_indices, b.action_indices)
     for wa, wb in zip(a.agent.online.weights, b.agent.online.weights):
@@ -302,7 +304,7 @@ def test_dqn_train_is_bit_reproducible():
 def test_dqn_trace_lengths_and_loss_definition():
     inst = two_service_instance(factors=(1, 2))
     cfg = DqnConfig(seed=12, warmup=8, batch_size=4)
-    out = dqn_train([inst], 25, cfg, Surrogate())
+    out = dqn_train([inst], 25, cfg)
     assert out.rewards.shape == (25,)
     assert out.losses.shape == (25,)
     feasible = out.rewards > -1.0
@@ -311,13 +313,13 @@ def test_dqn_trace_lengths_and_loss_definition():
 
 def test_dqn_toy_convergence_to_near_oracle():
     inst = two_service_instance(factors=(1, 2, 4))
-    oracle = exhaustive_oracle(inst, Surrogate(), stream(6, "gen"))
+    oracle = exhaustive_oracle(inst, stream(6, "gen"))
     cfg = DqnConfig(seed=7)
-    out = dqn_train([inst], 400, cfg, Surrogate())
+    out = dqn_train([inst], 400, cfg)
     tail = out.rewards[-50:]
     assert tail.mean() >= oracle.reward - 0.05
     greedy_action = dqn_act(out.agent, inst.state_vector)
-    greedy_reward = evaluate_action(inst, greedy_action, Surrogate(), stream(8, "gen")).reward
+    greedy_reward = evaluate_action(inst, greedy_action, stream(8, "gen")).reward
     assert greedy_reward >= oracle.reward - 0.05
 
 
@@ -325,7 +327,7 @@ def test_dqn_pool_must_be_homogeneous():
     a = two_service_instance(factors=(1, 2))
     b = two_service_instance(factors=(1, 4))
     with pytest.raises(DomainError):
-        dqn_train([a, b], 10, DqnConfig(), Surrogate())
+        dqn_train([a, b], 10, DqnConfig())
 
 
 def test_dqn_act_decodes_hand_set_weights():
@@ -336,7 +338,7 @@ def test_dqn_act_decodes_hand_set_weights():
     w = np.zeros((state_dim, n_actions))
     b = np.array([0.0, 0.1, 0.2, 1.0])
     net = Mlp.from_params([state_dim, n_actions], [w], [b])
-    agent = DqnAgent(net, factors, 2, DqnConfig())
+    agent = DqnAgent(net, factors, 2)
     action = dqn_act(agent, np.zeros(state_dim))
     assert action == decode_action(3, factors, 2) == (2, 2)
 
@@ -344,12 +346,12 @@ def test_dqn_act_decodes_hand_set_weights():
 def test_dqn_act_ties_pick_index_zero():
     factors = (1, 2)
     net = Mlp.from_params([3, 4], [np.zeros((3, 4))], [np.zeros(4)])
-    agent = DqnAgent(net, factors, 2, DqnConfig())
+    agent = DqnAgent(net, factors, 2)
     assert dqn_act(agent, np.zeros(3)) == decode_action(0, factors, 2)
 
 
 def test_dqn_act_shape_check():
     net = Mlp.from_params([3, 4], [np.zeros((3, 4))], [np.zeros(4)])
-    agent = DqnAgent(net, (1, 2), 2, DqnConfig())
+    agent = DqnAgent(net, (1, 2), 2)
     with pytest.raises(ShapeError):
         dqn_act(agent, np.zeros(5))

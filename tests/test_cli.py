@@ -15,7 +15,7 @@ from semcom.extractors import Canny, ExternalMap, QuantizeSegmentation, SobelMag
 from semcom.generation import Surrogate
 from semcom.image import read_pgm, write_pgm
 from semcom.metrics import MseQuality, PsnrQuality, SsimQuality, ViQuality
-from semcom.pairing import evaluate_candidates, rank_reports
+from semcom.pairing import fit_predictability, rank_reports, sweep_candidates
 from semcom.rng import stream
 
 from _fixtures import diagonal, filled_square, gradient, gradient_with_square, vertical_step
@@ -251,7 +251,7 @@ def test_sweep_outputs(tmp_path):
     assert (out / "sweep_manifest.txt").exists()
 
 
-def test_sweep_report_is_the_ranking_of_evaluate_candidates(tmp_path):
+def test_sweep_report_is_the_ranking_of_the_swept_candidates(tmp_path):
     paths = write_images(tmp_path)
     # a repeated pair on a third image, and a new pair on an image already named
     extra = f"""
@@ -268,9 +268,10 @@ edges2.image = {paths['diag']}
     config = load_config(cfg)
     images = [read_pgm(paths[name]) for name in ("diag", "square", "grad")]
     pairs = [(SobelMagnitude(), SsimQuality()), (QuantizeSegmentation(4), ViQuality(4)), (Canny(), MseQuality())]
-    reports = evaluate_candidates(
+    curves = sweep_candidates(
         pairs, images, config.factors, Surrogate(), stream(config.seed, "gen"), image_ids=["edges", "regions", "again"]
     )
+    reports = [fit_predictability(c) for c in curves]
     expected = [f"{r.pair_label},{r.r_squared!r},{r.slope!r},{r.spearman!r}" for r in rank_reports(reports)]
     assert (tmp_path / "out" / "pairing_report.csv").read_text().splitlines()[1:] == expected
 
@@ -302,7 +303,6 @@ def test_allocate_single_row_solvers(tmp_path, solver):
 def test_allocate_exhaustive_toy_matches_oracle(tmp_path):
     from semcom.allocator import exhaustive_oracle
     from semcom.cli import _build_instance
-    from semcom.generation import Surrogate
     from semcom.rng import stream
 
     paths = write_images(tmp_path)
@@ -312,7 +312,7 @@ def test_allocate_exhaustive_toy_matches_oracle(tmp_path):
     factors = tuple(int(d) for d in line.split(",")[1].split("|"))
     reward = float(line.split(",")[2])
     config = load_config(cfg_path)
-    oracle = exhaustive_oracle(_build_instance(config), Surrogate(), stream(config.seed, "gen"))
+    oracle = exhaustive_oracle(_build_instance(config), stream(config.seed, "gen"))
     assert factors == oracle.action
     assert reward == oracle.reward
 
@@ -620,6 +620,7 @@ def test_an_unknown_config_key_is_a_config_error(tmp_path, capsys, section, line
         ("dqn", "batch", "-1", "buffer and batch must be >= 1, got 4096 and -1"),
         ("dqn", "buffer", "0", "buffer and batch must be >= 1, got 0 and 8"),
         ("dqn", "buffer", "-1", "buffer and batch must be >= 1, got -1 and 8"),
+        ("dqn", "buffer", "4", "warmup 8 exceeds the buffer capacity 4"),
         ("dqn", "episodes", "99999999999999999999", "episodes must lie in [1, 1000000], got 99999999999999999999"),
         ("dqn", "epsilon_min", "-1", "epsilon_min must lie in [0, 1], got -1.0"),
         ("dqn", "epsilon_min", "2", "epsilon_min must lie in [0, 1], got 2.0"),
@@ -639,6 +640,18 @@ def test_a_hostile_config_value_exits_2_before_any_work(tmp_path, capsys, name, 
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# the diverging updates overflow, and numpy warns before the check after training raises
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_allocate_dqn_that_diverges_exits_2_and_writes_no_agent(tmp_path, capsys):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    cfg.write_text(cfg.read_text().replace("episodes = 40\n", "episodes = 200\nlr = 1e3\n"))
+    assert main(["allocate", "--config", str(cfg), "--solver", "dqn"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err
+    assert not (tmp_path / "out" / "dqn_trace.csv").exists()
+    assert not (tmp_path / "out" / "dqn_agent.bin").exists()
 
 
 def test_the_former_dqn_keys_gamma_and_sync_are_accepted(tmp_path):

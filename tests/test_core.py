@@ -31,7 +31,7 @@ def noisy_instance(image_shift=0):
 def test_dqn_train_matches_literal_loop_with_generation_noise():
     pool = [noisy_instance(), noisy_instance(image_shift=4)]
     cfg = DqnConfig(seed=5, warmup=8, batch_size=4, buffer_capacity=16, hidden=(16,))
-    out = dqn_train(pool, 60, cfg, Surrogate())
+    out = dqn_train(pool, 60, cfg)
     rewards, losses, actions, net = reference_dqn_train(pool, 60, cfg)
     assert np.array_equal(out.rewards, rewards)
     assert np.array_equal(out.losses, losses)
@@ -54,7 +54,7 @@ def test_dqn_train_losses_use_the_sampled_instance_weights():
 
     pool = [instance(1.0, 0), instance(5.0, 4)]
     cfg = DqnConfig(seed=9, warmup=8, batch_size=4, buffer_capacity=16, hidden=(16,))
-    out = dqn_train(pool, 60, cfg, Surrogate())
+    out = dqn_train(pool, 60, cfg)
     rewards, losses, actions, _ = reference_dqn_train(pool, 60, cfg)
     assert set(out.instance_indices) == {0, 1}
     assert np.array_equal(out.rewards, rewards)
@@ -84,12 +84,12 @@ def test_solvers_agree_on_memoised_and_fresh_instances(solver):
     rng = np.random.default_rng(17)
     instances = [noisy_instance()] + [random_instance(rng) for _ in range(6)]
     for trial, inst in enumerate(instances):
-        first = solver(inst, Surrogate(), stream(trial, "gen"))
-        again = solver(inst, Surrogate(), stream(trial, "gen"))  # served from the instance's memo
+        first = solver(inst, stream(trial, "gen"))
+        again = solver(inst, stream(trial, "gen"))  # served from the instance's memo
         fresh = AllocationInstance(
             services=inst.services, images=inst.images, factors=inst.factors, channel=inst.channel
         )
-        assert again == first == solver(fresh, Surrogate(), stream(trial, "gen"))
+        assert again == first == solver(fresh, stream(trial, "gen"))
 
 
 def test_sweep_curve_extracts_each_image_once(extract_calls):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -8,18 +10,13 @@ from semcom.generation import ExternalPairs, Surrogate
 from semcom.image import SemanticMap, write_pgm
 from semcom.metrics import MseQuality, SsimQuality, ViQuality
 from semcom.pairing import (
-    BothFixed,
-    ExtractorFixed,
-    Free,
-    MetricFixed,
     PredictabilityReport,
     ResponseCurve,
     _ols,
     _spearman,
-    candidate_pairs,
-    evaluate_candidates,
     fit_predictability,
     select_pair,
+    sweep_candidates,
     sweep_curve,
 )
 from semcom.rng import stream
@@ -121,18 +118,24 @@ def test_sweep_starts_at_one_without_noise():
     assert curve.qualities[0] == 1.0
 
 
-def test_candidate_pairs_modes():
+def test_select_pair_archetypes_are_candidate_lists(rng):
+    images = [SemanticMap(rng.random((16, 16)))]
+    factors = [1, 2, 4, 8]
     exts = [Canny(), SobelMagnitude()]
     mets = [MseQuality(), SsimQuality()]
-    assert len(candidate_pairs(Free(), exts, mets)) == 4
-    assert candidate_pairs(BothFixed(Canny(), MseQuality()), [], []) == [(Canny(), MseQuality())]
-    assert candidate_pairs(MetricFixed(MseQuality()), exts, []) == [
-        (Canny(), MseQuality()),
-        (SobelMagnitude(), MseQuality()),
-    ]
-    assert len(candidate_pairs(ExtractorFixed(Canny()), [], mets)) == 2
+
+    def select(extractors, metrics):
+        rep = select_pair(extractors, metrics, images, factors, Surrogate(), stream(0, "gen"))
+        return rep.extractor, rep.metric
+
+    assert select(exts, mets) in list(product(exts, mets))
+    assert select([Canny()], [MseQuality()]) == (Canny(), MseQuality())
+    assert select(exts, [MseQuality()]) in [(Canny(), MseQuality()), (SobelMagnitude(), MseQuality())]
+    assert select([Canny()], mets)[0] == Canny()
     with pytest.raises(DomainError):
-        candidate_pairs(Free(), [], mets)
+        select([], mets)
+    with pytest.raises(DomainError):
+        select(exts, [])
 
 
 def linear_pair_fixture(tmp_path):
@@ -161,15 +164,17 @@ def test_select_pair_all_modes_pick_linear_winner(tmp_path):
     mets = [MseQuality(), ViQuality(2)]
     expected = (Canny(), MseQuality())
 
-    modes = [Free(), MetricFixed(MseQuality()), ExtractorFixed(Canny()), BothFixed(*expected)]
-    for mode in modes:
-        rep = select_pair(mode, exts, mets, images, factors, backend, stream(0, "gen"), image_ids=["lin"])
+    # free, metric fixed, extractor fixed, both fixed
+    archetypes = [(exts, mets), (exts, [MseQuality()]), ([Canny()], mets), ([expected[0]], [expected[1]])]
+    for archetype in archetypes:
+        rep = select_pair(*archetype, images, factors, backend, stream(0, "gen"), image_ids=["lin"])
         assert (rep.extractor, rep.metric) == expected
         assert rep.r_squared == 1.0
     # re-scan oracle: the winner's r^2 is the maximum over the full grid
-    reports = evaluate_candidates(
-        candidate_pairs(Free(), exts, mets), images, factors, backend, stream(0, "gen"), image_ids=["lin"]
+    curves = sweep_candidates(
+        list(product(exts, mets)), images, factors, backend, stream(0, "gen"), image_ids=["lin"]
     )
+    reports = [fit_predictability(c) for c in curves]
     assert max(r.r_squared for r in reports) == 1.0
     vi_reports = [r for r in reports if isinstance(r.metric, ViQuality)]
     assert all(r.r_squared < 1.0 for r in vi_reports)
@@ -180,10 +185,9 @@ def test_select_winner_dominates_re_scan(rng):
     exts = [Canny(), SobelMagnitude()]
     mets = [MseQuality(), SsimQuality()]
     factors = [1, 2, 4, 8]
-    winner = select_pair(Free(), exts, mets, images, factors, Surrogate(), stream(5, "gen"))
-    reports = evaluate_candidates(
-        candidate_pairs(Free(), exts, mets), images, factors, Surrogate(), stream(5, "gen")
-    )
+    winner = select_pair(exts, mets, images, factors, Surrogate(), stream(5, "gen"))
+    curves = sweep_candidates(list(product(exts, mets)), images, factors, Surrogate(), stream(5, "gen"))
+    reports = [fit_predictability(c) for c in curves]
     assert all(winner.r_squared >= r.r_squared for r in reports)
 
 
