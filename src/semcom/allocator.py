@@ -36,6 +36,8 @@ EPISODE_GUARD = 10**6
 EPSILON_START = 1.0
 EPSILON_DECAY_FRACTION = 0.8
 MOMENTUM = 0.9
+# Largest |Q| a trained network may give on a pool state; rewards lie in [-1, 1].
+Q_GUARD = 1e3
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +62,8 @@ class AllocationInstance:
             raise DomainError(f"factors must be positive integers, got {self.factors}")
         if list(self.factors) != sorted(set(self.factors)):
             raise DomainError(f"factors must be strictly increasing, got {self.factors}")
+        if not math.isfinite(sum(svc.weight for svc in self.services)):
+            raise DomainError("the sum of the service weights must be finite")
         if len(self.factors) ** len(self.services) > JOINT_ACTION_GUARD:
             raise TooLargeError(
                 f"joint action space |D|^S = {len(self.factors)}^{len(self.services)} "
@@ -303,8 +307,11 @@ class DqnConfig:
     epsilon_min: float = 0.05
     warmup: int = 64
     seed: int = 0
+    episodes: int = 500
 
     def __post_init__(self):
+        if not 1 <= self.episodes <= EPISODE_GUARD:
+            raise DomainError(f"episodes must lie in [1, {EPISODE_GUARD}], got {self.episodes}")
         if any(size < 1 for size in self.hidden):
             raise DomainError(f"hidden layer sizes must be >= 1, got {self.hidden}")
         if self.buffer_capacity < 1 or self.batch_size < 1:
@@ -345,11 +352,11 @@ class TrainResult:
     instance_indices: np.ndarray
 
 
-def epsilon_schedule(episodes: int, config: DqnConfig) -> np.ndarray:
+def epsilon_schedule(config: DqnConfig) -> np.ndarray:
     """Multiplicative decay from EPSILON_START to the floor over EPSILON_DECAY_FRACTION of the episodes."""
-    decay_episodes = max(1, round(EPSILON_DECAY_FRACTION * episodes))
+    decay_episodes = max(1, round(EPSILON_DECAY_FRACTION * config.episodes))
     ratio = (config.epsilon_min / EPSILON_START) ** (1.0 / decay_episodes)
-    eps = EPSILON_START * ratio ** np.arange(episodes)
+    eps = EPSILON_START * ratio ** np.arange(config.episodes)
     return np.maximum(eps, config.epsilon_min)
 
 
@@ -375,15 +382,17 @@ class _ReplayBuffer:
         return self.states[idx], self.actions[idx], self.rewards[idx]
 
 
-def dqn_train(pool, episodes: int, config: DqnConfig) -> TrainResult:
+def dqn_train(pool, config: DqnConfig) -> TrainResult:
     """Train the contextual-bandit agent over a pool of allocation instances.
 
     Episodes are one joint decision: sample an instance, pick a joint
     action epsilon-greedily, collect the reward, store (state, action,
     reward), then take one gradient step regressing Q(s, a) on the stored
     reward over a uniform replay mini-batch once the warmup is filled.
-    Everything is driven by config.seed.  A network that ends with a
-    non-finite weight or bias raises DomainError.
+    Training runs config.episodes episodes, driven by config.seed.  A
+    network that ends with a non-finite weight or bias, or with a Q-value
+    outside [-Q_GUARD, Q_GUARD] on a pool instance's state, raises
+    DomainError.
     """
     pool = list(pool)
     if not pool:
@@ -401,14 +410,14 @@ def dqn_train(pool, episodes: int, config: DqnConfig) -> TrainResult:
     online = Mlp([state_dim, *config.hidden, n_actions], init_rng)
     optimizer = SgdMomentum(online, config.learning_rate, MOMENTUM)
     buffer = _ReplayBuffer(config.buffer_capacity, state_dim)
-    epsilons = epsilon_schedule(episodes, config)
+    epsilons = epsilon_schedule(config)
 
-    rewards = np.zeros(episodes)
-    losses = np.zeros(episodes)
-    action_indices = np.zeros(episodes, dtype=np.int64)
-    instance_indices = np.zeros(episodes, dtype=np.int64)
+    rewards = np.zeros(config.episodes)
+    losses = np.zeros(config.episodes)
+    action_indices = np.zeros(config.episodes, dtype=np.int64)
+    instance_indices = np.zeros(config.episodes, dtype=np.int64)
 
-    for e in range(episodes):
+    for e in range(config.episodes):
         inst_idx = int(instance_rng.integers(len(pool)))
         inst = pool[inst_idx]
         state = inst.state_vector
@@ -434,6 +443,12 @@ def dqn_train(pool, episodes: int, config: DqnConfig) -> TrainResult:
 
     if not all(np.isfinite(p).all() for p in online.weights + online.biases):
         raise DomainError(f"training diverged to non-finite Q-network weights at learning rate {config.learning_rate}")
+    q_max = max(float(np.abs(online.forward(inst.state_vector)[0]).max()) for inst in pool)
+    if not q_max <= Q_GUARD:  # also a NaN
+        raise DomainError(
+            f"training diverged to Q-values of magnitude {q_max:.3g}, above {Q_GUARD:g}, "
+            f"at learning rate {config.learning_rate}"
+        )
     agent = DqnAgent(online, first.factors, first.n_services)
     return TrainResult(
         agent=agent,

@@ -31,6 +31,9 @@ class ChannelConfig:
             raise DomainError(f"budget must be >= 0, got {self.budget_bytes}")
         if not 0.0 <= self.bit_flip_prob <= 1.0:
             raise DomainError(f"bit flip probability must lie in [0, 1], got {self.bit_flip_prob}")
+        if self.seed < 0:
+            # numpy seeds its streams from non-negative integers only
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -136,14 +136,14 @@ def cmd_allocate(args) -> int:
     rng = stream(config.seed, "gen")
 
     if args.solver == "dqn":
-        result = dqn_train([inst], config.episodes, config.dqn)
+        result = dqn_train([inst], config.dqn)
         trace_path = os.path.join(config.output_dir, "dqn_trace.csv")
         _write_csv(
             trace_path,
             ["episode", "epsilon", "reward", "loss", "action_index"],
             [
                 (e, result.epsilons[e], result.rewards[e], result.losses[e], result.action_indices[e])
-                for e in range(config.episodes)
+                for e in range(config.dqn.episodes)
             ],
         )
         manifest.record(trace_path)

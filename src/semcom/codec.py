@@ -37,7 +37,8 @@ HEADER_BYTES = 16
 _MAGIC = b"SMAP"
 _KIND_TAGS = {"soft": 0, "binary": 1, "labels": 2}
 _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
-_MAX_FACTOR = 255
+# Largest downscale factor: the payload header stores it in one byte.
+MAX_FACTOR = 255
 _MAX_DIM = 65535
 
 
@@ -54,8 +55,8 @@ class EncodedPayload:
 
     def __post_init__(self):
         # The header holds each dimension in 16 bits and the factor in 8.
-        if not 1 <= self.factor <= _MAX_FACTOR:
-            raise CorruptPayloadError(f"factor must lie in [1, {_MAX_FACTOR}], got {self.factor}")
+        if not 1 <= self.factor <= MAX_FACTOR:
+            raise CorruptPayloadError(f"factor must lie in [1, {MAX_FACTOR}], got {self.factor}")
         # The encoded dims must then be ceil(orig / d), no larger.
         if not (1 <= self.orig_width <= _MAX_DIM and 1 <= self.orig_height <= _MAX_DIM):
             raise CorruptPayloadError(
@@ -86,8 +87,8 @@ def encode(map: SemanticMap, d: int) -> EncodedPayload:
     """Box-downscale by d and quantize to one byte per pixel."""
     if d < 1:
         raise DomainError(f"downscale factor must be >= 1, got {d}")
-    if d > _MAX_FACTOR:
-        raise DomainError(f"factor {d} exceeds the wire format limit of {_MAX_FACTOR}")
+    if d > MAX_FACTOR:
+        raise DomainError(f"factor {d} exceeds the wire format limit of {MAX_FACTOR}")
     if map.width > _MAX_DIM or map.height > _MAX_DIM:
         raise DomainError(f"resolution exceeds the wire format limit of {_MAX_DIM}")
     small = box_downscale(map, d)

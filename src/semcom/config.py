@@ -1,30 +1,23 @@
 """Experiment config files and run manifests.
 
 Config format: plain-text ``key = value`` lines under ``[section]``
-headers; ``#`` starts a comment.  Sections:
+headers; ``#`` starts a comment.  ``_SECTIONS`` lists each section's
+keys; a ``[services]`` key is ``<name>.<key>``, one group per service.
+``[dqn]`` maps onto ``DqnConfig``; the former DQN keys gamma and sync
+are accepted and ignored, since the agent is a one-step contextual
+bandit.  Any other key or section is a config error, and an omitted key
+takes the default of the dataclass field it sets.
 
-    [services]   per-service dotted keys: <name>.extractor, <name>.metric,
-                 <name>.image, and optional <name>.threshold, <name>.weight,
-                 <name>.sigma_gen, <name>.d (requested factor)
-    [channel]    budget_bytes, bit_flip_prob, seed
-    [factors]    d = comma-separated admissible factor list
-    [dqn]        episodes, lr, epsilon_min, buffer, batch, hidden (comma
-                 list), warmup; the agent is a one-step contextual bandit,
-                 so the former DQN keys gamma and sync are accepted and
-                 ignored
-    [output]     dir
-
-Any other key or section is a config error.
-
-Extractor values: canny[(low=..;high=..;sigma=..)], sobel,
-quantize(k=..), external(template=..).  Metric values: mse,
-psnr[(cap=..)], ssim[(window=..)], vi(k=..).  ',' and ';' both separate
-arguments; any other argument is a config error.  An image value
-containing "{id}" has the service name substituted before loading.
+Extractor and metric values are ``kind`` or ``kind(arg=value, ...)``
+with the kinds and arguments of ``_EXTRACTORS`` and ``_METRICS``; ','
+and ';' both separate arguments, and any other argument is a config
+error.  An image value containing "{id}" has the service name
+substituted before loading.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import os
@@ -33,96 +26,136 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import EPISODE_GUARD, DqnConfig
+from .allocator import DqnConfig
 from .channel import ChannelConfig
+from .codec import MAX_FACTOR
 from .errors import ConfigError, DomainError
 from .extractors import Canny, ExternalMap, ExtractorKind, QuantizeSegmentation, SobelMagnitude
 from .files import read_bytes, write_atomic
 from .generation import ServiceSpec
 from .metrics import MetricKind, MseQuality, PsnrQuality, SsimQuality, ViQuality
 
-EXTRACTOR_NAMES = "canny, sobel, quantize(k=N), external(template=PATH)"
-METRIC_NAMES = "mse, psnr, ssim, vi(k=N)"
+# Each kind's class and arguments; an argument maps to (dataclass field, parser).
+_EXTRACTORS = {
+    "canny": (Canny, {"low": ("low", float), "high": ("high", float), "sigma": ("sigma", float)}),
+    "sobel": (SobelMagnitude, {}),
+    "quantize": (QuantizeSegmentation, {"k": ("levels", int)}),
+    "external": (ExternalMap, {"template": ("template", str)}),
+}
+_METRICS = {
+    "mse": (MseQuality, {}),
+    "psnr": (PsnrQuality, {"cap": ("cap_db", float)}),
+    "ssim": (SsimQuality, {"window": ("window", int)}),
+    "vi": (ViQuality, {"k": ("levels", int)}),
+}
 
 
-def _parse_args(text: str, where: str) -> dict[str, str]:
-    if not text:
-        return {}
+def _required(cls, args) -> tuple[str, ...]:
+    """The arguments whose field has no default."""
+    no_default = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+    return tuple(key for key, (name, _) in args.items() if name in no_default)
+
+
+_REQUIRED = {cls: _required(cls, args) for table in (_EXTRACTORS, _METRICS) for cls, args in table.values()}
+
+
+def _build(cls, table, values: dict[str, str], **given):
+    """``cls`` from ``given`` and the keys present in ``values``, each parsed into its field.
+
+    An omitted key takes the field's default; a key mapped to None sets no field.
+    """
+    for key, text in values.items():
+        target = table[key]
+        if target is not None:
+            name, parse = target
+            given[name] = parse(text)
+    return cls(**given)
+
+
+def _split_call(text: str, what: str) -> tuple[str, dict[str, str]]:
+    """``kind`` or ``kind(key=value, ...)`` as the lowercased kind and its arguments."""
+    name, argtext = text.strip(), ""
+    if "(" in name:
+        if not name.endswith(")"):
+            raise ConfigError(f"unbalanced parentheses in {name!r}")
+        name, argtext = name[:-1].split("(", 1)
+    name = name.strip().lower()
     args = {}
-    for part in text.replace(";", ",").split(","):
+    for part in argtext.replace(";", ",").split(","):
         part = part.strip()
         if not part:
             continue
         if "=" not in part:
-            raise ConfigError(f"{where}: expected key=value argument, got {part!r}")
+            raise ConfigError(f"{what} {name}: expected key=value argument, got {part!r}")
         key, value = part.split("=", 1)
         args[key.strip()] = value.strip()
-    return args
-
-
-def _split_call(text: str) -> tuple[str, str]:
-    text = text.strip()
-    if "(" in text:
-        if not text.endswith(")"):
-            raise ConfigError(f"unbalanced parentheses in {text!r}")
-        name, rest = text.split("(", 1)
-        return name.strip().lower(), rest[:-1]
-    return text.lower(), ""
-
-
-# The arguments each extractor and metric takes.
-_EXTRACTOR_ARGS = {"canny": ("low", "high", "sigma"), "sobel": (), "quantize": ("k",), "external": ("template",)}
-_METRIC_ARGS = {"mse": (), "psnr": ("cap",), "ssim": ("window",), "vi": ("k",)}
-
-
-def _parse_call(text: str, what: str, known: dict[str, tuple[str, ...]]) -> tuple[str, dict[str, str]]:
-    name, argtext = _split_call(text)
-    args = _parse_args(argtext, f"{what} {name}")
-    for key in args:
-        if name in known and key not in known[name]:
-            valid = ", ".join(known[name]) or "none"
-            raise ConfigError(f"{what} {name!r} has unknown argument {key!r}; valid arguments: {valid}")
     return name, args
 
 
-def parse_extractor(text: str) -> ExtractorKind:
-    name, args = _parse_call(text, "extractor", _EXTRACTOR_ARGS)
+def _parse_kind(text: str, what: str, kinds):
+    name, args = _split_call(text, what)
+    if name not in kinds:
+        valid = ", ".join(
+            kind + "".join(f"({key}=...)" for key in _REQUIRED[cls]) for kind, (cls, _) in kinds.items()
+        )
+        raise ConfigError(f"unknown {what} {name!r}; valid kinds: {valid}")
+    cls, known = kinds[name]
+    for key in args:
+        if key not in known:
+            valid = ", ".join(known) or "none"
+            raise ConfigError(f"{what} {name!r} has unknown argument {key!r}; valid arguments: {valid}")
+    for key in _REQUIRED[cls]:
+        if key not in args:
+            raise ConfigError(f"{what} {name!r} is missing argument {key!r}")
     try:
-        if name == "canny":
-            return Canny(
-                low=float(args.pop("low", 0.1)),
-                high=float(args.pop("high", 0.2)),
-                sigma=float(args.pop("sigma", 1.4)),
-            )
-        if name == "sobel":
-            return SobelMagnitude()
-        if name == "quantize":
-            return QuantizeSegmentation(levels=int(args.pop("k")))
-        if name == "external":
-            return ExternalMap(template=args.pop("template"))
-    except KeyError as exc:
-        raise ConfigError(f"extractor {name!r} is missing argument {exc}") from exc
+        return _build(cls, known, args)
     except (ValueError, DomainError) as exc:
-        raise ConfigError(f"bad extractor {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown extractor {name!r}; valid kinds: {EXTRACTOR_NAMES}")
+        raise ConfigError(f"bad {what} {text!r}: {exc}") from exc
+
+
+def parse_extractor(text: str) -> ExtractorKind:
+    return _parse_kind(text, "extractor", _EXTRACTORS)
 
 
 def parse_metric(text: str) -> MetricKind:
-    name, args = _parse_call(text, "metric", _METRIC_ARGS)
-    try:
-        if name == "mse":
-            return MseQuality()
-        if name == "psnr":
-            return PsnrQuality(cap_db=float(args.pop("cap", 50.0)))
-        if name == "ssim":
-            return SsimQuality(window=int(args.pop("window", 8)))
-        if name == "vi":
-            return ViQuality(levels=int(args.pop("k")))
-    except KeyError as exc:
-        raise ConfigError(f"metric {name!r} is missing argument {exc}") from exc
-    except (ValueError, DomainError) as exc:
-        raise ConfigError(f"bad metric {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown metric {name!r}; valid kinds: {METRIC_NAMES}")
+    return _parse_kind(text, "metric", _METRICS)
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.replace(";", ",").split(",") if v.strip())
+
+
+# Each section's keys; a key maps to (dataclass field, parser), or to None
+# when it is read outside any dataclass.  In [services], the key after "<name>.".
+_SECTIONS = {
+    "services": {
+        "extractor": ("extractor", parse_extractor),
+        "metric": ("metric", parse_metric),
+        "image": None,
+        "threshold": ("threshold", float),
+        "weight": ("weight", float),
+        "sigma_gen": ("sigma_gen", float),
+        "d": None,
+    },
+    "channel": {
+        "budget_bytes": ("budget_bytes", int),
+        "bit_flip_prob": ("bit_flip_prob", float),
+        "seed": ("seed", int),
+    },
+    "factors": {"d": None},
+    "dqn": {
+        "episodes": ("episodes", int),
+        "lr": ("learning_rate", float),
+        "epsilon_min": ("epsilon_min", float),
+        "buffer": ("buffer_capacity", int),
+        "batch": ("batch_size", int),
+        "hidden": ("hidden", _int_list),
+        "warmup": ("warmup", int),
+        "gamma": None,
+        "sync": None,
+    },
+    "output": {"dir": None},
+}
 
 
 @dataclass(frozen=True)
@@ -138,7 +171,6 @@ class ExperimentConfig:
     channel: ChannelConfig
     factors: tuple[int, ...]
     dqn: DqnConfig
-    episodes: int
     output_dir: str
     source_path: str
     source_bytes: bytes = field(repr=False)
@@ -176,19 +208,9 @@ def _read_sections(data: bytes, path) -> dict[str, list[tuple[int, str, str]]]:
     return sections
 
 
-# The keys each section knows; in [services], the field after "<name>.".
-_KEYS = {
-    "services": ("extractor", "metric", "image", "threshold", "weight", "sigma_gen", "d"),
-    "channel": ("budget_bytes", "bit_flip_prob", "seed"),
-    "factors": ("d",),
-    "dqn": ("episodes", "lr", "epsilon_min", "buffer", "batch", "hidden", "warmup", "gamma", "sync"),
-    "output": ("dir",),
-}
-
-
 def _check_key(path, lineno, section, key, field) -> None:
-    if field not in _KEYS[section]:
-        valid = ", ".join(_KEYS[section])
+    if field not in _SECTIONS[section]:
+        valid = ", ".join(_SECTIONS[section])
         raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{section}]; valid keys: {valid}")
 
 
@@ -206,26 +228,22 @@ def load_config(path) -> ExperimentConfig:
     source_bytes = read_bytes(path)
     sections = _read_sections(source_bytes, path)
     for name in sections:
-        if name not in _KEYS:
-            raise ConfigError(f"{path}: unknown section [{name}]; valid sections: {sorted(_KEYS)}")
+        if name not in _SECTIONS:
+            raise ConfigError(f"{path}: unknown section [{name}]; valid sections: {sorted(_SECTIONS)}")
     if "services" not in sections or not sections["services"]:
         raise ConfigError(f"{path}: config needs a [services] section with at least one service")
 
     factors_raw = _as_dict(sections, "factors", path).get("d", "1,2,4,8,10")
     try:
-        factors = tuple(sorted({int(v) for v in factors_raw.replace(";", ",").split(",") if v.strip()}))
+        factors = tuple(sorted(set(_int_list(factors_raw))))
     except ValueError as exc:
         raise ConfigError(f"{path}: bad factor list {factors_raw!r}") from exc
-    if not factors or factors[0] < 1:
-        raise ConfigError(f"{path}: factors must be positive integers, got {factors_raw!r}")
+    # a payload header holds the factor in one byte
+    if not factors or not 1 <= factors[0] <= factors[-1] <= MAX_FACTOR:
+        raise ConfigError(f"{path}: factors must be integers in [1, {MAX_FACTOR}], got {factors_raw!r}")
 
-    chan = _as_dict(sections, "channel", path)
     try:
-        channel = ChannelConfig(
-            budget_bytes=int(chan.get("budget_bytes", 10**9)),
-            bit_flip_prob=float(chan.get("bit_flip_prob", 0.0)),
-            seed=int(chan.get("seed", 0)),
-        )
+        channel = _build(ChannelConfig, _SECTIONS["channel"], _as_dict(sections, "channel", path), budget_bytes=10**9)
     except (ValueError, DomainError) as exc:
         raise ConfigError(f"{path}: bad [channel] settings: {exc}") from exc
 
@@ -249,17 +267,9 @@ def load_config(path) -> ExperimentConfig:
         image_path = fields["image"].replace("{id}", name)
         if not os.path.exists(image_path):
             raise ConfigError(f"{path}: service {name!r} image not found: {image_path}")
-        requested = fields.get("d")
         try:
-            spec = ServiceSpec(
-                id=name,
-                extractor=parse_extractor(fields["extractor"]),
-                metric=parse_metric(fields["metric"]),
-                threshold=float(fields.get("threshold", 0.0)),
-                weight=float(fields.get("weight", 1.0)),
-                sigma_gen=float(fields.get("sigma_gen", 0.0)),
-            )
-            requested_d = int(requested) if requested is not None else None
+            spec = _build(ServiceSpec, _SECTIONS["services"], fields, id=name)
+            requested_d = int(fields["d"]) if "d" in fields else None
         except (ValueError, DomainError) as exc:
             raise ConfigError(f"{path}: service {name!r}: {exc}") from exc
         if requested_d is not None and requested_d not in factors:
@@ -268,34 +278,18 @@ def load_config(path) -> ExperimentConfig:
             )
         services.append(ServiceEntry(spec=spec, image_path=image_path, requested_d=requested_d))
 
-    dqn_fields = _as_dict(sections, "dqn", path)
+    dqn_seed = _label_seed(channel.seed, "dqn")
     try:
-        episodes = int(dqn_fields.get("episodes", 500))
-        hidden = tuple(
-            int(v) for v in dqn_fields.get("hidden", "64,64").replace(";", ",").split(",") if v.strip()
-        )
-        dqn = DqnConfig(
-            hidden=hidden,
-            buffer_capacity=int(dqn_fields.get("buffer", 4096)),
-            batch_size=int(dqn_fields.get("batch", 32)),
-            learning_rate=float(dqn_fields.get("lr", 1e-3)),
-            epsilon_min=float(dqn_fields.get("epsilon_min", 0.05)),
-            warmup=int(dqn_fields.get("warmup", 64)),
-            seed=_label_seed(channel.seed, "dqn"),
-        )
+        dqn = _build(DqnConfig, _SECTIONS["dqn"], _as_dict(sections, "dqn", path), seed=dqn_seed)
     except (ValueError, DomainError) as exc:
         raise ConfigError(f"{path}: bad [dqn] settings: {exc}") from exc
-    if not 1 <= episodes <= EPISODE_GUARD:
-        raise ConfigError(f"{path}: episodes must lie in [1, {EPISODE_GUARD}], got {episodes}")
 
-    output_dir = _as_dict(sections, "output", path).get("dir", "out")
     return ExperimentConfig(
         services=tuple(services),
         channel=channel,
         factors=factors,
         dqn=dqn,
-        episodes=episodes,
-        output_dir=output_dir,
+        output_dir=_as_dict(sections, "output", path).get("dir", "out"),
         source_path=str(path),
         source_bytes=source_bytes,
     )

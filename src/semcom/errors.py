@@ -50,7 +50,9 @@ class CorruptPayloadError(SemcomError):
 class ValidationFailedError(SemcomError):
     """No admissible downscaling factor reaches the service's quality threshold.
 
-    ``quality`` holds the best score achieved (at the smallest factor tried).
+    ``quality`` is a score the search saw: ``validate_and_adjust`` carries
+    the score at the smallest factor it tried, and
+    ``min_representation_search`` the best score over all factors.
     """
 
     def __init__(self, message: str, quality: float):

@@ -321,7 +321,7 @@ def reference_quality(svc, image, d, rng):
     return score(svc.metric, reference, recon)
 
 
-def reference_dqn_train(pool, episodes, config):
+def reference_dqn_train(pool, config):
     """dqn_train as a literal episode loop that reruns every service's round trip.
 
     Every episode scores each service with reference_quality, so nothing
@@ -336,10 +336,10 @@ def reference_dqn_train(pool, episodes, config):
     init_rng, instance_rng, explore_rng, replay_rng, eval_rng = np.random.default_rng(config.seed).spawn(5)
     net = Mlp([3 * first.n_services + 1, *config.hidden, first.n_actions], init_rng)
     optimizer = SgdMomentum(net, config.learning_rate, MOMENTUM)
-    epsilons = epsilon_schedule(episodes, config)
+    epsilons = epsilon_schedule(config)
     memory = []
     rewards, losses, actions = [], [], []
-    for e in range(episodes):
+    for e in range(config.episodes):
         inst = pool[int(instance_rng.integers(len(pool)))]
         state = inst.state_vector
         if float(explore_rng.random()) < epsilons[e]:

@@ -257,8 +257,8 @@ def test_criterion_08_dqn_convergence():
     pool = dqn_pool()
     assert pool[0].n_actions == 625
     oracles = [exhaustive_oracle(inst, stream(8, "gen")) for inst in pool]
-    config = DqnConfig(seed=0, learning_rate=0.02)
-    out = dqn_train(pool, 500, config)
+    config = DqnConfig(seed=0, learning_rate=0.02, episodes=500)
+    out = dqn_train(pool, config)
 
     tail_rewards = out.rewards[-50:]
     tail_oracle = np.array([oracles[i].reward for i in out.instance_indices[-50:]])

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from semcom.allocator import (
+    EPISODE_GUARD,
     AllocationInstance,
     DqnAgent,
     DqnConfig,
@@ -81,6 +84,12 @@ def test_instance_guard():
         AllocationInstance(
             services=(svc,), images=(img, img), factors=(1, 2), channel=ChannelConfig(budget_bytes=1)
         )
+
+
+def test_an_instance_whose_weights_sum_to_infinity_is_a_domain_error():
+    with pytest.raises(DomainError, match="sum of the service weights must be finite"):
+        two_service_instance(weights=(1e308, 1e308))
+    assert two_service_instance(weights=(1e308, 1.0)).weights.sum() == 1e308
 
 
 def test_evaluate_all_ones_ample_budget():
@@ -284,7 +293,7 @@ def test_quality_table_reproducible():
 
 
 def test_epsilon_schedule_endpoints():
-    eps = epsilon_schedule(100, DqnConfig())
+    eps = epsilon_schedule(DqnConfig(episodes=100))
     assert eps[0] == 1.0
     assert eps[-1] <= 0.05 + 1e-9
     assert np.all(np.diff(eps) <= 0.0)
@@ -292,9 +301,9 @@ def test_epsilon_schedule_endpoints():
 
 def test_dqn_train_is_bit_reproducible():
     inst = two_service_instance(factors=(1, 2))
-    cfg = DqnConfig(seed=11, warmup=8, batch_size=4)
-    a = dqn_train([inst], 30, cfg)
-    b = dqn_train([inst], 30, cfg)
+    cfg = DqnConfig(seed=11, warmup=8, batch_size=4, episodes=30)
+    a = dqn_train([inst], cfg)
+    b = dqn_train([inst], cfg)
     assert np.array_equal(a.rewards, b.rewards)
     assert np.array_equal(a.action_indices, b.action_indices)
     for wa, wb in zip(a.agent.online.weights, b.agent.online.weights):
@@ -303,8 +312,8 @@ def test_dqn_train_is_bit_reproducible():
 
 def test_dqn_trace_lengths_and_loss_definition():
     inst = two_service_instance(factors=(1, 2))
-    cfg = DqnConfig(seed=12, warmup=8, batch_size=4)
-    out = dqn_train([inst], 25, cfg)
+    cfg = DqnConfig(seed=12, warmup=8, batch_size=4, episodes=25)
+    out = dqn_train([inst], cfg)
     assert out.rewards.shape == (25,)
     assert out.losses.shape == (25,)
     feasible = out.rewards > -1.0
@@ -314,8 +323,8 @@ def test_dqn_trace_lengths_and_loss_definition():
 def test_dqn_toy_convergence_to_near_oracle():
     inst = two_service_instance(factors=(1, 2, 4))
     oracle = exhaustive_oracle(inst, stream(6, "gen"))
-    cfg = DqnConfig(seed=7)
-    out = dqn_train([inst], 400, cfg)
+    cfg = DqnConfig(seed=7, episodes=400)
+    out = dqn_train([inst], cfg)
     tail = out.rewards[-50:]
     assert tail.mean() >= oracle.reward - 0.05
     greedy_action = dqn_act(out.agent, inst.state_vector)
@@ -327,7 +336,13 @@ def test_dqn_pool_must_be_homogeneous():
     a = two_service_instance(factors=(1, 2))
     b = two_service_instance(factors=(1, 4))
     with pytest.raises(DomainError):
-        dqn_train([a, b], 10, DqnConfig())
+        dqn_train([a, b], DqnConfig(episodes=10))
+
+
+@pytest.mark.parametrize("episodes", [0, -1, EPISODE_GUARD + 1])
+def test_dqn_config_rejects_episodes_outside_the_guard(episodes):
+    with pytest.raises(DomainError, match=re.escape(f"episodes must lie in [1, {EPISODE_GUARD}], got {episodes}")):
+        DqnConfig(episodes=episodes)
 
 
 def test_dqn_act_decodes_hand_set_weights():

@@ -80,6 +80,12 @@ def test_config_validation():
         ChannelConfig(budget_bytes=0, bit_flip_prob=1.5)
 
 
+def test_a_negative_seed_is_a_domain_error():
+    # numpy seeds a stream from non-negative integers only
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        ChannelConfig(budget_bytes=0, seed=-1)
+
+
 def test_label_streams_are_independent():
     a = stream(9, "channel").random(4)
     b = stream(9, "gen").random(4)

@@ -1,10 +1,14 @@
 import builtins
+import contextlib
 import hashlib
+import io
 import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semcom import files
 from semcom.cli import main
@@ -173,7 +177,7 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.factors == (1, 2, 4, 8)
     assert cfg.seed == 7
     assert cfg.services[1].spec.weight == 2.0
-    assert cfg.episodes == 40
+    assert cfg.dqn.episodes == 40
 
 
 def test_load_config_rejects_missing_image(tmp_path):
@@ -625,6 +629,8 @@ def test_an_unknown_config_key_is_a_config_error(tmp_path, capsys, section, line
         ("dqn", "epsilon_min", "-1", "epsilon_min must lie in [0, 1], got -1.0"),
         ("dqn", "epsilon_min", "2", "epsilon_min must lie in [0, 1], got 2.0"),
         ("dqn", "lr", "nan", "learning rate must be finite and positive, got nan"),
+        ("factors", "d", "1,2,300", "factors must be integers in [1, 255], got '1,2,300'"),
+        ("channel", "seed", "-1", "seed must be >= 0, got -1"),
     ],
 )
 def test_a_hostile_config_value_exits_2_before_any_work(tmp_path, capsys, name, section, key, value, message):
@@ -644,20 +650,39 @@ def test_a_hostile_config_value_exits_2_before_any_work(tmp_path, capsys, name, 
 
 # the diverging updates overflow, and numpy warns before the check after training raises
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_allocate_dqn_that_diverges_exits_2_and_writes_no_agent(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "lr, message",
+    [
+        ("1e3", "non-finite"),
+        # finite weights whose greedy Q-values reach about 4e33, with rewards in [-1, 1]
+        ("5", "Q-values of magnitude"),
+    ],
+)
+def test_allocate_dqn_that_diverges_exits_2_and_writes_no_agent(tmp_path, capsys, lr, message):
     cfg = base_config(tmp_path, write_images(tmp_path))
-    cfg.write_text(cfg.read_text().replace("episodes = 40\n", "episodes = 200\nlr = 1e3\n"))
+    cfg.write_text(cfg.read_text().replace("episodes = 40\n", f"episodes = 200\nlr = {lr}\n"))
     assert main(["allocate", "--config", str(cfg), "--solver", "dqn"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "non-finite" in err
+    assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out" / "dqn_trace.csv").exists()
     assert not (tmp_path / "out" / "dqn_agent.bin").exists()
+
+
+@pytest.mark.parametrize("solver", ["exhaustive", "greedy", "random", "dqn"])
+def test_allocate_with_weights_that_sum_to_infinity_exits_2(tmp_path, capsys, solver):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    text = cfg.read_text().replace("regions.weight = 2.0", "regions.weight = 1e308\nedges.weight = 1e308")
+    cfg.write_text(text)
+    assert main(["allocate", "--config", str(cfg), "--solver", solver]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sum of the service weights must be finite" in err
+    assert not [p for p in (tmp_path / "out").iterdir() if p.suffix in (".csv", ".bin")]
 
 
 def test_the_former_dqn_keys_gamma_and_sync_are_accepted(tmp_path):
     cfg = base_config(tmp_path, write_images(tmp_path))
     cfg.write_text(cfg.read_text().replace("[dqn]\n", "[dqn]\ngamma = 0.9\nsync = 100\n"))
-    assert load_config(cfg).episodes == 40
+    assert load_config(cfg).dqn.episodes == 40
 
 
 def test_load_config_reads_its_file_once_and_hashes_those_bytes(tmp_path, monkeypatch):
@@ -701,3 +726,92 @@ def test_config_lines_split_as_in_text_mode(tmp_path):
     cfg.write_bytes(body.replace("seed = 5", "seed 5").encode("utf-8"))
     with pytest.raises(ConfigError, match=re.escape(f"{cfg}:6: expected key = value")):
         load_config(cfg)
+
+
+FUZZ_CONFIG = """[services]
+a.extractor = quantize(k=4)
+a.metric = vi(k=4)
+a.image = {image}
+a.threshold = 0.5
+a.weight = 2.0
+a.sigma_gen = 0.05
+a.d = 2
+b.extractor = canny(low=0.1;high=0.2;sigma=1.4)
+b.metric = ssim(window=2)
+b.image = {image}
+
+[channel]
+budget_bytes = 1000
+bit_flip_prob = 0.01
+seed = 7
+
+[factors]
+d = 1,2,4
+
+[dqn]
+episodes = 8
+lr = 0.01
+epsilon_min = 0.1
+buffer = 16
+batch = 4
+hidden = 8,8
+warmup = 4
+gamma = 0.9
+
+[output]
+dir = {out}
+"""
+HOSTILE_VALUES = ["", "nan", "inf", "-inf", "-1", "0", "2.5", "1e308", "abc", "(", "k="]
+# keys that size an allocation and have no upper bound: drawn only from values of at most 64
+SIZE_KEYS = {"hidden", "buffer", "batch", "episodes"}
+
+
+@st.composite
+def mutated(draw, value: str):
+    """``value`` with one character inserted, deleted or replaced."""
+    i = draw(st.integers(0, len(value)))
+    char = draw(st.sampled_from("0123456789.,;-e(=)"))
+    op = draw(st.sampled_from(("insert", "delete", "replace")))
+    if op == "insert":
+        return value[:i] + char + value[i:]
+    return value[:i] + ("" if op == "delete" else char) + value[i + 1 :]
+
+
+@st.composite
+def hostile_config(draw, body: str) -> str:
+    """``body`` with the value of one key, other than the output dir, replaced by a hostile one."""
+    lines = body.splitlines()
+    index = draw(st.sampled_from([i for i, line in enumerate(lines) if " = " in line and not line.startswith("dir")]))
+    key, value = lines[index].split(" = ", 1)
+    new = draw(st.one_of(st.sampled_from(HOSTILE_VALUES), mutated(value)))
+    if key in SIZE_KEYS:
+        assume(all(int(n) <= 64 for n in re.findall(r"\d+", new)))
+    lines[index] = f"{key} = {new}"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    write_pgm(gradient_with_square(8), d / "image.pgm")
+    return d
+
+
+# the CLI does not run with -W error, so numpy's warnings on a hostile value only print
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40)
+@given(data=st.data())
+def test_every_command_on_a_hostile_config_value_exits_0_1_or_2_without_a_traceback(fuzz_dir, data):
+    """A hostile value is a result, a domain failure or an error line, never a traceback."""
+    body = data.draw(hostile_config(FUZZ_CONFIG.format(image=fuzz_dir / "image.pgm", out=fuzz_dir / "out")))
+    cfg = fuzz_dir / "fuzz.cfg"
+    cfg.write_text(body)
+    for name in _COMMANDS:
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = run_command(name, cfg)
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), (name, code)
+        assert "Traceback" not in err, name
+        if code == 2:
+            assert err.startswith("error: "), (name, err)

@@ -30,9 +30,9 @@ def noisy_instance(image_shift=0):
 
 def test_dqn_train_matches_literal_loop_with_generation_noise():
     pool = [noisy_instance(), noisy_instance(image_shift=4)]
-    cfg = DqnConfig(seed=5, warmup=8, batch_size=4, buffer_capacity=16, hidden=(16,))
-    out = dqn_train(pool, 60, cfg)
-    rewards, losses, actions, net = reference_dqn_train(pool, 60, cfg)
+    cfg = DqnConfig(seed=5, warmup=8, batch_size=4, buffer_capacity=16, hidden=(16,), episodes=60)
+    out = dqn_train(pool, cfg)
+    rewards, losses, actions, net = reference_dqn_train(pool, cfg)
     assert np.array_equal(out.rewards, rewards)
     assert np.array_equal(out.losses, losses)
     assert np.array_equal(out.action_indices, actions)
@@ -53,9 +53,9 @@ def test_dqn_train_losses_use_the_sampled_instance_weights():
         )
 
     pool = [instance(1.0, 0), instance(5.0, 4)]
-    cfg = DqnConfig(seed=9, warmup=8, batch_size=4, buffer_capacity=16, hidden=(16,))
-    out = dqn_train(pool, 60, cfg)
-    rewards, losses, actions, _ = reference_dqn_train(pool, 60, cfg)
+    cfg = DqnConfig(seed=9, warmup=8, batch_size=4, buffer_capacity=16, hidden=(16,), episodes=60)
+    out = dqn_train(pool, cfg)
+    rewards, losses, actions, _ = reference_dqn_train(pool, cfg)
     assert set(out.instance_indices) == {0, 1}
     assert np.array_equal(out.rewards, rewards)
     assert np.array_equal(out.action_indices, actions)
