@@ -23,12 +23,14 @@ import numpy as np
 from .channel import ChannelConfig, budget_check
 from .codec import encoded_cost
 from .errors import DomainError, ShapeError, TooLargeError
-from .extractors import extract
 from .generation import GenerationBackend, QualityCore, ServiceSpec, Surrogate
 from .image import SemanticMap
 from .qnet import Mlp, SgdMomentum, td_loss_and_gradients
 
 JOINT_ACTION_GUARD = 4096
+# Largest hidden layer or replay batch a config may ask for: the largest
+# output layer that JOINT_ACTION_GUARD allows.
+SIZE_GUARD = JOINT_ACTION_GUARD
 # Most training episodes a config may ask for; each keeps four numbers in the trace.
 EPISODE_GUARD = 10**6
 # Exploration starts at EPSILON_START and decays to the configured floor over
@@ -80,25 +82,13 @@ class AllocationInstance:
 
     @cached_property
     def semantic_maps(self) -> tuple[SemanticMap, ...]:
-        """Each service's extracted map; extraction is pure, so cache it."""
-        return tuple(
-            extract(svc.extractor, img, image_id=svc.id)
-            for svc, img in zip(self.services, self.images)
-        )
+        """Each service's extracted map: the one its core extracts."""
+        return tuple(core.semantic for core in self.cores)
 
     @cached_property
     def cores(self) -> tuple[QualityCore, ...]:
-        """Per-service evaluators for the instance's backend, kept for its life.
-
-        Surrogate cores share the extracted maps and run each (service,
-        factor) round trip once; other backends score their own files and
-        extract nothing.
-        """
-        maps = self.semantic_maps if isinstance(self.backend, Surrogate) else (None,) * self.n_services
-        return tuple(
-            QualityCore(svc, img, self.backend, semantic=smap, memo=smap is not None)
-            for svc, img, smap in zip(self.services, self.images, maps)
-        )
+        """Per-service evaluators for the instance's backend, kept for its life."""
+        return tuple(QualityCore(svc, img, self.backend) for svc, img in zip(self.services, self.images))
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -168,10 +158,10 @@ def decode_action(index: int, factors, n_services: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def weighted_quality(weights, qualities) -> float:
-    """Aggregate reward on the feasible set: weighted mean of qualities."""
+def weighted_quality(weights, qualities):
+    """Aggregate reward on the feasible set: weighted mean of qualities over the trailing service axis."""
     weights = np.asarray(weights, dtype=float)
-    return float(np.sum(weights * np.asarray(qualities, dtype=float)) / np.sum(weights))
+    return np.sum(weights * np.asarray(qualities, dtype=float), axis=-1) / np.sum(weights)
 
 
 @dataclass(frozen=True)
@@ -200,7 +190,7 @@ def evaluate_action(inst: AllocationInstance, action, rng: np.random.Generator) 
         QualityReport(service_id=svc.id, factor=d, quality=q, cost_bytes=c)
         for svc, d, q, c in zip(inst.services, action, qualities, costs)
     )
-    reward = weighted_quality(inst.weights, qualities) if check.feasible else -1.0
+    reward = float(weighted_quality(inst.weights, qualities)) if check.feasible else -1.0
     return ActionEvaluation(reward=reward, reports=reports, total_bytes=check.total, feasible=check.feasible)
 
 
@@ -228,17 +218,12 @@ def action_rewards(inst: AllocationInstance, rng: np.random.Generator) -> np.nda
 
 def _broadcast_rewards(inst: AllocationInstance, table: np.ndarray) -> np.ndarray:
     """Reward of every joint action on a quality table, indexed by the flat action index."""
-    n, base, weights = inst.n_services, len(inst.factors), inst.weights
-    # Axis s of the action grid is service s's factor index; the last axis
-    # holds each service's weighted quality, so summing it adds every
-    # action's terms exactly as weighted_quality's np.sum does.
-    terms = np.empty((base,) * n + (n,))
-    totals = np.zeros((base,) * n, dtype=np.int64)
-    for s in range(n):
-        shape = tuple(base if axis == s else 1 for axis in range(n))
-        terms[..., s] = (weights[s] * table[s]).reshape(shape)
-        totals += inst.cost_table[s].reshape(shape)
-    rewards = terms.sum(axis=-1) / weights.sum()
+    # Axis s of each grid is service s's factor index.  The qualities' trailing
+    # axis is the service axis, laid out C-contiguous so that weighted_quality
+    # sums every action's terms in the order it sums one action's list.
+    qualities = np.ascontiguousarray(np.stack(np.meshgrid(*table, indexing="ij"), axis=-1))
+    totals = sum(np.meshgrid(*inst.cost_table, indexing="ij"))
+    rewards = weighted_quality(inst.weights, qualities)
     rewards[totals > inst.channel.budget_bytes] = -1.0
     return rewards.ravel()
 
@@ -316,6 +301,10 @@ class DqnConfig:
             raise DomainError(f"hidden layer sizes must be >= 1, got {self.hidden}")
         if self.buffer_capacity < 1 or self.batch_size < 1:
             raise DomainError(f"buffer and batch must be >= 1, got {self.buffer_capacity} and {self.batch_size}")
+        if max(self.hidden, default=0) > SIZE_GUARD or self.batch_size > SIZE_GUARD:
+            raise DomainError(
+                f"hidden layer sizes and batch must be <= {SIZE_GUARD}, got {self.hidden} and {self.batch_size}"
+            )
         if self.warmup > self.buffer_capacity:
             # the buffer holds at most its capacity, so training would never start
             raise DomainError(f"warmup {self.warmup} exceeds the buffer capacity {self.buffer_capacity}")
@@ -409,7 +398,8 @@ def dqn_train(pool, config: DqnConfig) -> TrainResult:
 
     online = Mlp([state_dim, *config.hidden, n_actions], init_rng)
     optimizer = SgdMomentum(online, config.learning_rate, MOMENTUM)
-    buffer = _ReplayBuffer(config.buffer_capacity, state_dim)
+    # training never stores more than one entry per episode
+    buffer = _ReplayBuffer(min(config.buffer_capacity, config.episodes), state_dim)
     epsilons = epsilon_schedule(config)
 
     rewards = np.zeros(config.episodes)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,41 +73,28 @@ class QualityCore:
     """The one evaluation path: quality of one service's content at any factor.
 
     The semantic map is extracted lazily and once, and so is the factor-1
-    reference ``decode(encode(map, 1))``.  With ``memo`` set, the score of
-    a noise-free service, or the reconstruction of a noisy one, is kept
-    per factor; only callers that repeat factors should set it, since a
-    kept reconstruction is as large as the source image.
+    reference ``decode(encode(map, 1))``.  A noise-free service's score is
+    kept per factor: it is one float, and scoring it draws nothing from the
+    rng.  A noisy service's reconstruction, as large as the source image,
+    is kept only from the second request for its factor onward, so a
+    caller that asks for each factor once holds none.
     """
 
-    def __init__(
-        self,
-        svc: ServiceSpec,
-        source: SemanticMap | None,
-        backend: GenerationBackend = Surrogate(),
-        image_id: str | None = None,
-        semantic: SemanticMap | None = None,
-        memo: bool = False,
-    ):
+    def __init__(self, svc: ServiceSpec, source: SemanticMap | None, backend: GenerationBackend = Surrogate()):
         self.svc = svc
         self.source = source
         self.backend = backend
-        self.image_id = image_id or svc.id
-        self._semantic = semantic
-        self._reference = None
-        self._memo = {} if memo else None
+        self._scores: dict[int, float] = {}
+        self._recons: dict[int, SemanticMap | None] = {}
 
-    @property
+    @cached_property
     def semantic(self) -> SemanticMap:
-        if self._semantic is None:
-            self._semantic = extract(self.svc.extractor, self.source, image_id=self.image_id)
-        return self._semantic
+        return extract(self.svc.extractor, self.source, image_id=self.svc.id)
 
-    @property
+    @cached_property
     def reference(self) -> SemanticMap:
         """Content deliverable from the original semantics: the factor-1 round trip."""
-        if self._reference is None:
-            self._reference = decode(encode(self.semantic, 1))
-        return self._reference
+        return decode(encode(self.semantic, 1))
 
     def _reconstruct(self, d: int) -> SemanticMap:
         # the reference first: its full-size decode then runs while no reconstruction is held
@@ -125,17 +113,18 @@ class QualityCore:
         if d < 1:
             raise DomainError(f"downscale factor must be >= 1, got {d}")
         if isinstance(self.backend, ExternalPairs):
-            ref, rec = _external_pair(self.backend.directory, self.image_id, d)
+            ref, rec = _external_pair(self.backend.directory, self.svc.id, d)
             return score(self.svc.metric, ref, rec)
-        if self._memo is None:
-            return self.score_reconstruction(self._reconstruct(d), rng)
         if self.svc.sigma_gen == 0.0:
-            if d not in self._memo:
-                self._memo[d] = self.score_reconstruction(self._reconstruct(d), rng)
-            return self._memo[d]
-        if d not in self._memo:
-            self._memo[d] = self._reconstruct(d)
-        return self.score_reconstruction(self._memo[d], rng)
+            if d not in self._scores:
+                self._scores[d] = self.score_reconstruction(self._reconstruct(d), rng)
+            return self._scores[d]
+        recon = self._recons.get(d)
+        if recon is None:
+            recon = self._reconstruct(d)
+        # None marks a factor asked for once: its reconstruction is kept from the second request on
+        self._recons[d] = recon if d in self._recons else None
+        return self.score_reconstruction(recon, rng)
 
     def descend(self, factors: Iterable[int], rng: np.random.Generator) -> tuple[int | None, list[float]]:
         """Try ``factors`` in order; the first meeting the threshold, and every score seen."""
@@ -156,7 +145,9 @@ def score_semantic(svc: ServiceSpec, semantic: SemanticMap, d: int, rng: np.rand
     content deliverable from downscaled semantics, so without generation
     noise the factor-1 score is exactly 1 for every metric.
     """
-    return QualityCore(svc, None, semantic=semantic).quality(d, rng)
+    core = QualityCore(svc, None)
+    core.semantic = semantic
+    return core.quality(d, rng)
 
 
 def reconstruct_and_score(
@@ -165,10 +156,9 @@ def reconstruct_and_score(
     d: int,
     backend: GenerationBackend,
     rng: np.random.Generator,
-    image_id: str | None = None,
 ) -> float:
     """Quality of the service's content when its semantics travel at factor d."""
-    return QualityCore(svc, source, backend, image_id).quality(d, rng)
+    return QualityCore(svc, source, backend).quality(d, rng)
 
 
 @dataclass(frozen=True)
@@ -187,7 +177,6 @@ def validate_and_adjust(
     factors: Sequence[int],
     backend: GenerationBackend,
     rng: np.random.Generator,
-    image_id: str | None = None,
 ) -> ValidationResult:
     """Step the factor down until the service's quality threshold is met.
 
@@ -199,7 +188,7 @@ def validate_and_adjust(
     ordered = sorted(factors)
     if d_requested not in ordered:
         raise DomainError(f"requested factor {d_requested} not in admissible set {ordered}")
-    core = QualityCore(svc, source, backend, image_id)
+    core = QualityCore(svc, source, backend)
     accepted, seen = core.descend(reversed(ordered[: ordered.index(d_requested) + 1]), rng)
     if accepted is None:
         raise ValidationFailedError(
@@ -215,7 +204,6 @@ def min_representation_search(
     factors: Sequence[int],
     backend: GenerationBackend,
     rng: np.random.Generator,
-    image_id: str | None = None,
 ) -> int:
     """Largest admissible factor whose quality still meets the threshold.
 
@@ -225,7 +213,7 @@ def min_representation_search(
     """
     if not factors:
         raise DomainError("factor set must be non-empty")
-    accepted, seen = QualityCore(svc, source, backend, image_id).descend(sorted(factors, reverse=True), rng)
+    accepted, seen = QualityCore(svc, source, backend).descend(sorted(factors, reverse=True), rng)
     if accepted is None:
         raise ValidationFailedError(
             f"service {svc.id}: no factor in {sorted(factors)} reaches threshold {svc.threshold}",

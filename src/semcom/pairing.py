@@ -120,7 +120,7 @@ def sweep_curve(
     totals = [0.0] * len(ordered)
     for img, img_id, sub in zip(images, ids, streams):
         svc = ServiceSpec(id=img_id, extractor=extractor, metric=metric, sigma_gen=sigma_gen)
-        core = QualityCore(svc, img, backend, image_id=img_id)
+        core = QualityCore(svc, img, backend)
         for j, d in enumerate(ordered):
             totals[j] += core.quality(d, sub)
     return ResponseCurve(

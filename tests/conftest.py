@@ -31,7 +31,6 @@ def make_random_map():
 @pytest.fixture
 def extract_calls(monkeypatch):
     """Record (extractor, image) of every extraction made through the program's modules."""
-    import semcom.allocator
     import semcom.cli
     import semcom.generation
 
@@ -42,6 +41,6 @@ def extract_calls(monkeypatch):
         calls.append((repr(kind), id(image)))
         return original(kind, image, image_id=image_id)
 
-    for module in (semcom.generation, semcom.allocator, semcom.cli):
+    for module in (semcom.generation, semcom.cli):
         monkeypatch.setattr(module, "extract", counted)
     return calls

@@ -625,6 +625,8 @@ def test_an_unknown_config_key_is_a_config_error(tmp_path, capsys, section, line
         ("dqn", "buffer", "0", "buffer and batch must be >= 1, got 0 and 8"),
         ("dqn", "buffer", "-1", "buffer and batch must be >= 1, got -1 and 8"),
         ("dqn", "buffer", "4", "warmup 8 exceeds the buffer capacity 4"),
+        ("dqn", "hidden", "4097", "hidden layer sizes and batch must be <= 4096, got (4097,) and 8"),
+        ("dqn", "batch", "4097", "hidden layer sizes and batch must be <= 4096, got (64, 64) and 4097"),
         ("dqn", "episodes", "99999999999999999999", "episodes must lie in [1, 1000000], got 99999999999999999999"),
         ("dqn", "epsilon_min", "-1", "epsilon_min must lie in [0, 1], got -1.0"),
         ("dqn", "epsilon_min", "2", "epsilon_min must lie in [0, 1], got 2.0"),
@@ -677,6 +679,18 @@ def test_allocate_with_weights_that_sum_to_infinity_exits_2(tmp_path, capsys, so
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "sum of the service weights must be finite" in err
     assert not [p for p in (tmp_path / "out").iterdir() if p.suffix in (".csv", ".bin")]
+
+
+def test_a_buffer_larger_than_the_episodes_changes_no_output_byte(tmp_path):
+    """The replay buffer never holds more entries than there are episodes, so it allocates no more."""
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    out = tmp_path / "out"
+    assert main(["allocate", "--config", str(cfg), "--solver", "dqn"]) == 0  # the default buffer of 4096
+    default = {p.name: p.read_bytes() for p in out.iterdir() if "manifest" not in p.name}
+    cfg.write_text(cfg.read_text().replace("[dqn]\n", "[dqn]\nbuffer = 1000000000000\n"))
+    assert main(["allocate", "--config", str(cfg), "--solver", "dqn"]) == 0
+    assert set(default) == {"dqn_trace.csv", "dqn_agent.bin"}
+    assert {p.name: p.read_bytes() for p in out.iterdir() if "manifest" not in p.name} == default
 
 
 def test_the_former_dqn_keys_gamma_and_sync_are_accepted(tmp_path):
@@ -762,7 +776,7 @@ gamma = 0.9
 dir = {out}
 """
 HOSTILE_VALUES = ["", "nan", "inf", "-inf", "-1", "0", "2.5", "1e308", "abc", "(", "k="]
-# keys that size an allocation and have no upper bound: drawn only from values of at most 64
+# keys that size an allocation: drawn only from values of at most 64, to keep each example fast
 SIZE_KEYS = {"hidden", "buffer", "batch", "episodes"}
 
 

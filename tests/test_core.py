@@ -1,5 +1,8 @@
 """The shared evaluation core: memoised results match literal recomputation,
-and every command extracts each (image, extractor) once."""
+every command extracts each (image, extractor) once, and a noisy
+reconstruction is kept only once its factor is asked for again."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +10,8 @@ import pytest
 from semcom.allocator import AllocationInstance, DqnConfig, dqn_train, exhaustive_oracle, greedy_allocate
 from semcom.channel import ChannelConfig
 from semcom.extractors import Canny, QuantizeSegmentation, SobelMagnitude
-from semcom.generation import ServiceSpec, Surrogate, validate_and_adjust
+from semcom.errors import ValidationFailedError
+from semcom.generation import QualityCore, ServiceSpec, Surrogate, validate_and_adjust
 from semcom.metrics import MseQuality, PsnrQuality, SsimQuality, ViQuality
 from semcom.pairing import sweep_curve
 from semcom.rng import stream
@@ -103,3 +107,66 @@ def test_validate_extracts_once_across_retries(extract_calls):
     res = validate_and_adjust(svc, vertical_step(24), 8, [1, 2, 4, 8], Surrogate(), stream(0, "gen"))
     assert res.accepted_d < 4  # at least three factors were tried
     assert len(extract_calls) == 1
+
+
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """Count the evaluator's encodes per (semantic map, factor)."""
+    import semcom.generation
+
+    calls = Counter()
+    maps = []  # kept alive, so that no two counted maps share an id
+    original = semcom.generation.encode
+
+    def counted(smap, d):
+        maps.append(smap)
+        calls[id(smap), d] += 1
+        return original(smap, d)
+
+    monkeypatch.setattr(semcom.generation, "encode", counted)
+    return calls
+
+
+def noisy_service(threshold=0.0):
+    return ServiceSpec(id="n", extractor=SobelMagnitude(), metric=MseQuality(), threshold=threshold, sigma_gen=0.1)
+
+
+def test_a_noisy_core_keeps_a_reconstruction_from_the_second_request(encode_calls):
+    core = QualityCore(noisy_service(), diagonal(24))
+    rng = stream(0, "gen")
+    for _ in range(3):
+        core.quality(4, rng)
+    assert encode_calls == Counter({(id(core.semantic), 1): 1, (id(core.semantic), 4): 2})
+    core.quality(4, rng)
+    assert encode_calls[id(core.semantic), 4] == 2
+
+
+def test_a_noise_free_core_keeps_its_score(encode_calls):
+    core = QualityCore(ServiceSpec(id="c", extractor=SobelMagnitude(), metric=MseQuality()), diagonal(24))
+    first = core.quality(4, stream(0, "gen"))
+    assert [core.quality(4, stream(1, "gen")) for _ in range(2)] == [first, first]
+    assert encode_calls == Counter({(id(core.semantic), 1): 1, (id(core.semantic), 4): 1})
+
+
+def test_validate_encodes_each_tried_factor_once(encode_calls):
+    factors = [1, 2, 4, 8]
+    with pytest.raises(ValidationFailedError):  # no noisy score reaches 1, so every factor is tried
+        validate_and_adjust(noisy_service(threshold=1.0), vertical_step(24), 8, factors, Surrogate(), stream(0, "gen"))
+    assert sorted(d for _, d in encode_calls) == factors
+    assert set(encode_calls.values()) == {1}
+
+
+def test_a_noisy_sweep_encodes_each_factor_once_per_image(encode_calls):
+    images = [diagonal(24), filled_square(24, 8), gradient_with_square(24)]
+    factors = [1, 2, 4, 8]
+    sweep_curve(SobelMagnitude(), MseQuality(), images, factors, Surrogate(), stream(0, "gen"), sigma_gen=0.1)
+    assert len(encode_calls) == len(images) * len(factors)
+    assert set(encode_calls.values()) == {1}
+
+
+def test_dqn_training_encodes_each_service_and_factor_at_most_twice(encode_calls):
+    inst = noisy_instance()
+    out = dqn_train([inst], DqnConfig(seed=5, warmup=8, batch_size=4, buffer_capacity=16, hidden=(16,), episodes=60))
+    assert len(set(out.action_indices)) > inst.n_services  # many joint actions were scored
+    assert len(encode_calls) == inst.n_services * len(inst.factors)
+    assert max(encode_calls.values()) == 2
