@@ -15,6 +15,7 @@ unwritable outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from datetime import datetime, timezone
@@ -61,17 +62,31 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _start_manifest(command: str, config: ExperimentConfig) -> RunManifest:
+@contextlib.contextmanager
+def _run_manifest(command: str, config: ExperimentConfig):
+    """Yield the run's manifest and write ``<command>_manifest.txt`` when the run ends.
+
+    A SemcomError raised in the run still leaves a manifest, with the files
+    emitted so far, ``status: error`` and the message. The error then
+    propagates; if that manifest cannot be written either, the run's own
+    error is the one reported.
+    """
     try:
         os.makedirs(config.output_dir, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {config.output_dir}: {exc}") from exc
-    return RunManifest(command=command, config=config, started_at=_now())
-
-
-def _finish_manifest(manifest: RunManifest, config: ExperimentConfig, name: str) -> None:
+    manifest = RunManifest(command=command, config=config, started_at=_now())
+    path = os.path.join(config.output_dir, f"{command}_manifest.txt")
+    try:
+        yield manifest
+    except SemcomError as exc:
+        manifest.error = str(exc)
+        manifest.finished_at = _now()
+        with contextlib.suppress(SemcomError):
+            manifest.write(path)
+        raise
     manifest.finished_at = _now()
-    manifest.write(os.path.join(config.output_dir, name))
+    manifest.write(path)
 
 
 def cmd_extract(args) -> int:
@@ -84,40 +99,38 @@ def cmd_extract(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    manifest = _start_manifest("sweep", config)
+    with _run_manifest("sweep", config) as manifest:
+        # each image goes by the id of the first service naming it, as in allocate and pipeline
+        first_ids = {}
+        for entry in config.services:
+            first_ids.setdefault(entry.image_path, entry.spec.id)
+        images = [read_pgm(p) for p in first_ids]
+        ids = list(first_ids.values())
 
-    # each image goes by the id of the first service naming it, as in allocate and pipeline
-    first_ids = {}
-    for entry in config.services:
-        first_ids.setdefault(entry.image_path, entry.spec.id)
-    images = [read_pgm(p) for p in first_ids]
-    ids = list(first_ids.values())
+        # one candidate per distinct (extractor, metric) label, in first-appearance order
+        pairs = {}
+        for entry in config.services:
+            label = (extractor_label(entry.spec.extractor), metric_label(entry.spec.metric))
+            pairs.setdefault(label, (entry.spec.extractor, entry.spec.metric))
+        rng = stream(config.seed, "gen")
+        curves = sweep_candidates(list(pairs.values()), images, config.factors, Surrogate(), rng, image_ids=ids)
+        reports = [fit_predictability(curve) for curve in curves]
 
-    # one candidate per distinct (extractor, metric) label, in first-appearance order
-    pairs = {}
-    for entry in config.services:
-        label = (extractor_label(entry.spec.extractor), metric_label(entry.spec.metric))
-        pairs.setdefault(label, (entry.spec.extractor, entry.spec.metric))
-    rng = stream(config.seed, "gen")
-    curves = sweep_candidates(list(pairs.values()), images, config.factors, Surrogate(), rng, image_ids=ids)
-    reports = [fit_predictability(curve) for curve in curves]
+        curves_path = os.path.join(config.output_dir, "curves.csv")
+        _write_csv(
+            curves_path,
+            ["pair", "factor", "quality"],
+            [(r.pair_label, d, q) for r, c in zip(reports, curves) for d, q in zip(c.factors, c.qualities)],
+        )
+        manifest.record(curves_path)
 
-    curves_path = os.path.join(config.output_dir, "curves.csv")
-    _write_csv(
-        curves_path,
-        ["pair", "factor", "quality"],
-        [(r.pair_label, d, q) for r, c in zip(reports, curves) for d, q in zip(c.factors, c.qualities)],
-    )
-    manifest.record(curves_path)
-
-    report_path = os.path.join(config.output_dir, "pairing_report.csv")
-    _write_csv(
-        report_path,
-        ["pair", "r_squared", "slope", "spearman"],
-        [(r.pair_label, r.r_squared, r.slope, r.spearman) for r in rank_reports(reports)],
-    )
-    manifest.record(report_path)
-    _finish_manifest(manifest, config, "sweep_manifest.txt")
+        report_path = os.path.join(config.output_dir, "pairing_report.csv")
+        _write_csv(
+            report_path,
+            ["pair", "r_squared", "slope", "spearman"],
+            [(r.pair_label, r.r_squared, r.slope, r.spearman) for r in rank_reports(reports)],
+        )
+        manifest.record(report_path)
     return 0
 
 
@@ -131,39 +144,41 @@ def _build_instance(config: ExperimentConfig) -> AllocationInstance:
 
 def cmd_allocate(args) -> int:
     config = load_config(args.config)
-    manifest = _start_manifest("allocate", config)
-    inst = _build_instance(config)
-    rng = stream(config.seed, "gen")
+    with _run_manifest("allocate", config) as manifest:
+        inst = _build_instance(config)
+        rng = stream(config.seed, "gen")
 
-    if args.solver == "dqn":
-        result = dqn_train([inst], config.dqn)
-        trace_path = os.path.join(config.output_dir, "dqn_trace.csv")
-        _write_csv(
-            trace_path,
-            ["episode", "epsilon", "reward", "loss", "action_index"],
-            [
-                (e, result.epsilons[e], result.rewards[e], result.losses[e], result.action_indices[e])
-                for e in range(config.dqn.episodes)
-            ],
-        )
-        manifest.record(trace_path)
-        agent_path = os.path.join(config.output_dir, "dqn_agent.bin")
-        save_qnet(result.agent.online, agent_path)
-        manifest.record(agent_path)
-    else:
-        solvers = {"exhaustive": exhaustive_oracle, "greedy": greedy_allocate, "random": random_allocate}
-        result = solvers[args.solver](inst, rng)
-        check = budget_check(inst.action_costs(result.action), config.channel)
-        row = (args.solver, "|".join(str(d) for d in result.action), result.reward, check.total, check.feasible)
-        alloc_path = os.path.join(config.output_dir, "allocation.csv")
-        _write_csv(alloc_path, ["solver", "factors", "reward", "total_bytes", "feasible"], [row])
-        manifest.record(alloc_path)
-    _finish_manifest(manifest, config, "allocate_manifest.txt")
+        if args.solver == "dqn":
+            result = dqn_train([inst], config.dqn)
+            trace_path = os.path.join(config.output_dir, "dqn_trace.csv")
+            _write_csv(
+                trace_path,
+                ["episode", "epsilon", "reward", "loss", "action_index"],
+                [
+                    (e, result.epsilons[e], result.rewards[e], result.losses[e], result.action_indices[e])
+                    for e in range(config.dqn.episodes)
+                ],
+            )
+            manifest.record(trace_path)
+            agent_path = os.path.join(config.output_dir, "dqn_agent.bin")
+            save_qnet(result.agent.online, agent_path)
+            manifest.record(agent_path)
+        else:
+            solvers = {"exhaustive": exhaustive_oracle, "greedy": greedy_allocate, "random": random_allocate}
+            result = solvers[args.solver](inst, rng)
+            check = budget_check(inst.action_costs(result.action), config.channel)
+            row = (args.solver, "|".join(str(d) for d in result.action), result.reward, check.total, check.feasible)
+            alloc_path = os.path.join(config.output_dir, "allocation.csv")
+            _write_csv(alloc_path, ["solver", "factors", "reward", "total_bytes", "feasible"], [row])
+            manifest.record(alloc_path)
     return 0
 
 
 def _deliver(entry, config: ExperimentConfig, manifest: RunManifest, gen_rng, chan_rng) -> tuple:
-    """Validate, send and score one service; its maps are freed before the next one is extracted."""
+    """Validate, send and score one service; its maps are freed before the next one is extracted.
+
+    Returns the service's report row and the payload bits the channel flipped.
+    """
     spec = entry.spec
     requested = entry.requested_d if entry.requested_d is not None else max(config.factors)
     validation = validate_and_adjust(
@@ -177,41 +192,41 @@ def _deliver(entry, config: ExperimentConfig, manifest: RunManifest, gen_rng, ch
 
     quality = core.score_reconstruction(decode(result.delivered), gen_rng)
     status = "ok" if quality >= spec.threshold else "below_threshold"
-    return (spec.id, status, validation.accepted_d, result.bytes_used, quality)
+    return (spec.id, status, validation.accepted_d, result.bytes_used, quality), result.flipped_bits
 
 
 def cmd_pipeline(args) -> int:
     config = load_config(args.config)
-    manifest = _start_manifest("pipeline", config)
     gen_rng = stream(config.seed, "gen")
     chan_rng = stream(config.seed, "channel")
 
     rows = []
-    delivered_bytes = []
+    channel_lines = []
     any_failed = False
-    for entry in config.services:
-        try:
-            row = _deliver(entry, config, manifest, gen_rng, chan_rng)
-        except ValidationFailedError as exc:
-            any_failed = True
-            rows.append((entry.spec.id, "validation_failed", "", 0, exc.quality))
-            continue
-        rows.append(row)
-        delivered_bytes.append(row[3])
-        if row[1] == "below_threshold":
-            any_failed = True
-            print(
-                f"service {entry.spec.id}: scores {row[4]:.6f} after the channel, "
-                f"below threshold {entry.spec.threshold}",
-                file=sys.stderr,
-            )
+    with _run_manifest("pipeline", config) as manifest:
+        for entry in config.services:
+            try:
+                row, flipped_bits = _deliver(entry, config, manifest, gen_rng, chan_rng)
+            except ValidationFailedError as exc:
+                any_failed = True
+                rows.append((entry.spec.id, "validation_failed", "", 0, exc.quality))
+                continue
+            rows.append(row)
+            channel_lines.append(f"channel: service={row[0]} bytes={row[3]} flipped_bits={flipped_bits}")
+            if row[1] == "below_threshold":
+                any_failed = True
+                print(
+                    f"service {entry.spec.id}: scores {row[4]:.6f} after the channel, "
+                    f"below threshold {entry.spec.threshold}",
+                    file=sys.stderr,
+                )
 
-    report_path = os.path.join(config.output_dir, "pipeline_report.csv")
-    _write_csv(report_path, ["service", "status", "accepted_d", "bytes", "quality"], rows)
-    manifest.record(report_path)
-    check = budget_check(delivered_bytes, config.channel)
-    manifest.emitted.append(f"budget: total={check.total} feasible={check.feasible}")
-    _finish_manifest(manifest, config, "pipeline_manifest.txt")
+        report_path = os.path.join(config.output_dir, "pipeline_report.csv")
+        _write_csv(report_path, ["service", "status", "accepted_d", "bytes", "quality"], rows)
+        manifest.record(report_path)
+        check = budget_check([row[3] for row in rows], config.channel)
+        manifest.emitted.extend(channel_lines)
+        manifest.emitted.append(f"budget: total={check.total} feasible={check.feasible}")
     if not check.feasible:
         print(
             f"budget: delivered {check.total} bytes exceed budget_bytes = {config.channel.budget_bytes}",

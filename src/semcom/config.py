@@ -303,13 +303,18 @@ def _label_seed(seed: int, label: str) -> int:
 
 @dataclass
 class RunManifest:
-    """What a command produced; written atomically when the run finishes."""
+    """What a command produced; written atomically when the run finishes.
+
+    ``error`` is the message of the error that ended a failed run, and
+    None for a run that finished.
+    """
 
     command: str
     config: ExperimentConfig
     started_at: str
     finished_at: str = ""
     emitted: list[str] = field(default_factory=list)
+    error: str | None = None
 
     def record(self, path) -> str:
         self.emitted.append(str(path))
@@ -324,6 +329,7 @@ class RunManifest:
             f"versions: semcom=0.1.0 numpy={np.__version__} python={platform.python_version()}",
             f"started: {self.started_at}",
             f"finished: {self.finished_at}",
+            *(["status: ok"] if self.error is None else ["status: error", f"error: {self.error}"]),
             "emitted:",
         ]
         lines.extend(f"  {p}" for p in self.emitted)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, TooSmallError
-from .image import MAX_LEVELS, SemanticMap, _level_floor
+from .image import BINARY, MAX_LEVELS, SemanticMap, _level_floor
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,12 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
     is image-sized, and one ``np.mean`` over all of it keeps numpy's
     pairwise summation, so the score has the same bits as the whole-array
     form.
+
+    Two BINARY maps hold only 0 and 1 (or -0.0), so x^2 = x and y^2 = y,
+    and every float sum above is an exact integer: each window mean is a
+    count divided by w*w, never -0.0. Their integral images of x, y and xy
+    are then built in uint32 and their x^2 and y^2 means copied from the x
+    and y means, which gives the same bits from three planes instead of five.
     """
     _check_shapes(a, b)
     w = params.window
@@ -132,20 +138,31 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
     oh, ow = height - w + 1, width - w + 1
     span = width + 1
     band = min(max(1, _BAND // width), oh)
-    # cs[1:] holds the running column sums of a band's source rows, the five
+    exact = a.kind == BINARY and b.kind == BINARY
+    planes, dtype = (3, np.uint32) if exact else (5, np.float64)
+    # cs[1:] holds the running column sums of a band's source rows, the
     # moments side by side in each row, and cs[0] those of the row before.
-    cs = np.empty((band + w, 5, width))
+    cs = np.empty((band + w, planes, width), dtype)
     # g[m] holds rows of moment m's integral image, zero in column 0; the
     # first w rows of each band are the last w of the band before.
-    g = np.zeros((5, band + w, span))
-    flat = g.reshape(5, -1)
+    g = np.zeros((planes, band + w, span), dtype)
+    flat = g.reshape(planes, -1)
     # Window means and ratio terms run over each plane's rows laid end to
     # end, so every operand is contiguous: position r * span + c is window
     # (r, c) for c < ow, and the wrapped positions past ow are finite and
     # never read.
     means = np.empty((5, band * span))
-    # The ratio terms' scratch lies clear of cs[0], in rows free once in g.
-    scratch = cs.reshape(-1)[-band * span :]
+    if exact:
+        # Integral values are counts of at most H*W, below 2^32 up to
+        # 65,535 pixels a side (the most a payload header holds). Beyond
+        # that uint32 wrap-around would still leave every four-term window
+        # count exact, since the true count is at most w*w < 2^32.
+        sums = np.empty((3, band * span), np.uint32)
+        scratch = np.empty(band * span)
+    else:
+        sums = means
+        # The ratio terms' scratch lies clear of cs[0], in rows free once in g.
+        scratch = cs.reshape(-1)[-band * span :]
     ratio = np.empty((oh, ow))
     top, src = 1, 0  # next integral row to fill, and the source row it comes from
     for i in range(0, oh, band):
@@ -155,22 +172,28 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
         xs, ys = x[src:end], y[src:end]
         rows[:, 0] = xs
         rows[:, 1] = ys
-        np.multiply(xs, ys, out=rows[:, 2])
-        np.multiply(xs, xs, out=rows[:, 3])
-        np.multiply(ys, ys, out=rows[:, 4])
+        if exact:
+            np.multiply(rows[:, 0], rows[:, 1], out=rows[:, 2])
+        else:
+            np.multiply(xs, ys, out=rows[:, 2])
+            np.multiply(xs, xs, out=rows[:, 3])
+            np.multiply(ys, ys, out=rows[:, 4])
         for r in range(1 if src else 2, len(rows) + 1):
             np.add(cs[r - 1], cs[r], out=cs[r])
         cs[0] = rows[-1]
-        np.cumsum(rows, axis=2, out=g[:, top : n + w, 1:].transpose(1, 0, 2))
+        np.cumsum(rows, axis=2, dtype=dtype, out=g[:, top : n + w, 1:].transpose(1, 0, 2))
         # (c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]) / (w * w) for each
         # plane's integral image c, in that order.
         k = (n - 1) * span + ow
         below = w * span
+        s = sums[:, :k]
+        np.subtract(flat[:, below + w : below + w + k], flat[:, w : w + k], out=s)
+        s -= flat[:, below : below + k]
+        s += flat[:, :k]
         m = means[:, :k]
-        np.subtract(flat[:, below + w : below + w + k], flat[:, w : w + k], out=m)
-        m -= flat[:, below : below + k]
-        m += flat[:, :k]
-        m /= w * w
+        np.divide(s, w * w, out=m[:planes])
+        if exact:
+            m[3:] = m[:2]
         g[:, :w] = g[:, n : n + w]
         top, src = w, end
         # ((2 mx my + c1)(2 cov + c2)) / ((mx^2 + my^2 + c1)(vx + vy + c2))

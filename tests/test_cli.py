@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from semcom import files
 from semcom.cli import main
-from semcom.codec import parse_payload
+from semcom.codec import encode, parse_payload
 from semcom.config import load_config, parse_extractor, parse_metric
 from semcom.errors import ConfigError, IoError
-from semcom.extractors import Canny, ExternalMap, QuantizeSegmentation, SobelMagnitude
+from semcom.extractors import Canny, ExternalMap, QuantizeSegmentation, SobelMagnitude, extract
 from semcom.generation import Surrogate
 from semcom.image import read_pgm, write_pgm
 from semcom.metrics import MseQuality, PsnrQuality, SsimQuality, ViQuality
@@ -23,6 +23,7 @@ from semcom.pairing import fit_predictability, rank_reports, sweep_candidates
 from semcom.rng import stream
 
 from _fixtures import diagonal, filled_square, gradient, gradient_with_square, vertical_step
+from _reference import reference_transmit
 
 
 def write_images(tmp_path):
@@ -566,6 +567,7 @@ def test_a_run_leaves_no_temporary_files(tmp_path, argv):
     names = os.listdir(tmp_path / "out")
     assert f"{command}_manifest.txt" in names
     assert not [n for n in names if n.endswith(".tmp")]
+    assert "status: ok\n" in (tmp_path / "out" / f"{command}_manifest.txt").read_text()
 
 
 def test_a_failed_rename_keeps_the_previous_outputs(tmp_path, capsys, monkeypatch):
@@ -582,6 +584,80 @@ def test_a_failed_rename_keeps_the_previous_outputs(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}{os.sep}") and "rename refused" in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def manifest_fields(path):
+    """The manifest's ``key: value`` lines as a dict, and its emitted entries as a list."""
+    head, _, emitted = path.read_text().partition("emitted:\n")
+    fields = dict(line.split(": ", 1) for line in head.splitlines())
+    return fields, [line.strip() for line in emitted.splitlines()]
+
+
+# the diverging updates overflow, and numpy warns before the check after training raises
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverged_dqn_run_leaves_a_manifest_with_its_error(tmp_path, capsys):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    cfg.write_text(cfg.read_text().replace("episodes = 40\n", "episodes = 200\nlr = 1000\n"))
+    assert main(["allocate", "--config", str(cfg), "--solver", "dqn"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err
+    out = tmp_path / "out"
+    assert sorted(os.listdir(out)) == ["allocate_manifest.txt"]
+    fields, emitted = manifest_fields(out / "allocate_manifest.txt")
+    assert fields["command"] == "allocate" and fields["finished"]
+    assert fields["status"] == "error"
+    assert f"error: {fields['error']}\n" == err
+    assert emitted == []
+
+
+def test_a_pipeline_that_cannot_write_a_payload_leaves_a_manifest_of_what_it_wrote(tmp_path, capsys):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    out = tmp_path / "out"
+    (out / "regions_payload.bin").mkdir(parents=True)
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / 'regions_payload.bin'}: ")
+    fields, emitted = manifest_fields(out / "pipeline_manifest.txt")
+    assert fields["status"] == "error"
+    assert f"error: {fields['error']}\n" == err
+    assert emitted == [str(out / "edges_payload.bin")]
+    assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
+
+
+def test_a_manifest_that_cannot_be_written_after_an_error_keeps_the_first_error(tmp_path, capsys):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    out = tmp_path / "out"
+    (out / "edges_payload.bin").mkdir(parents=True)
+    (out / "pipeline_manifest.txt").mkdir()
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / 'edges_payload.bin'}: ")
+    assert err.count("\n") == 1 and "pipeline_manifest" not in err
+    assert sorted(os.listdir(out)) == ["edges_payload.bin", "pipeline_manifest.txt"]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.2])
+def test_the_pipeline_manifest_records_each_services_flipped_bits(tmp_path, p):
+    paths = write_images(tmp_path)
+    cfg = base_config(tmp_path, paths)
+    cfg.write_text(cfg.read_text().replace("bit_flip_prob = 0.0", f"bit_flip_prob = {p}"))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    rows = [line.split(",") for line in (out / "pipeline_report.csv").read_text().splitlines()[1:]]
+    _, emitted = manifest_fields(out / "pipeline_manifest.txt")
+    config = load_config(cfg)
+    rng = stream(config.seed, "channel")
+    expected = []
+    for entry, (service, status, d, nbytes, _) in zip(config.services, rows):
+        assert (service, status) == (entry.spec.id, "ok")
+        payload = encode(extract(entry.spec.extractor, read_pgm(entry.image_path)), int(d))
+        delivered, flipped = reference_transmit(payload, p, rng)
+        assert parse_payload((out / f"{service}_payload.bin").read_bytes()).payload == delivered
+        expected.append(f"channel: service={service} bytes={nbytes} flipped_bits={flipped}")
+    assert emitted[-3:-1] == expected
+    assert emitted[-1].startswith("budget: ")
+    flips = [int(line.rsplit("=", 1)[1]) for line in expected]
+    assert sum(flips) > 0 if p else flips == [0, 0]
 
 
 @pytest.mark.parametrize(
