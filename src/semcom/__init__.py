@@ -12,7 +12,6 @@ from .allocator import (
     AllocationResult,
     DqnAgent,
     DqnConfig,
-    QualityReport,
     decode_action,
     dqn_act,
     dqn_train,

@@ -165,17 +165,9 @@ def weighted_quality(weights, qualities):
 
 
 @dataclass(frozen=True)
-class QualityReport:
-    service_id: str
-    factor: int
-    quality: float
-    cost_bytes: int
-
-
-@dataclass(frozen=True)
 class ActionEvaluation:
     reward: float
-    reports: tuple[QualityReport, ...]
+    qualities: tuple[float, ...]
     total_bytes: int
     feasible: bool
 
@@ -183,15 +175,10 @@ class ActionEvaluation:
 def evaluate_action(inst: AllocationInstance, action, rng: np.random.Generator) -> ActionEvaluation:
     """Score one joint action; infeasible actions earn -1 but still report qualities."""
     action = tuple(action)
-    costs = inst.action_costs(action)
-    check = budget_check(costs, inst.channel)
-    qualities = [core.quality(d, rng) for core, d in zip(inst.cores, action)]
-    reports = tuple(
-        QualityReport(service_id=svc.id, factor=d, quality=q, cost_bytes=c)
-        for svc, d, q, c in zip(inst.services, action, qualities, costs)
-    )
+    check = budget_check(inst.action_costs(action), inst.channel)
+    qualities = tuple(core.quality(d, rng) for core, d in zip(inst.cores, action))
     reward = float(weighted_quality(inst.weights, qualities)) if check.feasible else -1.0
-    return ActionEvaluation(reward=reward, reports=reports, total_bytes=check.total, feasible=check.feasible)
+    return ActionEvaluation(reward=reward, qualities=qualities, total_bytes=check.total, feasible=check.feasible)
 
 
 def quality_table(inst: AllocationInstance, rng: np.random.Generator) -> np.ndarray:
@@ -213,11 +200,7 @@ class AllocationResult:
 
 def action_rewards(inst: AllocationInstance, rng: np.random.Generator) -> np.ndarray:
     """Reward of every joint action, indexed by the flat action index."""
-    return _broadcast_rewards(inst, quality_table(inst, rng))
-
-
-def _broadcast_rewards(inst: AllocationInstance, table: np.ndarray) -> np.ndarray:
-    """Reward of every joint action on a quality table, indexed by the flat action index."""
+    table = quality_table(inst, rng)
     # Axis s of each grid is service s's factor index.  The qualities' trailing
     # axis is the service axis, laid out C-contiguous so that weighted_quality
     # sums every action's terms in the order it sums one action's list.
@@ -272,7 +255,9 @@ def greedy_allocate(inst: AllocationInstance, rng: np.random.Generator) -> Alloc
         positions[best_service] -= 1
         total += best_extra
     action = tuple(inst.factors[j] for j in positions)
-    reward = _broadcast_rewards(inst, table)[encode_action(action, inst.factors)]
+    # Moves keep the total within budget, so the action is feasible exactly when the start is.
+    feasible = total <= inst.channel.budget_bytes
+    reward = weighted_quality(inst.weights, table[range(inst.n_services), positions]) if feasible else -1.0
     return AllocationResult(action=action, reward=float(reward))
 
 
@@ -310,8 +295,9 @@ class DqnConfig:
             raise DomainError(f"warmup {self.warmup} exceeds the buffer capacity {self.buffer_capacity}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise DomainError(f"learning rate must be finite and positive, got {self.learning_rate}")
-        if not 0.0 <= self.epsilon_min <= 1.0:
-            raise DomainError(f"epsilon_min must lie in [0, 1], got {self.epsilon_min}")
+        if not 0.0 < self.epsilon_min <= 1.0:
+            # a multiplicative decay cannot reach 0: it would drop to 0 after one episode
+            raise DomainError(f"epsilon_min must lie in (0, 1], got {self.epsilon_min}")
 
 
 class DqnAgent:
@@ -325,10 +311,6 @@ class DqnAgent:
     @property
     def state_dim(self) -> int:
         return self.online.sizes[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.online.sizes[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,28 +329,6 @@ def epsilon_schedule(config: DqnConfig) -> np.ndarray:
     ratio = (config.epsilon_min / EPSILON_START) ** (1.0 / decay_episodes)
     eps = EPSILON_START * ratio ** np.arange(config.episodes)
     return np.maximum(eps, config.epsilon_min)
-
-
-class _ReplayBuffer:
-    def __init__(self, capacity: int, state_dim: int):
-        self.states = np.zeros((capacity, state_dim))
-        self.actions = np.zeros(capacity, dtype=np.int64)
-        self.rewards = np.zeros(capacity)
-        self.capacity = capacity
-        self.size = 0
-        self.cursor = 0
-
-    def push(self, state, action, reward):
-        i = self.cursor
-        self.states[i] = state
-        self.actions[i] = action
-        self.rewards[i] = reward
-        self.cursor = (i + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
-
-    def sample(self, batch: int, rng: np.random.Generator):
-        idx = rng.integers(0, self.size, size=batch)
-        return self.states[idx], self.actions[idx], self.rewards[idx]
 
 
 def dqn_train(pool, config: DqnConfig) -> TrainResult:
@@ -391,15 +351,18 @@ def dqn_train(pool, config: DqnConfig) -> TrainResult:
         if inst.factors != first.factors or inst.n_services != first.n_services:
             raise DomainError("all pool instances must share the factor set and service count")
 
-    state_dim = 3 * first.n_services + 1
+    state_dim = first.state_vector.size
     n_actions = first.n_actions
     base = np.random.default_rng(config.seed)
     init_rng, instance_rng, explore_rng, replay_rng, eval_rng = base.spawn(5)
 
     online = Mlp([state_dim, *config.hidden, n_actions], init_rng)
     optimizer = SgdMomentum(online, config.learning_rate, MOMENTUM)
-    # training never stores more than one entry per episode
-    buffer = _ReplayBuffer(min(config.buffer_capacity, config.episodes), state_dim)
+    # Replay ring: training stores one entry per episode, so episode e writes row e % capacity.
+    capacity = min(config.buffer_capacity, config.episodes)
+    replay_states = np.zeros((capacity, state_dim))
+    replay_actions = np.zeros(capacity, dtype=np.int64)
+    replay_rewards = np.zeros(capacity)
     epsilons = epsilon_schedule(config)
 
     rewards = np.zeros(config.episodes)
@@ -418,16 +381,19 @@ def dqn_train(pool, config: DqnConfig) -> TrainResult:
             a_idx = int(np.argmax(q[0]))
         action = decode_action(a_idx, inst.factors, inst.n_services)
         evaluation = evaluate_action(inst, action, eval_rng)
-        buffer.push(state, a_idx, evaluation.reward)
+        row = e % capacity
+        replay_states[row] = state
+        replay_actions[row] = a_idx
+        replay_rewards[row] = evaluation.reward
 
-        if buffer.size >= config.warmup:
-            s_b, a_b, r_b = buffer.sample(config.batch_size, replay_rng)
-            _, d_w, d_b = td_loss_and_gradients(online, s_b, a_b, r_b)
+        filled = min(e + 1, capacity)
+        if filled >= config.warmup:
+            idx = replay_rng.integers(0, filled, size=config.batch_size)
+            _, d_w, d_b = td_loss_and_gradients(online, replay_states[idx], replay_actions[idx], replay_rewards[idx])
             optimizer.step(online, d_w, d_b)
 
         rewards[e] = evaluation.reward
-        qualities = np.array([rep.quality for rep in evaluation.reports])
-        losses[e] = weighted_quality(inst.weights, 1.0 - qualities)
+        losses[e] = weighted_quality(inst.weights, 1.0 - np.array(evaluation.qualities))
         action_indices[e] = a_idx
         instance_indices[e] = inst_idx
 

@@ -46,30 +46,29 @@ class Mlp:
         return net
 
     def forward(self, x: np.ndarray):
-        """Outputs and the per-layer cache the backward pass needs."""
+        """Outputs and the per-layer activations the backward pass needs."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.sizes[0]:
             raise ShapeError(f"input has {x.shape[1]} features, network expects {self.sizes[0]}")
         activations = [x]
-        pre = []
         a = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ w + b
-            pre.append(z)
             a = z if i == last else np.maximum(z, 0.0)
             activations.append(a)
-        return a, (pre, activations)
+        return a, activations
 
-    def backward(self, cache, grad_out: np.ndarray):
+    def backward(self, activations, grad_out: np.ndarray):
         """Gradients of the loss whose output-gradient is ``grad_out``.
 
-        Returns ([dW...], [db...]) matching self.weights / self.biases.
+        Each hidden activation is max(z, 0), so it is positive exactly
+        where its pre-activation z is.  Returns ([dW...], [db...])
+        matching self.weights / self.biases.
         """
-        pre, activations = cache
         grad_out = np.asarray(grad_out, dtype=np.float64)
-        if grad_out.shape != pre[-1].shape:
-            raise ShapeError(f"grad shape {grad_out.shape} does not match output {pre[-1].shape}")
+        if grad_out.shape != activations[-1].shape:
+            raise ShapeError(f"grad shape {grad_out.shape} does not match output {activations[-1].shape}")
         d_weights = [None] * len(self.weights)
         d_biases = [None] * len(self.biases)
         delta = grad_out
@@ -77,7 +76,7 @@ class Mlp:
             d_weights[i] = activations[i].T @ delta
             d_biases[i] = delta.sum(axis=0)
             if i > 0:
-                delta = (delta @ self.weights[i].T) * (pre[i - 1] > 0.0)
+                delta = (delta @ self.weights[i].T) * (activations[i] > 0.0)
         return d_weights, d_biases
 
 
@@ -86,14 +85,14 @@ def td_loss_and_gradients(net: Mlp, states: np.ndarray, action_idx: np.ndarray, 
 
     Only the chosen action's output contributes for each sample.
     """
-    q, cache = net.forward(states)
+    q, activations = net.forward(states)
     batch = q.shape[0]
     rows = np.arange(batch)
     errors = q[rows, action_idx] - targets
     loss = float(np.mean(errors**2))
     grad_out = np.zeros_like(q)
     grad_out[rows, action_idx] = 2.0 * errors / batch
-    d_weights, d_biases = net.backward(cache, grad_out)
+    d_weights, d_biases = net.backward(activations, grad_out)
     return loss, d_weights, d_biases
 
 

@@ -101,3 +101,16 @@ def random_instance(rng, max_services=3, max_factors=4, size=16):
         factors=factors,
         channel=ChannelConfig(budget_bytes=budget),
     )
+
+
+def noisy_instance(image_shift=0):
+    """Three services, one with generation noise, over factors (1, 2, 4) and a 900-byte budget."""
+    services = (
+        ServiceSpec(id="edges", extractor=SobelMagnitude(), metric=SsimQuality()),
+        ServiceSpec(id="regions", extractor=QuantizeSegmentation(4), metric=ViQuality(4), weight=2.0),
+        ServiceSpec(id="gen", extractor=SobelMagnitude(), metric=PsnrQuality(), sigma_gen=0.05),
+    )
+    images = (diagonal(24), filled_square(24, 8 + image_shift), gradient_with_square(24))
+    return AllocationInstance(
+        services=services, images=images, factors=(1, 2, 4), channel=ChannelConfig(budget_bytes=900)
+    )

@@ -173,6 +173,35 @@ def reference_sobel_gradients(pixels):
     return gx, gy
 
 
+def reference_mlp_backward(net, states, grad_out):
+    """Mlp.backward from recomputed pre-activations, masking each hidden unit on z > 0 one entry at a time.
+
+    The matrix products are the network's own, so the gradients match bit
+    for bit; only the ReLU mask comes from a second path.
+    """
+    x = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    inputs, pre = [x], []
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = inputs[-1] @ w + b
+        pre.append(z)
+        inputs.append(z if i == len(net.weights) - 1 else np.maximum(z, 0.0))
+    d_weights = [None] * len(net.weights)
+    d_biases = [None] * len(net.biases)
+    delta = np.asarray(grad_out, dtype=np.float64)
+    for i in range(len(net.weights) - 1, -1, -1):
+        d_weights[i] = inputs[i].T @ delta
+        d_biases[i] = delta.sum(axis=0)
+        if i > 0:
+            z = pre[i - 1]
+            mask = np.zeros(z.shape)
+            for r in range(z.shape[0]):
+                for c in range(z.shape[1]):
+                    if z[r, c] > 0.0:
+                        mask[r, c] = 1.0
+            delta = (delta @ net.weights[i].T) * mask
+    return d_weights, d_biases
+
+
 def finite_difference_gradients(net, states, actions, targets, h=1e-5):
     """Central-difference gradients of the batch TD loss for every parameter."""
     d_weights = [np.zeros_like(w) for w in net.weights]

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -31,7 +32,7 @@ from semcom.metrics import MseQuality, SsimQuality, ViQuality
 from semcom.qnet import Mlp
 from semcom.rng import stream
 
-from _fixtures import diagonal, filled_square, gradient, random_instance
+from _fixtures import diagonal, filled_square, gradient, noisy_instance, random_instance
 from _reference import reference_action_rewards
 
 
@@ -97,7 +98,7 @@ def test_evaluate_all_ones_ample_budget():
     out = evaluate_action(inst, (1, 1), stream(0, "gen"))
     assert out.reward == 1.0
     assert out.feasible
-    assert all(rep.quality == 1.0 for rep in out.reports)
+    assert all(q == 1.0 for q in out.qualities)
 
 
 def test_evaluate_zero_budget_penalty_with_reports():
@@ -105,9 +106,9 @@ def test_evaluate_zero_budget_penalty_with_reports():
     out = evaluate_action(inst, (2, 2), stream(0, "gen"))
     assert out.reward == -1.0
     assert not out.feasible
-    assert len(out.reports) == 2
-    assert all(rep.quality >= 0.0 for rep in out.reports)
-    assert out.total_bytes == sum(rep.cost_bytes for rep in out.reports)
+    assert len(out.qualities) == 2
+    assert all(q >= 0.0 for q in out.qualities)
+    assert out.total_bytes == sum(inst.action_costs((2, 2)))
 
 
 def test_evaluate_rejects_inadmissible_action():
@@ -240,7 +241,7 @@ def test_external_pairs_solvers_score_the_files_without_extracting(tmp_path, ext
     for index in range(inst.n_actions):
         action = decode_action(index, inst.factors, inst.n_services)
         ev = evaluate_action(inst, action, stream(2, "gen"))
-        assert [rep.quality for rep in ev.reports] == [expected[s, inst.factors.index(d)] for s, d in enumerate(action)]
+        assert list(ev.qualities) == [expected[s, inst.factors.index(d)] for s, d in enumerate(action)]
         assert ev.reward == rewards[index]
     oracle = exhaustive_oracle(inst, stream(3, "gen"))
     assert oracle.reward == rewards.max() == rewards[encode_action(oracle.action, inst.factors)]
@@ -275,6 +276,23 @@ def test_exhaustive_beats_greedy_on_random_instances():
         assert oracle.reward >= greedy.reward - 1e-12
 
 
+def over_budget(inst):
+    """The instance with a budget one byte below its cheapest joint action, the all-max(D) start."""
+    cheapest = sum(inst.action_costs(inst.factors[-1] for _ in inst.services))
+    return dataclasses.replace(inst, channel=ChannelConfig(budget_bytes=cheapest - 1))
+
+
+def test_greedy_reward_is_the_oracle_grids_bit_for_bit():
+    rng = np.random.default_rng(99)
+    feasible = [random_instance(rng) for _ in range(15)] + [noisy_instance()]
+    for trial, inst in enumerate(feasible + [over_budget(inst) for inst in feasible]):
+        greedy = greedy_allocate(inst, stream(trial, "gen"))
+        grid = action_rewards(inst, stream(trial, "gen"))
+        assert greedy.reward == grid[encode_action(greedy.action, inst.factors)], trial
+        if trial >= len(feasible):
+            assert greedy.reward == -1.0 and greedy.action == (inst.factors[-1],) * inst.n_services
+
+
 def test_random_allocate_valid_and_seeded():
     inst = two_service_instance()
     a = random_allocate(inst, stream(4, "gen"))
@@ -290,6 +308,10 @@ def test_quality_table_reproducible():
     assert np.array_equal(t1, t2)
     assert t1.shape == (2, 4)
     assert np.all(t1[:, 0] == 1.0)  # d=1 is lossless without generation noise
+
+
+def test_an_epsilon_floor_of_one_always_explores():
+    assert np.array_equal(epsilon_schedule(DqnConfig(episodes=10, epsilon_min=1.0)), np.ones(10))
 
 
 def test_epsilon_schedule_endpoints():

@@ -704,8 +704,9 @@ def test_an_unknown_config_key_is_a_config_error(tmp_path, capsys, section, line
         ("dqn", "hidden", "4097", "hidden layer sizes and batch must be <= 4096, got (4097,) and 8"),
         ("dqn", "batch", "4097", "hidden layer sizes and batch must be <= 4096, got (64, 64) and 4097"),
         ("dqn", "episodes", "99999999999999999999", "episodes must lie in [1, 1000000], got 99999999999999999999"),
-        ("dqn", "epsilon_min", "-1", "epsilon_min must lie in [0, 1], got -1.0"),
-        ("dqn", "epsilon_min", "2", "epsilon_min must lie in [0, 1], got 2.0"),
+        ("dqn", "epsilon_min", "-1", "epsilon_min must lie in (0, 1], got -1.0"),
+        ("dqn", "epsilon_min", "0", "epsilon_min must lie in (0, 1], got 0.0"),
+        ("dqn", "epsilon_min", "2", "epsilon_min must lie in (0, 1], got 2.0"),
         ("dqn", "lr", "nan", "learning rate must be finite and positive, got nan"),
         ("factors", "d", "1,2,300", "factors must be integers in [1, 255], got '1,2,300'"),
         ("channel", "seed", "-1", "seed must be >= 0, got -1"),

@@ -12,24 +12,12 @@ from semcom.channel import ChannelConfig
 from semcom.extractors import Canny, QuantizeSegmentation, SobelMagnitude
 from semcom.errors import ValidationFailedError
 from semcom.generation import QualityCore, ServiceSpec, Surrogate, validate_and_adjust
-from semcom.metrics import MseQuality, PsnrQuality, SsimQuality, ViQuality
+from semcom.metrics import MseQuality, SsimQuality, ViQuality
 from semcom.pairing import sweep_curve
 from semcom.rng import stream
 
-from _fixtures import diagonal, filled_square, gradient_with_square, random_instance, vertical_step
+from _fixtures import diagonal, filled_square, gradient_with_square, noisy_instance, random_instance, vertical_step
 from _reference import reference_dqn_train, reference_quality
-
-
-def noisy_instance(image_shift=0):
-    services = (
-        ServiceSpec(id="edges", extractor=SobelMagnitude(), metric=SsimQuality()),
-        ServiceSpec(id="regions", extractor=QuantizeSegmentation(4), metric=ViQuality(4), weight=2.0),
-        ServiceSpec(id="gen", extractor=SobelMagnitude(), metric=PsnrQuality(), sigma_gen=0.05),
-    )
-    images = (diagonal(24), filled_square(24, 8 + image_shift), gradient_with_square(24))
-    return AllocationInstance(
-        services=services, images=images, factors=(1, 2, 4), channel=ChannelConfig(budget_bytes=900)
-    )
 
 
 def test_dqn_train_matches_literal_loop_with_generation_noise():

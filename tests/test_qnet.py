@@ -4,7 +4,7 @@ import pytest
 from semcom.errors import CorruptPayloadError, IoError, ShapeError
 from semcom.qnet import Mlp, SgdMomentum, load_qnet, save_qnet, td_loss_and_gradients
 
-from _reference import finite_difference_gradients, gradient_relative_error
+from _reference import finite_difference_gradients, gradient_relative_error, reference_mlp_backward
 
 
 def test_zero_input_zero_params_outputs_zero():
@@ -46,6 +46,35 @@ def test_gradient_check_against_central_differences(seed):
     fdw, fdb = finite_difference_gradients(net, states, actions, targets)
     for a, b in zip(dw + db, fdw + fdb):
         assert gradient_relative_error(a, b) < 1e-4
+
+
+def zero_hidden_net(bias):
+    """A net whose hidden weights are 0 and biases ``bias`` (0.0 or -0.0), so every hidden pre-activation is zero."""
+    rng = np.random.default_rng(99)
+    weights = [np.zeros((3, 5)), np.zeros((5, 4)), rng.normal(size=(4, 2))]
+    biases = [np.full(5, bias), np.full(4, bias), rng.normal(size=2)]
+    return Mlp.from_params([3, 5, 4, 2], weights, biases)
+
+
+def test_backward_masks_each_hidden_unit_on_its_pre_activation_above_zero():
+    cases = []
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        sizes = [int(rng.integers(1, 7)) for _ in range(int(rng.integers(2, 5)))]
+        cases.append((Mlp(sizes, rng), rng.normal(size=(int(rng.integers(1, 6)), sizes[0]))))
+    states = -np.abs(np.random.default_rng(5).normal(size=(4, 3)))
+    cases += [(zero_hidden_net(0.0), states), (zero_hidden_net(-0.0), states)]
+    for net, x in cases:
+        q, activations = net.forward(x)
+        grad_out = np.random.default_rng(q.size).normal(size=q.shape)
+        dw, db = net.backward(activations, grad_out)
+        ref_w, ref_b = reference_mlp_backward(net, x, grad_out)
+        for got, want in zip(dw + db, ref_w + ref_b):
+            assert np.array_equal(got, want)
+    # a zero pre-activation, whatever the sign of its bias, masks its unit out
+    for net, x in cases[-2:]:
+        assert not (x @ net.weights[0] + net.biases[0]).any()
+        assert not net.backward(net.forward(x)[1], np.ones((4, 2)))[0][0].any()
 
 
 def test_td_loss_value():
