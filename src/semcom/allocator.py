@@ -282,6 +282,9 @@ class DqnConfig:
     def __post_init__(self):
         if not 1 <= self.episodes <= EPISODE_GUARD:
             raise DomainError(f"episodes must lie in [1, {EPISODE_GUARD}], got {self.episodes}")
+        if self.warmup > self.episodes:
+            # training stores one replay entry per episode, so it would never start
+            raise DomainError(f"warmup {self.warmup} exceeds the {self.episodes} episodes")
         if any(size < 1 for size in self.hidden):
             raise DomainError(f"hidden layer sizes must be >= 1, got {self.hidden}")
         if self.buffer_capacity < 1 or self.batch_size < 1:

@@ -17,11 +17,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import platform
 import sys
 from datetime import datetime, timezone
 
 import numpy as np
 
+from . import __version__
 from .allocator import (
     AllocationInstance,
     dqn_train,
@@ -31,7 +33,7 @@ from .allocator import (
 )
 from .channel import budget_check, transmit
 from .codec import decode, encode, serialize_payload
-from .config import ExperimentConfig, RunManifest, load_config, parse_extractor
+from .config import ExperimentConfig, load_config, parse_extractor
 from .errors import IoError, SemcomError, ValidationFailedError
 from .extractors import extract, extractor_label
 from .files import write_atomic
@@ -53,9 +55,16 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header, rows) -> None:
-    lines = [",".join(header), *(",".join(_cell(v) for v in row) for row in rows)]
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+def _csv(header: str, rows) -> bytes:
+    lines = [header, *(",".join(_cell(v) for v in row) for row in rows)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _emit(emitted: list[str], config: ExperimentConfig, name: str, data: bytes) -> None:
+    """Write ``name`` into the output directory atomically and list its path as emitted."""
+    path = os.path.join(config.output_dir, name)
+    write_atomic(path, data)
+    emitted.append(path)
 
 
 def _now() -> str:
@@ -64,7 +73,7 @@ def _now() -> str:
 
 @contextlib.contextmanager
 def _run_manifest(command: str, config: ExperimentConfig):
-    """Yield the run's manifest and write ``<command>_manifest.txt`` when the run ends.
+    """Yield the run's list of emitted entries and write ``<command>_manifest.txt`` when the run ends.
 
     A SemcomError raised in the run still leaves a manifest, with the files
     emitted so far, ``status: error`` and the message. The error then
@@ -75,18 +84,29 @@ def _run_manifest(command: str, config: ExperimentConfig):
         os.makedirs(config.output_dir, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {config.output_dir}: {exc}") from exc
-    manifest = RunManifest(command=command, config=config, started_at=_now())
-    path = os.path.join(config.output_dir, f"{command}_manifest.txt")
+    head = [
+        f"command: {command}",
+        f"config: {config.source_path}",
+        f"config_sha256: {config.config_hash()}",
+        f"seed: {config.seed}",
+        f"versions: semcom={__version__} numpy={np.__version__} python={platform.python_version()}",
+        f"started: {_now()}",
+    ]
+    emitted: list[str] = []
+
+    def write(*status: str) -> None:
+        lines = [*head, f"finished: {_now()}", *status, "emitted:", *(f"  {p}" for p in emitted)]
+        write_atomic(
+            os.path.join(config.output_dir, f"{command}_manifest.txt"), ("\n".join(lines) + "\n").encode("utf-8")
+        )
+
     try:
-        yield manifest
+        yield emitted
     except SemcomError as exc:
-        manifest.error = str(exc)
-        manifest.finished_at = _now()
         with contextlib.suppress(SemcomError):
-            manifest.write(path)
+            write("status: error", f"error: {exc}")
         raise
-    manifest.finished_at = _now()
-    manifest.write(path)
+    write("status: ok")
 
 
 def cmd_extract(args) -> int:
@@ -99,7 +119,7 @@ def cmd_extract(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    with _run_manifest("sweep", config) as manifest:
+    with _run_manifest("sweep", config) as emitted:
         # each image goes by the id of the first service naming it, as in allocate and pipeline
         first_ids = {}
         for entry in config.services:
@@ -116,21 +136,10 @@ def cmd_sweep(args) -> int:
         curves = sweep_candidates(list(pairs.values()), images, config.factors, Surrogate(), rng, image_ids=ids)
         reports = [fit_predictability(curve) for curve in curves]
 
-        curves_path = os.path.join(config.output_dir, "curves.csv")
-        _write_csv(
-            curves_path,
-            ["pair", "factor", "quality"],
-            [(r.pair_label, d, q) for r, c in zip(reports, curves) for d, q in zip(c.factors, c.qualities)],
-        )
-        manifest.record(curves_path)
-
-        report_path = os.path.join(config.output_dir, "pairing_report.csv")
-        _write_csv(
-            report_path,
-            ["pair", "r_squared", "slope", "spearman"],
-            [(r.pair_label, r.r_squared, r.slope, r.spearman) for r in rank_reports(reports)],
-        )
-        manifest.record(report_path)
+        rows = [(r.pair_label, d, q) for r, c in zip(reports, curves) for d, q in zip(c.factors, c.qualities)]
+        _emit(emitted, config, "curves.csv", _csv("pair,factor,quality", rows))
+        rows = [(r.pair_label, r.r_squared, r.slope, r.spearman) for r in rank_reports(reports)]
+        _emit(emitted, config, "pairing_report.csv", _csv("pair,r_squared,slope,spearman", rows))
     return 0
 
 
@@ -144,37 +153,30 @@ def _build_instance(config: ExperimentConfig) -> AllocationInstance:
 
 def cmd_allocate(args) -> int:
     config = load_config(args.config)
-    with _run_manifest("allocate", config) as manifest:
+    with _run_manifest("allocate", config) as emitted:
         inst = _build_instance(config)
         rng = stream(config.seed, "gen")
 
         if args.solver == "dqn":
             result = dqn_train([inst], config.dqn)
-            trace_path = os.path.join(config.output_dir, "dqn_trace.csv")
-            _write_csv(
-                trace_path,
-                ["episode", "epsilon", "reward", "loss", "action_index"],
-                [
-                    (e, result.epsilons[e], result.rewards[e], result.losses[e], result.action_indices[e])
-                    for e in range(config.dqn.episodes)
-                ],
-            )
-            manifest.record(trace_path)
+            rows = [
+                (e, result.epsilons[e], result.rewards[e], result.losses[e], result.action_indices[e])
+                for e in range(config.dqn.episodes)
+            ]
+            _emit(emitted, config, "dqn_trace.csv", _csv("episode,epsilon,reward,loss,action_index", rows))
             agent_path = os.path.join(config.output_dir, "dqn_agent.bin")
             save_qnet(result.agent.online, agent_path)
-            manifest.record(agent_path)
+            emitted.append(agent_path)
         else:
             solvers = {"exhaustive": exhaustive_oracle, "greedy": greedy_allocate, "random": random_allocate}
             result = solvers[args.solver](inst, rng)
             check = budget_check(inst.action_costs(result.action), config.channel)
             row = (args.solver, "|".join(str(d) for d in result.action), result.reward, check.total, check.feasible)
-            alloc_path = os.path.join(config.output_dir, "allocation.csv")
-            _write_csv(alloc_path, ["solver", "factors", "reward", "total_bytes", "feasible"], [row])
-            manifest.record(alloc_path)
+            _emit(emitted, config, "allocation.csv", _csv("solver,factors,reward,total_bytes,feasible", [row]))
     return 0
 
 
-def _deliver(entry, config: ExperimentConfig, manifest: RunManifest, gen_rng, chan_rng) -> tuple:
+def _deliver(entry, config: ExperimentConfig, emitted: list[str], gen_rng, chan_rng) -> tuple:
     """Validate, send and score one service; its maps are freed before the next one is extracted.
 
     Returns the service's report row and the payload bits the channel flipped.
@@ -186,9 +188,7 @@ def _deliver(entry, config: ExperimentConfig, manifest: RunManifest, gen_rng, ch
     )
     core = validation.core
     result = transmit(encode(core.semantic, validation.accepted_d), config.channel, chan_rng)
-    payload_path = os.path.join(config.output_dir, f"{spec.id}_payload.bin")
-    write_atomic(payload_path, serialize_payload(result.delivered))
-    manifest.record(payload_path)
+    _emit(emitted, config, f"{spec.id}_payload.bin", serialize_payload(result.delivered))
 
     quality = core.score_reconstruction(decode(result.delivered), gen_rng)
     status = "ok" if quality >= spec.threshold else "below_threshold"
@@ -203,10 +203,10 @@ def cmd_pipeline(args) -> int:
     rows = []
     channel_lines = []
     any_failed = False
-    with _run_manifest("pipeline", config) as manifest:
+    with _run_manifest("pipeline", config) as emitted:
         for entry in config.services:
             try:
-                row, flipped_bits = _deliver(entry, config, manifest, gen_rng, chan_rng)
+                row, flipped_bits = _deliver(entry, config, emitted, gen_rng, chan_rng)
             except ValidationFailedError as exc:
                 any_failed = True
                 rows.append((entry.spec.id, "validation_failed", "", 0, exc.quality))
@@ -221,12 +221,10 @@ def cmd_pipeline(args) -> int:
                     file=sys.stderr,
                 )
 
-        report_path = os.path.join(config.output_dir, "pipeline_report.csv")
-        _write_csv(report_path, ["service", "status", "accepted_d", "bytes", "quality"], rows)
-        manifest.record(report_path)
+        _emit(emitted, config, "pipeline_report.csv", _csv("service,status,accepted_d,bytes,quality", rows))
         check = budget_check([row[3] for row in rows], config.channel)
-        manifest.emitted.extend(channel_lines)
-        manifest.emitted.append(f"budget: total={check.total} feasible={check.feasible}")
+        emitted.extend(channel_lines)
+        emitted.append(f"budget: total={check.total} feasible={check.feasible}")
     if not check.feasible:
         print(
             f"budget: delivered {check.total} bytes exceed budget_bytes = {config.channel.budget_bytes}",

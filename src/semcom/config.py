@@ -1,12 +1,11 @@
-"""Experiment config files and run manifests.
+"""Experiment config files.
 
 Config format: plain-text ``key = value`` lines under ``[section]``
 headers; ``#`` starts a comment.  ``_SECTIONS`` lists each section's
 keys; a ``[services]`` key is ``<name>.<key>``, one group per service.
-``[dqn]`` maps onto ``DqnConfig``; the former DQN keys gamma and sync
-are accepted and ignored, since the agent is a one-step contextual
-bandit.  Any other key or section is a config error, and an omitted key
-takes the default of the dataclass field it sets.
+``[dqn]`` maps onto ``DqnConfig``.  Any other key or section is a config
+error, and an omitted key takes the default of the dataclass field it
+sets.
 
 Extractor and metric values are ``kind`` or ``kind(arg=value, ...)``
 with the kinds and arguments of ``_EXTRACTORS`` and ``_METRICS``; ','
@@ -21,17 +20,14 @@ import dataclasses
 import hashlib
 import io
 import os
-import platform
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .allocator import DqnConfig
 from .channel import ChannelConfig
 from .codec import MAX_FACTOR
 from .errors import ConfigError, DomainError
 from .extractors import Canny, ExternalMap, ExtractorKind, QuantizeSegmentation, SobelMagnitude
-from .files import read_bytes, write_atomic
+from .files import read_bytes
 from .generation import ServiceSpec
 from .metrics import MetricKind, MseQuality, PsnrQuality, SsimQuality, ViQuality
 
@@ -151,8 +147,6 @@ _SECTIONS = {
         "batch": ("batch_size", int),
         "hidden": ("hidden", _int_list),
         "warmup": ("warmup", int),
-        "gamma": None,
-        "sync": None,
     },
     "output": {"dir": None},
 }
@@ -299,38 +293,3 @@ def _label_seed(seed: int, label: str) -> int:
     """Stable integer sub-seed derived from the shared seed and a component label."""
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-@dataclass
-class RunManifest:
-    """What a command produced; written atomically when the run finishes.
-
-    ``error`` is the message of the error that ended a failed run, and
-    None for a run that finished.
-    """
-
-    command: str
-    config: ExperimentConfig
-    started_at: str
-    finished_at: str = ""
-    emitted: list[str] = field(default_factory=list)
-    error: str | None = None
-
-    def record(self, path) -> str:
-        self.emitted.append(str(path))
-        return str(path)
-
-    def write(self, path) -> None:
-        lines = [
-            f"command: {self.command}",
-            f"config: {self.config.source_path}",
-            f"config_sha256: {self.config.config_hash()}",
-            f"seed: {self.config.seed}",
-            f"versions: semcom=0.1.0 numpy={np.__version__} python={platform.python_version()}",
-            f"started: {self.started_at}",
-            f"finished: {self.finished_at}",
-            *(["status: ok"] if self.error is None else ["status: error", f"error: {self.error}"]),
-            "emitted:",
-        ]
-        lines.extend(f"  {p}" for p in self.emitted)
-        write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import semcom.allocator
 from semcom.allocator import (
     EPISODE_GUARD,
     AllocationInstance,
@@ -109,6 +110,29 @@ def test_evaluate_zero_budget_penalty_with_reports():
     assert len(out.qualities) == 2
     assert all(q >= 0.0 for q in out.qualities)
     assert out.total_bytes == sum(inst.action_costs((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "services, factors, message",
+    [
+        (0, (1, 2), "need at least one service"),
+        (1, (0, 1), "factors must be positive integers, got (0, 1)"),
+        (1, (2, 1), "factors must be strictly increasing, got (2, 1)"),
+        (1, (1, 1), "factors must be strictly increasing, got (1, 1)"),
+    ],
+    ids=["no-services", "factor-0", "decreasing", "repeated"],
+)
+def test_an_instance_without_services_or_with_bad_factors_is_a_domain_error(services, factors, message):
+    spec = ServiceSpec(id="a", extractor=SobelMagnitude(), metric=MseQuality())
+    with pytest.raises(DomainError, match=re.escape(message)):
+        AllocationInstance(
+            services=(spec,) * services, images=(diagonal(8),) * services, factors=factors, channel=ChannelConfig(10**6)
+        )
+
+
+def test_dqn_train_rejects_an_empty_pool():
+    with pytest.raises(DomainError, match="instance pool must be non-empty"):
+        dqn_train([], DqnConfig())
 
 
 def test_evaluate_rejects_inadmissible_action():
@@ -311,7 +335,7 @@ def test_quality_table_reproducible():
 
 
 def test_an_epsilon_floor_of_one_always_explores():
-    assert np.array_equal(epsilon_schedule(DqnConfig(episodes=10, epsilon_min=1.0)), np.ones(10))
+    assert np.array_equal(epsilon_schedule(DqnConfig(episodes=10, epsilon_min=1.0, warmup=10)), np.ones(10))
 
 
 def test_epsilon_schedule_endpoints():
@@ -357,8 +381,27 @@ def test_dqn_toy_convergence_to_near_oracle():
 def test_dqn_pool_must_be_homogeneous():
     a = two_service_instance(factors=(1, 2))
     b = two_service_instance(factors=(1, 4))
-    with pytest.raises(DomainError):
-        dqn_train([a, b], DqnConfig(episodes=10))
+    with pytest.raises(DomainError, match="all pool instances must share the factor set and service count"):
+        dqn_train([a, b], DqnConfig(episodes=10, warmup=10))
+
+
+def test_a_warmup_above_the_episodes_is_rejected():
+    """Training stores one replay entry per episode, so such a warmup would never train."""
+    with pytest.raises(DomainError, match=re.escape("warmup 64 exceeds the 5 episodes")):
+        DqnConfig(episodes=5)
+
+
+def test_a_warmup_equal_to_the_episodes_makes_exactly_one_update(monkeypatch):
+    real = semcom.allocator.td_loss_and_gradients
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(semcom.allocator, "td_loss_and_gradients", counted)
+    dqn_train([noisy_instance()], DqnConfig(episodes=5, warmup=5, batch_size=4))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("episodes", [0, -1, EPISODE_GUARD + 1])

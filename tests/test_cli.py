@@ -3,7 +3,10 @@ import contextlib
 import hashlib
 import io
 import os
+import platform
 import re
+from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +127,20 @@ def test_parse_metric_rejects_a_non_finite_or_non_positive_cap(spec):
 def test_an_unknown_extractor_or_metric_argument_is_a_config_error(spec, parse, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("canny(low)", "extractor canny: expected key=value argument, got 'low'"),
+        ("canny(low=0.1", "unbalanced parentheses in 'canny(low=0.1'"),
+        ("external", "extractor 'external' is missing argument 'template'"),
+        ("quantize", "extractor 'quantize' is missing argument 'k'"),
+    ],
+)
+def test_a_malformed_extractor_call_is_a_config_error(spec, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_extractor(spec)
 
 
 def test_sweep_with_an_infinite_psnr_cap_is_a_config_error(tmp_path, capsys):
@@ -636,6 +653,63 @@ def test_a_manifest_that_cannot_be_written_after_an_error_keeps_the_first_error(
     assert sorted(os.listdir(out)) == ["edges_payload.bin", "pipeline_manifest.txt"]
 
 
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+def manifest_head(command, cfg):
+    """The lines every manifest of ``command`` on ``cfg`` starts with; the two times read "-"."""
+    version = re.search(r'^version = "(.+)"$', PYPROJECT.read_text(), re.M).group(1)
+    return [
+        f"command: {command}",
+        f"config: {cfg}",
+        f"config_sha256: {hashlib.sha256(cfg.read_bytes()).hexdigest()}",
+        "seed: 7",
+        f"versions: semcom={version} numpy={np.__version__} python={platform.python_version()}",
+        "started: -",
+        "finished: -",
+    ]
+
+
+def manifest_lines(path):
+    """The manifest's lines, with its start and finish times checked and replaced by "-"."""
+    lines = path.read_text().splitlines()
+    times = [datetime.fromisoformat(line.split(": ", 1)[1]) for line in lines[5:7]]
+    assert [line.split(": ")[0] for line in lines[5:7]] == ["started", "finished"]
+    assert times[0].tzinfo is not None and times[0] <= times[1]
+    return [*lines[:5], "started: -", "finished: -", *lines[7:]]
+
+
+def test_a_pipeline_manifest_holds_exactly_its_lines_in_order(tmp_path):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert manifest_lines(out / "pipeline_manifest.txt") == [
+        *manifest_head("pipeline", cfg),
+        "status: ok",
+        "emitted:",
+        f"  {out / 'edges_payload.bin'}",
+        f"  {out / 'regions_payload.bin'}",
+        f"  {out / 'pipeline_report.csv'}",
+        "  channel: service=edges bytes=25 flipped_bits=0",
+        "  channel: service=regions bytes=25 flipped_bits=0",
+        "  budget: total=50 feasible=True",
+    ]
+
+
+# the diverging updates overflow, and numpy warns before the check after training raises
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failed_dqn_manifest_holds_exactly_its_lines_in_order(tmp_path):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    cfg.write_text(cfg.read_text().replace("episodes = 40\n", "episodes = 200\nlr = 1000\n"))
+    assert main(["allocate", "--config", str(cfg), "--solver", "dqn"]) == 2
+    assert manifest_lines(tmp_path / "out" / "allocate_manifest.txt") == [
+        *manifest_head("allocate", cfg),
+        "status: error",
+        "error: training diverged to non-finite Q-network weights at learning rate 1000.0",
+        "emitted:",
+    ]
+
+
 @pytest.mark.parametrize("p", [0.0, 0.2])
 def test_the_pipeline_manifest_records_each_services_flipped_bits(tmp_path, p):
     paths = write_images(tmp_path)
@@ -666,7 +740,7 @@ def test_the_pipeline_manifest_records_each_services_flipped_bits(tmp_path, p):
         ("services", "edges.treshold = 0.9999", "extractor, metric, image, threshold, weight, sigma_gen, d"),
         ("channel", "bugdet_bytes = 10", "budget_bytes, bit_flip_prob, seed"),
         ("factors", "ds = 1,2", "d"),
-        ("dqn", "episode = 3", "episodes, lr, epsilon_min, buffer, batch, hidden, warmup, gamma, sync"),
+        ("dqn", "episode = 3", "episodes, lr, epsilon_min, buffer, batch, hidden, warmup"),
         ("output", "directory = elsewhere", "dir"),
     ],
     ids=["services", "channel", "factors", "dqn", "output"],
@@ -682,6 +756,24 @@ def test_an_unknown_config_key_is_a_config_error(tmp_path, capsys, section, line
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.rstrip().endswith(f"valid keys: {valid}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, line, message",
+    [
+        ("channel", "seed = 3", "duplicate key 'seed'"),
+        ("services", "edges.metric = mse", "duplicate field 'edges.metric'"),
+    ],
+    ids=["channel-key", "service-field"],
+)
+def test_a_repeated_config_key_is_a_config_error(tmp_path, section, line, message):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    text = cfg.read_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    cfg.write_text(text)
+    key = line.split(" = ")[0]
+    lineno = max(i for i, row in enumerate(text.splitlines(), start=1) if row.startswith(f"{key} = "))
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}:{lineno}: {message}")):
+        load_config(cfg)
 
 
 @pytest.mark.parametrize("name", _COMMANDS)
@@ -758,6 +850,16 @@ def test_allocate_with_weights_that_sum_to_infinity_exits_2(tmp_path, capsys, so
     assert not [p for p in (tmp_path / "out").iterdir() if p.suffix in (".csv", ".bin")]
 
 
+def test_fewer_episodes_than_the_default_warmup_exit_2_before_any_work(tmp_path, capsys):
+    """Training would never start, and the run would write an untrained agent."""
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    cfg.write_text(cfg.read_text().replace("episodes = 40\nwarmup = 8\n", "episodes = 5\n"))
+    assert main(["allocate", "--config", str(cfg), "--solver", "dqn"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: bad [dqn] settings: warmup 64 exceeds the 5 episodes\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_buffer_larger_than_the_episodes_changes_no_output_byte(tmp_path):
     """The replay buffer never holds more entries than there are episodes, so it allocates no more."""
     cfg = base_config(tmp_path, write_images(tmp_path))
@@ -770,10 +872,17 @@ def test_a_buffer_larger_than_the_episodes_changes_no_output_byte(tmp_path):
     assert {p.name: p.read_bytes() for p in out.iterdir() if "manifest" not in p.name} == default
 
 
-def test_the_former_dqn_keys_gamma_and_sync_are_accepted(tmp_path):
+@pytest.mark.parametrize("key", ["gamma", "sync"])
+def test_the_former_dqn_keys_gamma_and_sync_are_rejected(tmp_path, capsys, key):
+    """A one-step agent has nothing to discount or sync, so neither key sets anything."""
     cfg = base_config(tmp_path, write_images(tmp_path))
-    cfg.write_text(cfg.read_text().replace("[dqn]\n", "[dqn]\ngamma = 0.9\nsync = 100\n"))
-    assert load_config(cfg).dqn.episodes == 40
+    cfg.write_text(cfg.read_text().replace("[dqn]\n", f"[dqn]\n{key} = 1\n"))
+    with pytest.raises(ConfigError, match=re.escape(f"unknown key {key!r} in [dqn]")):
+        load_config(cfg)
+    assert main(["allocate", "--config", str(cfg), "--solver", "dqn"]) == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith("valid keys: episodes, lr, epsilon_min, buffer, batch, hidden, warmup")
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_config_reads_its_file_once_and_hashes_those_bytes(tmp_path, monkeypatch):
@@ -847,7 +956,6 @@ buffer = 16
 batch = 4
 hidden = 8,8
 warmup = 4
-gamma = 0.9
 
 [output]
 dir = {out}

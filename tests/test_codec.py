@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,19 @@ def test_rejects_bad_factor():
     m = SemanticMap([[0.5]])
     with pytest.raises(DomainError):
         encode(m, 0)
+
+
+@pytest.mark.parametrize(
+    "shape, d, message",
+    [
+        ((1, 1), 256, "factor 256 exceeds the wire format limit of 255"),
+        ((1, 65536), 1, "resolution exceeds the wire format limit of 65535"),
+    ],
+    ids=["factor-256", "width-65536"],
+)
+def test_encode_rejects_a_factor_or_width_the_header_cannot_hold(shape, d, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        encode(SemanticMap(np.zeros(shape)), d)
 
 
 def test_serialization_round_trip_bit_exact():

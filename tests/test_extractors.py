@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,21 @@ def test_canny_affine_intensity_invariance(seed):
 def test_canny_rejects_tiny_images():
     with pytest.raises(DomainError):
         canny(SemanticMap(np.zeros((4, 12))))
+
+
+def test_sobel_rejects_a_map_two_pixels_wide():
+    with pytest.raises(DomainError, match=re.escape("sobel needs min dimension >= 3, got 2x5")):
+        sobel_magnitude(SemanticMap(np.zeros((5, 2))))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [extractor_label, lambda kind: extract(kind, SemanticMap(np.zeros((8, 8))))],
+    ids=["extractor_label", "extract"],
+)
+def test_an_object_that_is_not_an_extractor_kind_is_a_domain_error(call):
+    with pytest.raises(DomainError, match=re.escape("unknown extractor kind 'sobel'")):
+        call("sobel")
 
 
 def test_canny_hysteresis_reachability():

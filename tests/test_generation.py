@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from semcom.errors import DomainError, MissingMapError, ValidationFailedError
 from semcom.extractors import Canny, QuantizeSegmentation, SobelMagnitude
 from semcom.generation import (
     ExternalPairs,
+    QualityCore,
     ServiceSpec,
     Surrogate,
     min_representation_search,
@@ -168,6 +171,12 @@ def test_min_representation_no_factor_qualifies():
         min_representation_search(svc, step_image(), [1, 2], Surrogate(), gen_rng())
 
 
+def test_min_representation_rejects_an_empty_factor_set():
+    svc = ServiceSpec(id="s", extractor=SobelMagnitude(), metric=MseQuality())
+    with pytest.raises(DomainError, match="factor set must be non-empty"):
+        min_representation_search(svc, step_image(), [], Surrogate(), gen_rng())
+
+
 def test_service_spec_validation():
     with pytest.raises(DomainError):
         ServiceSpec(id="x", extractor=Canny(), metric=MseQuality(), threshold=1.5)
@@ -175,3 +184,10 @@ def test_service_spec_validation():
         ServiceSpec(id="x", extractor=Canny(), metric=MseQuality(), weight=0.0)
     with pytest.raises(DomainError):
         ServiceSpec(id="x", extractor=Canny(), metric=MseQuality(), sigma_gen=-0.1)
+
+
+def test_quality_rejects_a_factor_below_one():
+    spec = ServiceSpec(id="a", extractor=SobelMagnitude(), metric=MseQuality())
+    core = QualityCore(spec, SemanticMap(np.zeros((8, 8))))
+    with pytest.raises(DomainError, match=re.escape("downscale factor must be >= 1, got 0")):
+        core.quality(0, stream(1, "gen"))

@@ -38,6 +38,7 @@ d = 1,2,4
 episodes = 5
 hidden = 8,8
 batch = 4
+warmup = 4
 
 [output]
 dir = {out}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -132,6 +134,24 @@ def test_read_pgm_rejects_p2(tmp_path):
         read_pgm(p)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5\n0 2\n255\n", "bad dimensions 0x2 (byte offset 2)"),
+        (b"P5\n2 0\n255\n", "bad dimensions 2x0 (byte offset 2)"),
+        (b"P5\n2 2\n0\n" + bytes(4), "maxval 0 out of range 1..65535 (byte offset 8)"),
+        (b"P5\n2 2\n65536\n" + bytes(8), "maxval 65536 out of range 1..65535 (byte offset 12)"),
+        (b"P5\n# no newline ends this comment", "unterminated comment in header (byte offset 3)"),
+    ],
+    ids=["width-0", "height-0", "maxval-0", "maxval-65536", "unterminated-comment"],
+)
+def test_read_pgm_rejects_a_malformed_header(tmp_path, data, message):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(data)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        read_pgm(p)
+
+
 def test_read_pgm_truncated(tmp_path):
     p = tmp_path / "short.pgm"
     p.write_bytes(b"P5\n4 4\n255\n" + bytes(8))
@@ -239,6 +259,16 @@ def test_box_downscale_partial_blocks_hand_values():
 def test_box_downscale_rejects_zero():
     with pytest.raises(DomainError):
         box_downscale(SemanticMap([[0.5]]), 0)
+
+
+def test_downscaled_resolution_rejects_a_factor_below_one():
+    with pytest.raises(DomainError, match=re.escape("downscale factor must be >= 1, got 0")):
+        downscaled_resolution(4, 4, 0)
+
+
+def test_a_resolution_below_1x1_is_a_domain_error():
+    with pytest.raises(DomainError, match=re.escape("resolution must be at least 1x1, got 0x1")):
+        Resolution(0, 1)
 
 
 def test_box_downscale_kind_becomes_soft():

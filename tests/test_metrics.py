@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -412,6 +413,16 @@ def test_self_score_still_checks_the_ssim_window():
     with pytest.raises(TooSmallError):
         score(SsimQuality(5), const(0.5, (8, 4)), const(0.5, (8, 4)))
     assert score(SsimQuality(4), m, m) == 1.0
+
+
+def test_metric_label_rejects_an_object_that_is_not_a_metric_kind():
+    with pytest.raises(DomainError, match=re.escape("unknown metric kind 'mse'")):
+        metric_label("mse")
+
+
+def test_vi_rejects_a_level_count_below_two():
+    with pytest.raises(DomainError, match=re.escape("level count must be >= 2, got 1")):
+        vi_quality(const(0.5), const(0.25), 1)
 
 
 def test_self_score_rejects_an_unknown_kind():

@@ -1,5 +1,7 @@
 from itertools import product
 
+import re
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -194,3 +196,14 @@ def test_select_winner_dominates_re_scan(rng):
 def test_report_label_has_no_commas():
     rep = PredictabilityReport(Canny(), MseQuality(), 1.0, -0.05, -1.0)
     assert "," not in rep.pair_label
+
+
+@pytest.mark.parametrize(
+    "images, factors, message",
+    [(0, (1, 2, 4), "corpus must be non-empty"), (1, (1, 2), "need at least 3 factors, got [1, 2]")],
+    ids=["empty-corpus", "two-factors"],
+)
+def test_sweep_curve_rejects_an_empty_corpus_or_fewer_than_three_factors(images, factors, message):
+    corpus = [SemanticMap(np.zeros((8, 8)))] * images
+    with pytest.raises(DomainError, match=re.escape(message)):
+        sweep_curve(SobelMagnitude(), MseQuality(), corpus, factors, Surrogate(), stream(1, "gen"))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -156,3 +158,15 @@ def test_checkpoint_io_failures_are_io_errors(tmp_path):
         save_qnet(net, tmp_path / "missing" / "agent.bin")
     with pytest.raises(IoError, match="cannot write"):
         save_qnet(net, tmp_path)
+
+
+def test_a_network_needs_an_input_and_an_output_size():
+    with pytest.raises(ShapeError, match=re.escape("need at least input and output sizes, got [3]")):
+        Mlp([3], np.random.default_rng(0))
+
+
+def test_backward_rejects_a_gradient_shaped_unlike_the_output():
+    net = Mlp([3, 4, 2], np.random.default_rng(0))
+    _, activations = net.forward(np.zeros((5, 3)))
+    with pytest.raises(ShapeError, match=re.escape("grad shape (5, 3) does not match output (5, 2)")):
+        net.backward(activations, np.zeros((5, 3)))
