@@ -24,13 +24,11 @@ from .errors import CorruptPayloadError, DomainError
 from .image import (
     LABELS,
     MAX_LEVELS,
-    SOFT,
-    Resolution,
     SemanticMap,
-    bilinear_upscale,
+    _restore,
+    _upscale,
     box_downscale,
     downscaled_resolution,
-    restore_kind,
 )
 
 HEADER_BYTES = 16
@@ -110,15 +108,20 @@ def encode(map: SemanticMap, d: int) -> EncodedPayload:
 def decode(payload: EncodedPayload) -> SemanticMap:
     """Dequantize, upscale back to the original resolution, restore the kind.
 
-    A soft payload's upscaled map is returned as it is; binary and labels
-    payloads are coerced back onto their value sets.
+    Binary payloads are re-thresholded at 0.5 and labels payloads
+    re-quantized onto their grid, one band of rows at a time as the
+    upscale writes them.  The returned map keeps that one array, after
+    every check of the ``SemanticMap`` constructor.
     """
+    kind, levels = payload.kind, payload.levels
     raw = np.frombuffer(payload.payload, dtype=np.uint8) / 255.0
-    small = SemanticMap(raw.reshape(payload.enc_height, payload.enc_width))
-    full = bilinear_upscale(small, Resolution(payload.orig_width, payload.orig_height))
-    if payload.kind == SOFT:
-        return full
-    return restore_kind(full.pixels, payload.kind, payload.levels)
+    pixels = raw.reshape(payload.enc_height, payload.enc_width)
+    if pixels.shape == (payload.orig_height, payload.orig_width):
+        # Every sample of the upscale falls on a source pixel, so it is the dequantized array.
+        _restore(pixels, kind, levels)
+    else:
+        pixels = _upscale(pixels, payload.orig_height, payload.orig_width, kind, levels)
+    return SemanticMap._adopt(pixels, kind, levels)
 
 
 def cost_bytes(payload: EncodedPayload) -> int:

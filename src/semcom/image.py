@@ -51,35 +51,23 @@ class SemanticMap:
 
     def __post_init__(self):
         arr = np.array(self.pixels, dtype=np.float64, copy=True, order="C")
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ShapeError(f"pixels must be a non-empty 2D array, got shape {arr.shape}")
-        # Each check scans the copy in bands of _CHECK_BAND values, and its
-        # verdict is the whole array's; the checks keep their order.
-        flat = arr.reshape(-1)
-        bands = [flat[i : i + _CHECK_BAND] for i in range(0, flat.size, _CHECK_BAND)]
-        in_range = True
-        for band in bands:
-            lo, hi = band.min(), band.max()
-            # min and max propagate NaN, so both are finite exactly when every value is.
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise DomainError("pixel values must be finite")
-            in_range = in_range and lo >= 0.0 and hi <= 1.0
-        if not in_range:
-            raise DomainError(f"pixel values must lie in [0, 1], got range [{arr.min()}, {arr.max()}]")
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown map kind {self.kind!r}")
-        if self.kind == BINARY:
-            if not all(np.all((band == 0.0) | (band == 1.0)) for band in bands):
-                raise DomainError("binary map values must be exactly 0 or 1")
-        if self.kind == LABELS:
-            if self.levels is None or self.levels < 2:
-                raise DomainError("labels map needs a level count K >= 2")
-            if not _on_label_grid(bands, self.levels):
-                raise DomainError(f"labels map values must lie on the {self.levels}-level grid")
-        elif self.levels is not None:
-            raise DomainError("levels is only meaningful for labels maps")
+        _check_pixels(arr, self.kind, self.levels)
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, kind: str = SOFT, levels: int | None = None) -> SemanticMap:
+        """A map that keeps ``arr`` itself, after the constructor's checks.
+
+        ``arr`` must be a C-ordered float64 array that nothing else holds:
+        it is made read-only, not copied.
+        """
+        _check_pixels(arr, kind, levels)
+        arr.setflags(write=False)
+        map = object.__new__(cls)
+        for name, value in (("pixels", arr), ("kind", kind), ("levels", levels)):
+            object.__setattr__(map, name, value)
+        return map
 
     @property
     def width(self) -> int:
@@ -98,6 +86,39 @@ class SemanticMap:
 # band and the grid check's two float64 buffers of its size take 768 KB,
 # which fits a core's L2 cache.
 _CHECK_BAND = 1 << 15
+
+
+def _check_pixels(arr: np.ndarray, kind: str, levels: int | None) -> None:
+    """Raise the first of SemanticMap's checks that a C-ordered float64 ``arr`` of ``kind`` fails.
+
+    Each check scans ``arr`` in bands of _CHECK_BAND values, and its
+    verdict is the whole array's; the checks keep their order.
+    """
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ShapeError(f"pixels must be a non-empty 2D array, got shape {arr.shape}")
+    flat = arr.reshape(-1)
+    bands = [flat[i : i + _CHECK_BAND] for i in range(0, flat.size, _CHECK_BAND)]
+    in_range = True
+    for band in bands:
+        lo, hi = band.min(), band.max()
+        # min and max propagate NaN, so both are finite exactly when every value is.
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError("pixel values must be finite")
+        in_range = in_range and lo >= 0.0 and hi <= 1.0
+    if not in_range:
+        raise DomainError(f"pixel values must lie in [0, 1], got range [{arr.min()}, {arr.max()}]")
+    if kind not in _KINDS:
+        raise DomainError(f"unknown map kind {kind!r}")
+    if kind == BINARY:
+        if not all(np.all((band == 0.0) | (band == 1.0)) for band in bands):
+            raise DomainError("binary map values must be exactly 0 or 1")
+    if kind == LABELS:
+        if levels is None or levels < 2:
+            raise DomainError("labels map needs a level count K >= 2")
+        if not _on_label_grid(bands, levels):
+            raise DomainError(f"labels map values must lie on the {levels}-level grid")
+    elif levels is not None:
+        raise DomainError("levels is only meaningful for labels maps")
 
 
 def _on_label_grid(bands: list[np.ndarray], levels: int) -> bool:
@@ -138,13 +159,20 @@ def restore_kind(pixels: np.ndarray, kind: str, levels: int | None) -> SemanticM
     Binary maps are re-thresholded at 0.5, labels maps re-quantized to
     their K-level grid, soft maps passed through unchanged.
     """
+    if kind not in (BINARY, LABELS):
+        return SemanticMap(pixels, kind=SOFT)
+    arr = np.array(pixels, dtype=np.float64)
+    _restore(arr, kind, levels)
+    return SemanticMap(arr, kind=kind, levels=levels if kind == LABELS else None)
+
+
+def _restore(arr: np.ndarray, kind: str, levels: int | None) -> None:
+    """restore_kind's coercion of the float64 array ``arr``, in place; a soft ``arr`` is left as it is."""
     if kind == BINARY:
-        return SemanticMap(np.where(pixels >= 0.5, 1.0, 0.0), kind=BINARY)
-    if kind == LABELS:
-        grid = _level_floor(pixels, levels)
-        grid /= levels - 1
-        return SemanticMap(grid, kind=LABELS, levels=levels)
-    return SemanticMap(pixels, kind=SOFT)
+        np.greater_equal(arr, 0.5, out=arr)
+    elif kind == LABELS:
+        _level_floor(arr, levels, out=arr)
+        arr /= levels - 1
 
 
 def read_pgm(path) -> SemanticMap:
@@ -311,12 +339,19 @@ def _pairwise(terms: list[np.ndarray], out: np.ndarray) -> np.ndarray:
 
 def bilinear_upscale(map: SemanticMap, target: Resolution) -> SemanticMap:
     """Resample to the target resolution with corner-aligned bilinear interpolation."""
-    arr = map.pixels
-    h, w = arr.shape
-    th, tw = target.height, target.width
-    if (th, tw) == (h, w):
+    if (target.height, target.width) == map.pixels.shape:
         # Every sample falls on a source pixel with zero weight on its neighbour.
-        return map if map.kind == SOFT else SemanticMap(arr)
+        return map if map.kind == SOFT else SemanticMap(map.pixels)
+    return SemanticMap._adopt(_upscale(map.pixels, target.height, target.width, SOFT, None))
+
+
+def _upscale(arr: np.ndarray, th: int, tw: int, kind: str, levels: int | None) -> np.ndarray:
+    """``arr`` resampled to th x tw as bilinear_upscale does, then coerced onto ``kind`` as restore_kind does.
+
+    The result is a new array; each band of its rows is restored
+    (``_restore``) as soon as it is lerped, while it is in cache.
+    """
+    h, w = arr.shape
 
     def sample_coords(n_in: int, n_out: int) -> np.ndarray:
         if n_out == 1 or n_in == 1:
@@ -357,10 +392,11 @@ def bilinear_upscale(map: SemanticMap, target: Resolution) -> SemanticMap:
         part -= top
         part *= fy[i : i + band]
         part += top
-    return SemanticMap(out)
+        _restore(part, kind, levels)
+    return out
 
 
-# Elements of the rows bilinear_upscale lerps at a time, in each of its two passes.
+# Elements of the rows _upscale lerps at a time, in each of its two passes.
 _UPSCALE_BAND = 1 << 15
 
 

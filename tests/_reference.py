@@ -423,13 +423,28 @@ def reference_on_label_grid(pixels, k):
 
 
 def legacy_decode(payload):
-    """decode as first written: every kind, soft included, rebuilt through restore_kind."""
-    from semcom.image import Resolution, SemanticMap, bilinear_upscale, restore_kind
+    """decode as first written: a whole-array upscale, then every kind, soft included, rebuilt through legacy_restore_kind."""
+    from semcom.image import Resolution, SemanticMap
 
     raw = np.frombuffer(payload.payload, dtype=np.uint8).astype(np.float64) / 255.0
     small = SemanticMap(raw.reshape(payload.enc_height, payload.enc_width))
-    full = bilinear_upscale(small, Resolution(payload.orig_width, payload.orig_height))
-    return restore_kind(full.pixels, payload.kind, payload.levels)
+    full = legacy_bilinear_upscale(small, Resolution(payload.orig_width, payload.orig_height))
+    return legacy_restore_kind(full.pixels, payload.kind, payload.levels)
+
+
+def legacy_restore_kind(pixels, kind, levels):
+    """restore_kind as first written, over the whole array: np.where, the level floor, then one division."""
+    from semcom.image import BINARY, LABELS, SOFT, SemanticMap
+
+    if kind == BINARY:
+        return SemanticMap(np.where(pixels >= 0.5, 1.0, 0.0), kind=BINARY)
+    if kind == LABELS:
+        grid = np.minimum(pixels, 1.0 - 1e-9)
+        grid *= levels
+        np.floor(grid, out=grid)
+        grid /= levels - 1
+        return SemanticMap(grid, kind=LABELS, levels=levels)
+    return SemanticMap(pixels, kind=SOFT)
 
 
 def reference_action_rewards(inst, table):

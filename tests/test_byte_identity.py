@@ -39,7 +39,6 @@ ORACLES = [
     (semcom.extractors, "canny", _reference.legacy_canny),
     (semcom.extractors, "sobel_magnitude", _reference.legacy_sobel_magnitude),
     (semcom.image, "box_downscale", _reference.reference_box_downscale),
-    (semcom.image, "bilinear_upscale", _reference.legacy_bilinear_upscale),
     (semcom.codec, "decode", _reference.legacy_decode),
     (semcom.metrics, "ssim_quality", _reference.legacy_ssim_quality),
     (semcom.metrics, "vi_quality", _reference.legacy_vi_quality),

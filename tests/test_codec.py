@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import semcom.image
 from semcom.codec import (
     EncodedPayload,
     cost_bytes,
@@ -15,6 +16,7 @@ from semcom.codec import (
 from semcom.errors import CorruptPayloadError, DomainError
 from semcom.image import BINARY, LABELS, SemanticMap
 
+from _fixtures import traced_peak
 from _reference import legacy_decode
 
 
@@ -90,6 +92,51 @@ def test_decode_equals_the_first_restore_path(shape):
             out, expected = decode(payload), legacy_decode(payload)
             assert (out.kind, out.levels) == (expected.kind, expected.levels)
             assert np.array_equal(out.pixels.view(np.int64), expected.pixels.view(np.int64))
+
+
+def kind_maps(shape, rng):
+    """A soft, a binary and a 4- and an 8-level labels map of ``shape``."""
+    values = rng.random(shape)
+    return [
+        SemanticMap(values),
+        SemanticMap((values > 0.5).astype(float), kind=BINARY),
+        SemanticMap(np.floor(values * 4) / 3, kind=LABELS, levels=4),
+        SemanticMap(np.floor(values * 8) / 7, kind=LABELS, levels=8),
+    ]
+
+
+@pytest.mark.parametrize("band_rows", [1, 2, 7])
+@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (33, 64), (61, 97)])
+def test_decode_bytes_equal_the_first_restore_path_across_band_edges(monkeypatch, shape, band_rows):
+    # Each band of output rows is lerped and restored before the next; a
+    # band that ends mid-map, or a last band left unrestored, shows here.
+    monkeypatch.setattr(semcom.image, "_UPSCALE_BAND", band_rows * shape[1])
+    for m in kind_maps(shape, np.random.default_rng(shape[0] * 1000 + shape[1])):
+        for d in range(1, 11):
+            payload = encode(m, d)
+            out, expected = decode(payload), legacy_decode(payload)
+            assert (out.kind, out.levels) == (expected.kind, expected.levels)
+            assert out.pixels.tobytes() == expected.pixels.tobytes(), (m.kind, m.levels, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_decode_returns_a_read_only_array_of_its_own(d):
+    for m in kind_maps((9, 14), np.random.default_rng(d)):
+        payload = encode(m, d)
+        out = decode(payload)
+        assert not out.pixels.flags.writeable
+        assert not np.shares_memory(out.pixels, np.frombuffer(payload.payload, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 10])
+def test_decode_at_1024_peaks_under_two_arrays_of_the_output(d):
+    # The upscale's result is the map's array; only the dequantized
+    # payload and the x pass's rows are held beside it.  At d = 1 the
+    # dequantized payload is the map's array.
+    size = 8 * 1024 * 1024
+    bound = 1.25 * size if d == 1 else 2 * size
+    for m in kind_maps((1024, 1024), np.random.default_rng(d))[:3]:
+        assert traced_peak(decode, encode(m, d)) < bound, (m.kind, d)
 
 
 def test_binary_stays_binary_at_any_d():

@@ -78,6 +78,7 @@ _CHECK_CASES = {
     "labels-without-levels-nan-last": (put(_LABELS, -1, np.nan), LABELS, None),
     "labels-many-levels": (_LABELS, LABELS, 10**6 + 1),
     "soft-with-levels": (_SOFT, SOFT, 3),
+    "zero-rows": (_SOFT[:0], SOFT, None),
     "binary-with-levels-off-last": (put(_BINARY, -1, 0.5), BINARY, 3),
     "one-dimensional": (_SOFT[0], SOFT, None),
 }
@@ -90,6 +91,42 @@ def test_map_checks_give_the_whole_array_verdicts_across_band_edges(monkeypatch,
     monkeypatch.setattr(semcom.image, "_CHECK_BAND", band)
     pixels, kind, levels = _CHECK_CASES[case]
     assert map_verdict(SemanticMap, pixels, kind, levels) == map_verdict(reference_validate, pixels, kind, levels)
+
+
+@pytest.mark.parametrize("band", [5, 1 << 15])
+@pytest.mark.parametrize("case", sorted(_CHECK_CASES))
+def test_an_adopted_array_gets_the_constructors_verdict(monkeypatch, band, case):
+    # _adopt keeps the array it is given, so each call gets a fresh float64 copy.
+    monkeypatch.setattr(semcom.image, "_CHECK_BAND", band)
+    pixels, kind, levels = _CHECK_CASES[case]
+    adopted = map_verdict(SemanticMap._adopt, np.array(pixels, dtype=np.float64), kind, levels)
+    assert adopted == map_verdict(SemanticMap, pixels, kind, levels)
+
+
+@pytest.mark.parametrize(
+    "case", ["nan-last", "below-last", "binary-off-last", "labels-off-grid-last", "soft-with-levels", "zero-rows"]
+)
+def test_adopt_rejects_each_kind_of_bad_input(case):
+    pixels, kind, levels = _CHECK_CASES[case]
+    error = ShapeError if case == "zero-rows" else DomainError
+    with pytest.raises(error):
+        SemanticMap._adopt(np.array(pixels, dtype=np.float64), kind, levels)
+
+
+def test_adopt_keeps_the_array_and_makes_it_read_only():
+    arr = _LABELS.copy()
+    m = SemanticMap._adopt(arr, LABELS, 3)
+    assert m.pixels is arr and (m.kind, m.levels) == (LABELS, 3)
+    assert not arr.flags.writeable
+
+
+def test_a_map_does_not_see_later_writes_to_its_source_array():
+    arr = _SOFT.copy()
+    m = SemanticMap(arr)
+    arr[0, 0] = 0.0
+    arr[-1, -1] = 1.0
+    assert m.pixels.tobytes() == _SOFT.tobytes()
+    assert not np.shares_memory(m.pixels, arr)
 
 
 def test_building_a_labels_map_peaks_under_one_and_a_half_arrays_of_its_size():
