@@ -338,9 +338,9 @@ def dqn_train(pool, config: DqnConfig) -> TrainResult:
     """Train the contextual-bandit agent over a pool of allocation instances.
 
     Episodes are one joint decision: sample an instance, pick a joint
-    action epsilon-greedily, collect the reward, store (state, action,
-    reward), then take one gradient step regressing Q(s, a) on the stored
-    reward over a uniform replay mini-batch once the warmup is filled.
+    action epsilon-greedily, collect the reward and record it in the trace,
+    then once the warmup is filled take one gradient step regressing Q(s, a)
+    on the reward over a uniform mini-batch of the last buffer_capacity episodes.
     Training runs config.episodes episodes, driven by config.seed.  A
     network that ends with a non-finite weight or bias, or with a Q-value
     outside [-Q_GUARD, Q_GUARD] on a pool instance's state, raises
@@ -354,18 +354,16 @@ def dqn_train(pool, config: DqnConfig) -> TrainResult:
         if inst.factors != first.factors or inst.n_services != first.n_services:
             raise DomainError("all pool instances must share the factor set and service count")
 
-    state_dim = first.state_vector.size
     n_actions = first.n_actions
     base = np.random.default_rng(config.seed)
     init_rng, instance_rng, explore_rng, replay_rng, eval_rng = base.spawn(5)
 
-    online = Mlp([state_dim, *config.hidden, n_actions], init_rng)
+    states = np.stack([inst.state_vector for inst in pool])
+    online = Mlp([states.shape[1], *config.hidden, n_actions], init_rng)
     optimizer = SgdMomentum(online, config.learning_rate, MOMENTUM)
-    # Replay ring: training stores one entry per episode, so episode e writes row e % capacity.
+    # The replay memory is a ring over the trace: episode e fills row e % capacity,
+    # so row r holds the latest episode e' <= e with e' = r (mod capacity).
     capacity = min(config.buffer_capacity, config.episodes)
-    replay_states = np.zeros((capacity, state_dim))
-    replay_actions = np.zeros(capacity, dtype=np.int64)
-    replay_rewards = np.zeros(capacity)
     epsilons = epsilon_schedule(config)
 
     rewards = np.zeros(config.episodes)
@@ -376,33 +374,28 @@ def dqn_train(pool, config: DqnConfig) -> TrainResult:
     for e in range(config.episodes):
         inst_idx = int(instance_rng.integers(len(pool)))
         inst = pool[inst_idx]
-        state = inst.state_vector
         if float(explore_rng.random()) < epsilons[e]:
             a_idx = int(explore_rng.integers(n_actions))
         else:
-            q, _ = online.forward(state)
+            q, _ = online.forward(states[inst_idx])
             a_idx = int(np.argmax(q[0]))
         action = decode_action(a_idx, inst.factors, inst.n_services)
         evaluation = evaluate_action(inst, action, eval_rng)
-        row = e % capacity
-        replay_states[row] = state
-        replay_actions[row] = a_idx
-        replay_rewards[row] = evaluation.reward
-
-        filled = min(e + 1, capacity)
-        if filled >= config.warmup:
-            idx = replay_rng.integers(0, filled, size=config.batch_size)
-            _, d_w, d_b = td_loss_and_gradients(online, replay_states[idx], replay_actions[idx], replay_rewards[idx])
-            optimizer.step(online, d_w, d_b)
-
         rewards[e] = evaluation.reward
         losses[e] = weighted_quality(inst.weights, 1.0 - np.array(evaluation.qualities))
         action_indices[e] = a_idx
         instance_indices[e] = inst_idx
 
+        filled = min(e + 1, capacity)
+        if filled >= config.warmup:
+            rows = replay_rng.integers(0, filled, size=config.batch_size)
+            ep = e - (e - rows) % capacity
+            _, d_w, d_b = td_loss_and_gradients(online, states[instance_indices[ep]], action_indices[ep], rewards[ep])
+            optimizer.step(online, d_w, d_b)
+
     if not all(np.isfinite(p).all() for p in online.weights + online.biases):
         raise DomainError(f"training diverged to non-finite Q-network weights at learning rate {config.learning_rate}")
-    q_max = max(float(np.abs(online.forward(inst.state_vector)[0]).max()) for inst in pool)
+    q_max = float(np.abs(online.forward(states)[0]).max())
     if not q_max <= Q_GUARD:  # also a NaN
         raise DomainError(
             f"training diverged to Q-values of magnitude {q_max:.3g}, above {Q_GUARD:g}, "

@@ -9,6 +9,7 @@ edge masks in {0, 1}, LABELS for K-level segmentations on the grid
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,45 +176,30 @@ def _restore(arr: np.ndarray, kind: str, levels: int | None) -> None:
         arr /= levels - 1
 
 
+# PGM headers allow whitespace and '#' comment lines between tokens.
+_PGM_SEPARATORS = re.compile(rb"(?:\s|#[^\n]*\n)*")
+_PGM_TOKEN = re.compile(rb"\S+")
+
+
 def read_pgm(path) -> SemanticMap:
     """Read a binary (P5) PGM file into a soft map, scaling by its maxval."""
     data = read_bytes(path)
-    pos = 0
-
-    def skip_separators(pos: int) -> int:
-        # PGM headers allow whitespace and '#' comment lines between tokens.
-        while pos < len(data):
-            c = data[pos : pos + 1]
-            if c.isspace():
-                pos += 1
-            elif c == b"#":
-                nl = data.find(b"\n", pos)
-                if nl < 0:
-                    raise ParseError("unterminated comment in header", offset=pos)
-                pos = nl + 1
-            else:
-                break
-        return pos
-
-    def next_token(pos: int) -> tuple[bytes, int]:
-        pos = skip_separators(pos)
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ParseError("unexpected end of header", offset=start)
-        return data[start:pos], pos
-
     if data[:2] != b"P5":
         raise ParseError(f"unsupported magic {data[:2]!r}, expected P5", offset=0)
     pos = 2
 
     fields = []
     for _ in range(3):
-        token, pos = next_token(pos)
-        if not token.isdigit():
-            raise ParseError(f"expected integer header field, got {token!r}", offset=pos - len(token))
-        fields.append(int(token))
+        start = _PGM_SEPARATORS.match(data, pos).end()
+        if data[start : start + 1] == b"#":
+            raise ParseError("unterminated comment in header", offset=start)
+        token = _PGM_TOKEN.match(data, start)
+        if token is None:
+            raise ParseError("unexpected end of header", offset=start)
+        if not token[0].isdigit():
+            raise ParseError(f"expected integer header field, got {token[0]!r}", offset=start)
+        fields.append(int(token[0]))
+        pos = token.end()
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise ParseError(f"bad dimensions {width}x{height}", offset=2)

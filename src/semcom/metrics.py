@@ -36,19 +36,19 @@ class PsnrQuality:
             raise DomainError(f"cap must be finite and positive, got {self.cap_db}")
 
 
+# SSIM stabilising constants (0.01 L)^2 and (0.03 L)^2 with L = 1.  Both are
+# positive, so a flat window's ratio is c1 c2 / (c1 c2) rather than 0/0.
+SSIM_C1 = 0.01**2
+SSIM_C2 = 0.03**2
+
+
 @dataclass(frozen=True)
 class SsimQuality:
     window: int = 8
-    c1: float = 0.01**2  # (0.01 L)^2 with L = 1
-    c2: float = 0.03**2
 
     def __post_init__(self):
         if self.window < 2:
             raise DomainError(f"window must be >= 2, got {self.window}")
-        # A flat window's ratio is c1 c2 / (c1 c2): zero constants make it 0/0.
-        for name, c in (("c1", self.c1), ("c2", self.c2)):
-            if not (math.isfinite(c) and c > 0.0):
-                raise DomainError(f"{name} must be finite and positive, got {c}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
     w = params.window
     _check_window(a, w)
     x, y = a.pixels, b.pixels
-    c1, c2 = params.c1, params.c2
+    c1, c2 = SSIM_C1, SSIM_C2
     height, width = x.shape
     oh, ow = height - w + 1, width - w + 1
     span = width + 1

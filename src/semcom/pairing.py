@@ -72,17 +72,10 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 def _ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties given their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a run of tied values holds the 1-based ranks ends - counts + 1 .. ends
+    ends = np.cumsum(counts)
+    return ((2 * ends - counts + 1) / 2.0)[inverse]
 
 
 def _spearman(x: np.ndarray, y: np.ndarray) -> float:

@@ -38,11 +38,17 @@ class Mlp:
             self.biases.append(rng.uniform(-bound, bound, fan_out))
 
     @classmethod
-    def from_params(cls, sizes, weights, biases) -> "Mlp":
+    def from_params(cls, weights, biases) -> "Mlp":
+        """A network holding these parameters; its layer sizes are read from the weight shapes."""
         net = cls.__new__(cls)
-        net.sizes = tuple(int(s) for s in sizes)
         net.weights = [np.array(w, dtype=np.float64) for w in weights]
         net.biases = [np.array(b, dtype=np.float64) for b in biases]
+        if not net.weights or any(w.ndim != 2 for w in net.weights):
+            raise ShapeError("need one or more 2-D weight matrices")
+        net.sizes = (net.weights[0].shape[0], *(w.shape[1] for w in net.weights))
+        want = [((fan_in, fan_out), (fan_out,)) for fan_in, fan_out in zip(net.sizes, net.sizes[1:])]
+        if [(w.shape, b.shape) for w, b in zip(net.weights, net.biases)] != want or len(net.biases) != len(want):
+            raise ShapeError(f"weight and bias shapes do not chain as layer sizes {net.sizes}")
         return net
 
     def forward(self, x: np.ndarray):
@@ -146,4 +152,4 @@ def load_qnet(path) -> Mlp:
         offset += 8 * fan_out
         weights.append(w.reshape(fan_in, fan_out).copy())
         biases.append(b.copy())
-    return Mlp.from_params(sizes, weights, biases)
+    return Mlp.from_params(weights, biases)

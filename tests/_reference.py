@@ -305,7 +305,7 @@ def legacy_ssim_quality(a, b, params=None):
     vx = _window_means(x * x, w) - mx * mx
     vy = _window_means(y * y, w) - my * my
     cov = _window_means(x * y, w) - mx * my
-    c1, c2 = params.c1, params.c2
+    c1, c2 = 0.01**2, 0.03**2
     ssim = ((2.0 * mx * my + c1) * (2.0 * cov + c2)) / ((mx * mx + my * my + c1) * (vx + vy + c2))
     return min(max(float(np.mean(ssim)), 0.0), 1.0)
 

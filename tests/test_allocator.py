@@ -417,7 +417,7 @@ def test_dqn_act_decodes_hand_set_weights():
     # linear net whose output 3 is always the largest
     w = np.zeros((state_dim, n_actions))
     b = np.array([0.0, 0.1, 0.2, 1.0])
-    net = Mlp.from_params([state_dim, n_actions], [w], [b])
+    net = Mlp.from_params([w], [b])
     agent = DqnAgent(net, factors, 2)
     action = dqn_act(agent, np.zeros(state_dim))
     assert action == decode_action(3, factors, 2) == (2, 2)
@@ -425,13 +425,13 @@ def test_dqn_act_decodes_hand_set_weights():
 
 def test_dqn_act_ties_pick_index_zero():
     factors = (1, 2)
-    net = Mlp.from_params([3, 4], [np.zeros((3, 4))], [np.zeros(4)])
+    net = Mlp.from_params([np.zeros((3, 4))], [np.zeros(4)])
     agent = DqnAgent(net, factors, 2)
     assert dqn_act(agent, np.zeros(3)) == decode_action(0, factors, 2)
 
 
 def test_dqn_act_shape_check():
-    net = Mlp.from_params([3, 4], [np.zeros((3, 4))], [np.zeros(4)])
+    net = Mlp.from_params([np.zeros((3, 4))], [np.zeros(4)])
     agent = DqnAgent(net, (1, 2), 2)
     with pytest.raises(ShapeError):
         dqn_act(agent, np.zeros(5))

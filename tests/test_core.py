@@ -20,9 +20,12 @@ from _fixtures import diagonal, filled_square, gradient_with_square, noisy_insta
 from _reference import reference_dqn_train, reference_quality
 
 
-def test_dqn_train_matches_literal_loop_with_generation_noise():
-    pool = [noisy_instance(), noisy_instance(image_shift=4)]
-    cfg = DqnConfig(seed=5, warmup=8, batch_size=4, buffer_capacity=16, hidden=(16,), episodes=60)
+# The CLI trains on a pool of one; a capacity below the 60 episodes makes the replay ring wrap.
+@pytest.mark.parametrize("pool_size", [1, 2])
+@pytest.mark.parametrize("capacity", [16, 60, 64])
+def test_dqn_train_matches_literal_loop_with_generation_noise(pool_size, capacity):
+    pool = [noisy_instance(), noisy_instance(image_shift=4)][:pool_size]
+    cfg = DqnConfig(seed=5, warmup=8, batch_size=4, buffer_capacity=capacity, hidden=(16,), episodes=60)
     out = dqn_train(pool, cfg)
     rewards, losses, actions, net = reference_dqn_train(pool, cfg)
     assert np.array_equal(out.rewards, rewards)

@@ -435,9 +435,3 @@ def test_self_score_rejects_an_unknown_kind():
 def test_psnr_cap_must_be_finite_and_positive(cap):
     with pytest.raises(DomainError):
         PsnrQuality(cap_db=cap)
-
-
-@pytest.mark.parametrize("c1, c2", [(0.0, 0.0), (0.0, 9e-4), (1e-4, 0.0), (-1e-4, 9e-4), (math.nan, 9e-4), (1e-4, math.inf)])
-def test_ssim_constants_must_be_finite_and_positive(c1, c2):
-    with pytest.raises(DomainError):
-        SsimQuality(c1=c1, c2=c2)

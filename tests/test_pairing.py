@@ -15,6 +15,7 @@ from semcom.pairing import (
     PredictabilityReport,
     ResponseCurve,
     _ols,
+    _ranks,
     _spearman,
     fit_predictability,
     select_pair,
@@ -91,6 +92,14 @@ def test_spearman_matches_scipy_with_ties():
             assert ours == 0.0
         else:
             assert abs(ours - theirs) < 1e-12
+
+
+def test_ranks_equal_scipy_average_ranks_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for n in range(1, 30):
+        values = rng.integers(0, 4, n) / 3.0  # few distinct values: long runs of ties
+        values[rng.random(n) < 0.2] = -0.0  # ties with 0.0
+        assert _ranks(values).tobytes() == scipy.stats.rankdata(values, method="average").tobytes()
 
 
 def test_sweep_constant_image_with_canny_is_all_one():

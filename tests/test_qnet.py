@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from _reference import finite_difference_gradients, gradient_relative_error, ref
 
 
 def test_zero_input_zero_params_outputs_zero():
-    net = Mlp.from_params([3, 4, 2], [np.zeros((3, 4)), np.zeros((4, 2))], [np.zeros(4), np.zeros(2)])
+    net = Mlp.from_params([np.zeros((3, 4)), np.zeros((4, 2))], [np.zeros(4), np.zeros(2)])
     out, _ = net.forward(np.zeros((1, 3)))
     assert np.array_equal(out, np.zeros((1, 2)))
 
 
 def test_single_linear_layer_identity():
-    net = Mlp.from_params([3, 3], [np.eye(3)], [np.zeros(3)])
+    net = Mlp.from_params([np.eye(3)], [np.zeros(3)])
     x = np.array([[0.1, -0.5, 2.0]])
     out, _ = net.forward(x)
     assert np.array_equal(out, x)
@@ -55,7 +56,7 @@ def zero_hidden_net(bias):
     rng = np.random.default_rng(99)
     weights = [np.zeros((3, 5)), np.zeros((5, 4)), rng.normal(size=(4, 2))]
     biases = [np.full(5, bias), np.full(4, bias), rng.normal(size=2)]
-    return Mlp.from_params([3, 5, 4, 2], weights, biases)
+    return Mlp.from_params(weights, biases)
 
 
 def test_backward_masks_each_hidden_unit_on_its_pre_activation_above_zero():
@@ -80,7 +81,7 @@ def test_backward_masks_each_hidden_unit_on_its_pre_activation_above_zero():
 
 
 def test_td_loss_value():
-    net = Mlp.from_params([2, 2], [np.zeros((2, 2))], [np.array([1.0, 3.0])])
+    net = Mlp.from_params([np.zeros((2, 2))], [np.array([1.0, 3.0])])
     states = np.zeros((2, 2))
     actions = np.array([0, 1])
     targets = np.array([0.0, 1.0])
@@ -90,7 +91,7 @@ def test_td_loss_value():
 
 
 def test_sgd_momentum_update_rule():
-    net = Mlp.from_params([1, 1], [np.array([[1.0]])], [np.array([0.0])])
+    net = Mlp.from_params([np.array([[1.0]])], [np.array([0.0])])
     opt = SgdMomentum(net, learning_rate=0.1, momentum=0.9)
     opt.step(net, [np.array([[1.0]])], [np.array([0.5])])
     assert np.isclose(net.weights[0][0, 0], 0.9)
@@ -100,17 +101,42 @@ def test_sgd_momentum_update_rule():
     assert np.isclose(net.weights[0][0, 0], 0.71)
 
 
-def test_checkpoint_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(7)
-    net = Mlp([4, 8, 3], rng)
+def _params_net():
+    rng = np.random.default_rng(11)
+    return Mlp.from_params([rng.normal(size=(3, 4)), rng.normal(size=(4, 2))], [rng.normal(size=4), rng.normal(size=2)])
+
+
+@pytest.mark.parametrize("make", [lambda: Mlp([4, 8, 3], np.random.default_rng(7)), _params_net])
+def test_checkpoint_round_trip_bit_exact(tmp_path, make):
+    net = make()
     path = tmp_path / "agent.bin"
     save_qnet(net, path)
     data = path.read_bytes()
     assert data[:4] == b"DQN1"
+    # the header's layer sizes are the weight shapes: fan-in of the first, then each fan-out
+    count = struct.unpack_from("<I", data, 4)[0]
+    sizes = struct.unpack_from(f"<{count}I", data, 8)
+    assert sizes == (net.weights[0].shape[0], *(w.shape[1] for w in net.weights)) == net.sizes
     back = load_qnet(path)
     assert back.sizes == net.sizes
     for a, b in zip(net.weights + net.biases, back.weights + back.biases):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "weights, biases",
+    [
+        ([], []),
+        ([np.zeros(3)], [np.zeros(3)]),
+        ([np.zeros((3, 4)), np.zeros((5, 2))], [np.zeros(4), np.zeros(2)]),
+        ([np.zeros((3, 4))], [np.zeros(3)]),
+        ([np.zeros((3, 4))], []),
+        ([np.zeros((3, 4))], [np.zeros(4), np.zeros(4)]),
+    ],
+)
+def test_from_params_rejects_parameters_that_do_not_chain(weights, biases):
+    with pytest.raises(ShapeError):
+        Mlp.from_params(weights, biases)
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
