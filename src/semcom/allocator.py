@@ -135,27 +135,22 @@ class AllocationInstance:
 
 
 def encode_action(action, factors) -> int:
-    """Flat index of a factor tuple; service 0 is the most significant digit."""
-    base = len(factors)
+    """Flat index of a factor tuple: its C-order index in the (|D|,) * S grid, service 0 most significant."""
     pos = {d: i for i, d in enumerate(factors)}
-    index = 0
+    digits = []
     for d in action:
         if d not in pos:
             raise DomainError(f"factor {d} not in admissible set {list(factors)}")
-        index = index * base + pos[d]
-    return index
+        digits.append(pos[d])
+    return int(np.ravel_multi_index(digits, (len(factors),) * len(digits)))
 
 
 def decode_action(index: int, factors, n_services: int) -> tuple[int, ...]:
-    """Inverse of encode_action over the same mixed-radix layout."""
+    """Inverse of encode_action over the same C-order grid."""
     base = len(factors)
     if not 0 <= index < base**n_services:
         raise DomainError(f"action index {index} out of range for {base}^{n_services} actions")
-    digits = []
-    for _ in range(n_services):
-        digits.append(factors[index % base])
-        index //= base
-    return tuple(reversed(digits))
+    return tuple(factors[j] for j in np.unravel_index(index, (base,) * n_services))
 
 
 def weighted_quality(weights, qualities):
@@ -228,36 +223,26 @@ def greedy_allocate(inst: AllocationInstance, rng: np.random.Generator) -> Alloc
     considered, ranked by gain per extra byte.
     """
     table = quality_table(inst, rng)
-    last = len(inst.factors) - 1
-    positions = [last] * inst.n_services
-    total = sum(inst.action_costs(inst.factors[last] for _ in inst.services))
+    services = np.arange(inst.n_services)
+    positions = np.full(inst.n_services, len(inst.factors) - 1)
+    total = int(inst.cost_table[:, -1].sum())
     weight_sum = float(inst.weights.sum())
     while True:
-        best_ratio = 0.0
-        best_service = None
-        for s in range(inst.n_services):
-            j = positions[s]
-            if j == 0:
-                continue
-            extra = int(inst.cost_table[s, j - 1] - inst.cost_table[s, j])
-            if total + extra > inst.channel.budget_bytes:
-                continue
-            gain = inst.weights[s] * (table[s, j - 1] - table[s, j]) / weight_sum
-            if gain <= 0.0:
-                continue
-            ratio = np.inf if extra == 0 else gain / extra
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best_service = s
-                best_extra = extra
-        if best_service is None:
+        # Every service's move at once; a service already at min(D) gets a zero move.
+        up = np.maximum(positions - 1, 0)
+        extra = inst.cost_table[services, up] - inst.cost_table[services, positions]
+        gain = inst.weights * (table[services, up] - table[services, positions]) / weight_sum
+        ratio = np.divide(gain, extra, out=np.full(inst.n_services, np.inf), where=extra != 0)
+        ratio[(positions == 0) | (total + extra > inst.channel.budget_bytes) | (gain <= 0.0)] = 0.0
+        best = int(np.argmax(ratio))  # the first best: the lowest service index among ties
+        if not ratio[best] > 0.0:
             break
-        positions[best_service] -= 1
-        total += best_extra
+        positions[best] -= 1
+        total += int(extra[best])
     action = tuple(inst.factors[j] for j in positions)
     # Moves keep the total within budget, so the action is feasible exactly when the start is.
     feasible = total <= inst.channel.budget_bytes
-    reward = weighted_quality(inst.weights, table[range(inst.n_services), positions]) if feasible else -1.0
+    reward = weighted_quality(inst.weights, table[services, positions]) if feasible else -1.0
     return AllocationResult(action=action, reward=float(reward))
 
 

@@ -154,11 +154,13 @@ def serialize_payload(payload: EncodedPayload) -> bytes:
 def parse_payload(data: bytes) -> EncodedPayload:
     if len(data) < HEADER_BYTES:
         raise CorruptPayloadError(f"need at least {HEADER_BYTES} header bytes, got {len(data)}")
-    magic, ow, oh, ew, eh, d, tag, k, _ = struct.unpack(">4sHHHHBBBB", data[:HEADER_BYTES])
+    magic, ow, oh, ew, eh, d, tag, k, reserved = struct.unpack(">4sHHHHBBBB", data[:HEADER_BYTES])
     if magic != _MAGIC:
         raise CorruptPayloadError(f"bad magic {magic!r}")
     if tag not in _TAG_KINDS:
         raise CorruptPayloadError(f"unknown kind tag {tag}")
+    if reserved:
+        raise CorruptPayloadError(f"reserved header byte 15 is {reserved}, must be 0")
     kind = _TAG_KINDS[tag]
     return EncodedPayload(
         orig_width=ow,
@@ -167,6 +169,7 @@ def parse_payload(data: bytes) -> EncodedPayload:
         enc_height=eh,
         factor=d,
         kind=kind,
-        levels=k if kind == LABELS else None,
+        # A nonzero K on another kind reaches the payload's level-count check.
+        levels=k if kind == LABELS else k or None,
         payload=data[HEADER_BYTES:],
     )

@@ -2,7 +2,9 @@
 
 Config format: plain-text ``key = value`` lines under ``[section]``
 headers; ``#`` starts a comment.  ``_SECTIONS`` lists each section's
-keys; a ``[services]`` key is ``<name>.<key>``, one group per service.
+keys; a ``[services]`` key is ``<name>.<key>``, one group per service,
+and a name is one or more of A-Z, a-z, 0-9, '_' and '-', since it names
+the service's output files and fills a CSV field.
 ``[dqn]`` maps onto ``DqnConfig``.  Any other key or section is a config
 error, and an omitted key takes the default of the dataclass field it
 sets.
@@ -20,6 +22,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import re
 from dataclasses import dataclass, field
 
 from .allocator import DqnConfig
@@ -30,6 +33,8 @@ from .extractors import Canny, ExternalMap, ExtractorKind, QuantizeSegmentation,
 from .files import read_bytes
 from .generation import ServiceSpec
 from .metrics import MetricKind, MseQuality, PsnrQuality, SsimQuality, ViQuality
+
+_SERVICE_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 # Each kind's class and arguments; an argument maps to (dataclass field, parser).
 _EXTRACTORS = {
@@ -247,6 +252,10 @@ def load_config(path) -> ExperimentConfig:
         if "." not in key:
             raise ConfigError(f"{path}:{lineno}: service keys look like <name>.<field>, got {key!r}")
         name, fieldname = key.split(".", 1)
+        if not _SERVICE_NAME.fullmatch(name):
+            raise ConfigError(
+                f"{path}:{lineno}: service name {name!r} must be one or more of A-Z, a-z, 0-9, '_' and '-'"
+            )
         _check_key(path, lineno, "services", key, fieldname)
         per_service.setdefault(name, {})
         if fieldname in per_service[name]:

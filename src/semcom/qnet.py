@@ -103,20 +103,18 @@ def td_loss_and_gradients(net: Mlp, states: np.ndarray, action_idx: np.ndarray, 
 
 
 class SgdMomentum:
-    """Classical momentum: v <- m v - lr g;  w <- w + v."""
+    """Classical momentum, in place: v <- m v - lr g;  w <- w + v."""
 
     def __init__(self, net: Mlp, learning_rate: float, momentum: float):
         self.learning_rate = learning_rate
         self.momentum = momentum
-        self.v_weights = [np.zeros_like(w) for w in net.weights]
-        self.v_biases = [np.zeros_like(b) for b in net.biases]
+        self.velocities = [np.zeros_like(p) for p in net.weights + net.biases]
 
     def step(self, net: Mlp, d_weights, d_biases) -> None:
-        for i in range(len(net.weights)):
-            self.v_weights[i] = self.momentum * self.v_weights[i] - self.learning_rate * d_weights[i]
-            self.v_biases[i] = self.momentum * self.v_biases[i] - self.learning_rate * d_biases[i]
-            net.weights[i] = net.weights[i] + self.v_weights[i]
-            net.biases[i] = net.biases[i] + self.v_biases[i]
+        for p, v, g in zip(net.weights + net.biases, self.velocities, [*d_weights, *d_biases]):
+            v *= self.momentum
+            v -= self.learning_rate * g
+            p += v
 
 
 def save_qnet(net: Mlp, path) -> None:

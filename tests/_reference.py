@@ -350,6 +350,92 @@ def reference_quality(svc, image, d, rng):
     return score(svc.metric, reference, recon)
 
 
+def reference_encode_action(action, factors):
+    """encode_action as a digit loop: service 0 is the most significant base-|D| digit."""
+    from semcom.errors import DomainError
+
+    base = len(factors)
+    pos = {d: i for i, d in enumerate(factors)}
+    index = 0
+    for d in action:
+        if d not in pos:
+            raise DomainError(f"factor {d} not in admissible set {list(factors)}")
+        index = index * base + pos[d]
+    return index
+
+
+def reference_decode_action(index, factors, n_services):
+    """decode_action as a digit loop, least significant digit first."""
+    from semcom.errors import DomainError
+
+    base = len(factors)
+    if not 0 <= index < base**n_services:
+        raise DomainError(f"action index {index} out of range for {base}^{n_services} actions")
+    digits = []
+    for _ in range(n_services):
+        digits.append(factors[index % base])
+        index //= base
+    return tuple(reversed(digits))
+
+
+class ReferenceSgdMomentum:
+    """SgdMomentum out of place: each step builds new velocity and parameter arrays."""
+
+    def __init__(self, net, learning_rate, momentum):
+        self.learning_rate = learning_rate
+        self.momentum = momentum
+        self.v_weights = [np.zeros_like(w) for w in net.weights]
+        self.v_biases = [np.zeros_like(b) for b in net.biases]
+
+    def step(self, net, d_weights, d_biases):
+        for i in range(len(net.weights)):
+            self.v_weights[i] = self.momentum * self.v_weights[i] - self.learning_rate * d_weights[i]
+            self.v_biases[i] = self.momentum * self.v_biases[i] - self.learning_rate * d_biases[i]
+            net.weights[i] = net.weights[i] + self.v_weights[i]
+            net.biases[i] = net.biases[i] + self.v_biases[i]
+
+
+def reference_greedy_scan(inst, table):
+    """greedy_allocate on a given quality table, scanning one service at a time.
+
+    Each pass takes the move with the best gain per extra byte; the
+    strict ``>`` keeps the lowest service index among equal ratios.
+    Returns the action and its reward.
+    """
+    from semcom.allocator import weighted_quality
+
+    last = len(inst.factors) - 1
+    positions = [last] * inst.n_services
+    total = sum(inst.action_costs(inst.factors[last] for _ in inst.services))
+    weight_sum = float(inst.weights.sum())
+    while True:
+        best_ratio = 0.0
+        best_service = None
+        for s in range(inst.n_services):
+            j = positions[s]
+            if j == 0:
+                continue
+            extra = int(inst.cost_table[s, j - 1] - inst.cost_table[s, j])
+            if total + extra > inst.channel.budget_bytes:
+                continue
+            gain = inst.weights[s] * (table[s, j - 1] - table[s, j]) / weight_sum
+            if gain <= 0.0:
+                continue
+            ratio = np.inf if extra == 0 else gain / extra
+            if ratio > best_ratio:
+                best_ratio = ratio
+                best_service = s
+                best_extra = extra
+        if best_service is None:
+            break
+        positions[best_service] -= 1
+        total += best_extra
+    action = tuple(inst.factors[j] for j in positions)
+    feasible = total <= inst.channel.budget_bytes
+    reward = weighted_quality(inst.weights, table[range(inst.n_services), positions]) if feasible else -1.0
+    return action, float(reward)
+
+
 def reference_dqn_train(pool, config):
     """dqn_train as a literal episode loop that reruns every service's round trip.
 
@@ -357,14 +443,14 @@ def reference_dqn_train(pool, config):
     is kept between episodes.  Returns the rewards,
     losses, action indices and the trained network.
     """
-    from semcom.allocator import MOMENTUM, decode_action, epsilon_schedule
+    from semcom.allocator import MOMENTUM, epsilon_schedule
     from semcom.codec import encoded_cost
-    from semcom.qnet import Mlp, SgdMomentum, td_loss_and_gradients
+    from semcom.qnet import Mlp, td_loss_and_gradients
 
     first = pool[0]
     init_rng, instance_rng, explore_rng, replay_rng, eval_rng = np.random.default_rng(config.seed).spawn(5)
     net = Mlp([3 * first.n_services + 1, *config.hidden, first.n_actions], init_rng)
-    optimizer = SgdMomentum(net, config.learning_rate, MOMENTUM)
+    optimizer = ReferenceSgdMomentum(net, config.learning_rate, MOMENTUM)
     epsilons = epsilon_schedule(config)
     memory = []
     rewards, losses, actions = [], [], []
@@ -375,7 +461,7 @@ def reference_dqn_train(pool, config):
             a_idx = int(explore_rng.integers(first.n_actions))
         else:
             a_idx = int(np.argmax(net.forward(state)[0][0]))
-        action = decode_action(a_idx, inst.factors, inst.n_services)
+        action = reference_decode_action(a_idx, inst.factors, inst.n_services)
         qualities = [
             reference_quality(svc, img, d, eval_rng) for svc, img, d in zip(inst.services, inst.images, action)
         ]

@@ -34,7 +34,12 @@ from semcom.qnet import Mlp
 from semcom.rng import stream
 
 from _fixtures import diagonal, filled_square, gradient, noisy_instance, random_instance
-from _reference import reference_action_rewards
+from _reference import (
+    reference_action_rewards,
+    reference_decode_action,
+    reference_encode_action,
+    reference_greedy_scan,
+)
 
 
 def two_service_instance(budget=10**6, factors=(1, 2, 4, 8), weights=(1.0, 1.0)):
@@ -66,6 +71,24 @@ def test_action_codec_bounds():
         decode_action(9, (1, 2, 4), 1)
     with pytest.raises(DomainError):
         encode_action((3,), (1, 2, 4))
+
+
+@pytest.mark.parametrize(
+    "n_factors, n_services", [(1, 1), (1, 6), (2, 12), (3, 5), (5, 4), (7, 3), (64, 2), (4096, 1)]
+)
+def test_action_index_matches_the_digit_loop_at_every_index(n_factors, n_services):
+    factors = tuple(range(3, 3 + 2 * n_factors, 2))
+    n_actions = n_factors**n_services
+    for index in range(n_actions):
+        action = decode_action(index, factors, n_services)
+        assert action == reference_decode_action(index, factors, n_services)
+        assert {type(d) for d in action} == {int}
+        assert encode_action(iter(action), factors) == reference_encode_action(action, factors) == index
+    for index in (-1, n_actions):
+        with pytest.raises(DomainError, match=re.escape(f"action index {index} out of range")):
+            decode_action(index, factors, n_services)
+    with pytest.raises(DomainError, match=re.escape(f"factor 2 not in admissible set {list(factors)}")):
+        encode_action((factors[0],) * (n_services - 1) + (2,), factors)
 
 
 def test_weighted_quality_anchor():
@@ -315,6 +338,61 @@ def test_greedy_reward_is_the_oracle_grids_bit_for_bit():
         assert greedy.reward == grid[encode_action(greedy.action, inst.factors)], trial
         if trial >= len(feasible):
             assert greedy.reward == -1.0 and greedy.action == (inst.factors[-1],) * inst.n_services
+
+
+def test_greedy_matches_the_literal_scan_on_quality_tables():
+    rng = np.random.default_rng(5)
+    feasible = [random_instance(rng) for _ in range(30)] + [noisy_instance(shift) for shift in range(3)]
+    for trial, inst in enumerate(feasible + [over_budget(inst) for inst in feasible]):
+        res = greedy_allocate(inst, stream(trial, "gen"))
+        action, reward = reference_greedy_scan(inst, quality_table(inst, stream(trial, "gen")))
+        assert (res.action, res.reward.hex()) == (action, reward.hex()), trial
+
+
+def tied_table_instance(rng):
+    """An instance of small blank images and a quality table drawn from five levels.
+
+    Levels, weights and sizes repeat, so gains per byte tie often, and
+    factors above a side give equal costs, so some moves cost no byte.
+    Half of the instances with two or more services make service 1 a
+    copy of service 0.
+    """
+    n_services = int(rng.integers(1, 5))
+    factors = tuple(sorted(rng.choice(np.arange(1, 13), size=int(rng.integers(1, 6)), replace=False).tolist()))
+    sides = rng.integers(1, 11, size=(n_services, 2))
+    weights = rng.choice([0.5, 1.0, 2.0], size=n_services)
+    table = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=(n_services, len(factors)))
+    tied = n_services > 1 and rng.random() < 0.5
+    if tied:
+        sides[1], weights[1], table[1] = sides[0], weights[0], table[0]
+    images = tuple(SemanticMap(np.zeros((h, w))) for h, w in sides)
+    cheapest = sum(encoded_cost(img.width, img.height, factors[-1]) for img in images)
+    dearest = sum(encoded_cost(img.width, img.height, factors[0]) for img in images)
+    inst = AllocationInstance(
+        services=tuple(
+            ServiceSpec(id=f"s{s}", extractor=SobelMagnitude(), metric=MseQuality(), weight=float(weights[s]))
+            for s in range(n_services)
+        ),
+        images=images,
+        factors=factors,
+        channel=ChannelConfig(budget_bytes=int(rng.integers(max(cheapest - 8, 0), dearest + 2))),
+    )
+    return inst, table, tied
+
+
+def test_greedy_matches_the_literal_scan_on_tied_tables(monkeypatch):
+    rng = np.random.default_rng(17)
+    seen = {"tied": 0, "free move": 0, "over budget": 0}
+    for trial in range(300):
+        inst, table, tied = tied_table_instance(rng)
+        monkeypatch.setattr(semcom.allocator, "quality_table", lambda inst, rng: table)
+        res = greedy_allocate(inst, stream(trial, "gen"))
+        action, reward = reference_greedy_scan(inst, table)
+        assert (res.action, res.reward.hex()) == (action, reward.hex()), trial
+        seen["tied"] += tied
+        seen["free move"] += bool((np.diff(inst.cost_table, axis=1) == 0).any())
+        seen["over budget"] += int(inst.cost_table[:, -1].sum()) > inst.channel.budget_bytes
+    assert min(seen.values()) >= 10, seen
 
 
 def test_random_allocate_valid_and_seeded():

@@ -758,6 +758,30 @@ def test_an_unknown_config_key_is_a_config_error(tmp_path, capsys, section, line
     assert not (tmp_path / "out").exists()
 
 
+_NAME_RULE = "must be one or more of A-Z, a-z, 0-9, '_' and '-'"
+
+
+@pytest.mark.parametrize("name", ["{tmp}/esc", "/", "a,b", "a b", ""], ids=["absolute", "slash", "comma", "space", "empty"])
+def test_a_service_name_outside_the_name_rule_is_a_config_error(tmp_path, capsys, name):
+    # A path as a name used to write its payload outside the output directory, and a comma
+    # gave its pipeline_report.csv row a sixth field.
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    key = f"{name.format(tmp=tmp_path)}.extractor"
+    cfg.write_text(cfg.read_text().replace("edges.extractor", key))
+    name = key.split(".", 1)[0]
+    with pytest.raises(ConfigError, match=re.escape(f"service name {name!r} {_NAME_RULE}")):
+        load_config(cfg)
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert f"service name {name!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not Path(f"{name}_payload.bin").exists()
+
+
+def test_a_service_name_of_letters_digits_underscores_and_hyphens_loads(tmp_path):
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    cfg.write_text(cfg.read_text().replace("edges.", "Edge_map-2."))
+    assert [entry.spec.id for entry in load_config(cfg).services] == ["Edge_map-2", "regions"]
+
+
 @pytest.mark.parametrize(
     "section, line, message",
     [

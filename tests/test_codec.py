@@ -1,7 +1,10 @@
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semcom.image
 from semcom.codec import (
@@ -256,3 +259,50 @@ def test_payloads_the_wire_format_carries_round_trip(kind, levels):
     payload = EncodedPayload(4, 4, 2, 2, 2, kind, levels, bytes(4))
     back = parse_payload(serialize_payload(payload))
     assert (back.kind, back.levels) == (kind, levels)
+
+
+@pytest.mark.parametrize(
+    "offset, kinds, message",
+    [(14, ("soft", "binary"), "only labels payloads"), (15, ("soft", "binary", "labels"), "reserved header byte 15")],
+    ids=["label-count", "reserved"],
+)
+def test_parse_rejects_every_nonzero_byte_the_header_keeps_zero(offset, kinds, message):
+    # Both used to parse, then serialise to a header with a zero in their place.
+    for kind in kinds:
+        good = serialize_payload(EncodedPayload(8, 8, 4, 4, 2, kind, 3 if kind == LABELS else None, bytes(16)))
+        assert serialize_payload(parse_payload(good)) == good
+        for value in range(1, 256):
+            with pytest.raises(CorruptPayloadError, match=message):
+                parse_payload(good[:offset] + bytes([value]) + good[offset + 1 :])
+
+
+@settings(max_examples=400)
+@given(
+    st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 255), st.integers(0, 2), st.integers(2, 255)),
+    st.none() | st.tuples(st.integers(0, 15), st.integers(0, 255)),
+    st.just(0) | st.integers(-1, 1),
+)
+def test_parse_accepts_exactly_the_documented_headers_and_each_round_trips(fields, poke, extra_bytes):
+    # A well-formed header, with at most one byte overwritten and the payload at most one byte off.
+    ow, oh, d, tag, k = fields
+    header = bytearray(struct.pack(">4sHHHHBBBB", b"SMAP", ow, oh, -(-ow // d), -(-oh // d), d, tag, k * (tag == 2), 0))
+    if poke is not None:
+        header[poke[0]] = poke[1]
+    magic, ow, oh, ew, eh, d, tag, k, reserved = struct.unpack(">4sHHHHBBBB", header)
+    size = max(ew * eh + extra_bytes, 0)
+    data = bytes(header) + bytes(size)
+    documented = (
+        magic == b"SMAP"
+        and ow >= 1
+        and oh >= 1
+        and d >= 1
+        and (ew, eh) == (-(-ow // d), -(-oh // d))
+        and size == ew * eh
+        and (2 <= k if tag == 2 else tag in (0, 1) and k == 0)
+        and reserved == 0
+    )
+    if not documented:
+        with pytest.raises(CorruptPayloadError):
+            parse_payload(data)
+        return
+    assert serialize_payload(parse_payload(data)) == data

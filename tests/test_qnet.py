@@ -7,7 +7,12 @@ import pytest
 from semcom.errors import CorruptPayloadError, IoError, ShapeError
 from semcom.qnet import Mlp, SgdMomentum, load_qnet, save_qnet, td_loss_and_gradients
 
-from _reference import finite_difference_gradients, gradient_relative_error, reference_mlp_backward
+from _reference import (
+    ReferenceSgdMomentum,
+    finite_difference_gradients,
+    gradient_relative_error,
+    reference_mlp_backward,
+)
 
 
 def test_zero_input_zero_params_outputs_zero():
@@ -99,6 +104,22 @@ def test_sgd_momentum_update_rule():
     opt.step(net, [np.array([[1.0]])], [np.array([0.0])])
     # velocity = 0.9*(-0.1) - 0.1 = -0.19
     assert np.isclose(net.weights[0][0, 0], 0.71)
+
+
+def test_sgd_momentum_steps_in_place_with_the_out_of_place_bits():
+    sizes = [5, 7, 6, 4]
+    net, ref_net = Mlp(sizes, np.random.default_rng(3)), Mlp(sizes, np.random.default_rng(3))
+    opt, ref_opt = SgdMomentum(net, 0.05, 0.9), ReferenceSgdMomentum(ref_net, 0.05, 0.9)
+    params = net.weights + net.biases
+    rng = np.random.default_rng(4)
+    for step in range(50):
+        states, actions, targets = rng.random((8, 5)), rng.integers(0, 4, 8), rng.uniform(-1.0, 1.0, 8)
+        for model, optimizer in [(net, opt), (ref_net, ref_opt)]:
+            _, d_w, d_b = td_loss_and_gradients(model, states, actions, targets)
+            optimizer.step(model, d_w, d_b)
+        for p, q in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
+            assert p.tobytes() == q.tobytes(), step
+    assert all(p is q for p, q in zip(net.weights + net.biases, params))
 
 
 def _params_net():
