@@ -256,7 +256,6 @@ def random_allocate(inst: AllocationInstance, rng: np.random.Generator) -> Alloc
 @dataclass(frozen=True)
 class DqnConfig:
     hidden: tuple[int, ...] = (64, 64)
-    buffer_capacity: int = 4096
     batch_size: int = 32
     learning_rate: float = 1e-3
     epsilon_min: float = 0.05
@@ -267,20 +266,19 @@ class DqnConfig:
     def __post_init__(self):
         if not 1 <= self.episodes <= EPISODE_GUARD:
             raise DomainError(f"episodes must lie in [1, {EPISODE_GUARD}], got {self.episodes}")
+        if self.warmup < 0:
+            raise DomainError(f"warmup must be >= 0, got {self.warmup}")
         if self.warmup > self.episodes:
             # training stores one replay entry per episode, so it would never start
             raise DomainError(f"warmup {self.warmup} exceeds the {self.episodes} episodes")
         if any(size < 1 for size in self.hidden):
             raise DomainError(f"hidden layer sizes must be >= 1, got {self.hidden}")
-        if self.buffer_capacity < 1 or self.batch_size < 1:
-            raise DomainError(f"buffer and batch must be >= 1, got {self.buffer_capacity} and {self.batch_size}")
+        if self.batch_size < 1:
+            raise DomainError(f"batch must be >= 1, got {self.batch_size}")
         if max(self.hidden, default=0) > SIZE_GUARD or self.batch_size > SIZE_GUARD:
             raise DomainError(
                 f"hidden layer sizes and batch must be <= {SIZE_GUARD}, got {self.hidden} and {self.batch_size}"
             )
-        if self.warmup > self.buffer_capacity:
-            # the buffer holds at most its capacity, so training would never start
-            raise DomainError(f"warmup {self.warmup} exceeds the buffer capacity {self.buffer_capacity}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise DomainError(f"learning rate must be finite and positive, got {self.learning_rate}")
         if not 0.0 < self.epsilon_min <= 1.0:
@@ -325,7 +323,7 @@ def dqn_train(pool, config: DqnConfig) -> TrainResult:
     Episodes are one joint decision: sample an instance, pick a joint
     action epsilon-greedily, collect the reward and record it in the trace,
     then once the warmup is filled take one gradient step regressing Q(s, a)
-    on the reward over a uniform mini-batch of the last buffer_capacity episodes.
+    on the reward over a uniform mini-batch of every episode so far.
     Training runs config.episodes episodes, driven by config.seed.  A
     network that ends with a non-finite weight or bias, or with a Q-value
     outside [-Q_GUARD, Q_GUARD] on a pool instance's state, raises
@@ -346,9 +344,6 @@ def dqn_train(pool, config: DqnConfig) -> TrainResult:
     states = np.stack([inst.state_vector for inst in pool])
     online = Mlp([states.shape[1], *config.hidden, n_actions], init_rng)
     optimizer = SgdMomentum(online, config.learning_rate, MOMENTUM)
-    # The replay memory is a ring over the trace: episode e fills row e % capacity,
-    # so row r holds the latest episode e' <= e with e' = r (mod capacity).
-    capacity = min(config.buffer_capacity, config.episodes)
     epsilons = epsilon_schedule(config)
 
     rewards = np.zeros(config.episodes)
@@ -371,10 +366,8 @@ def dqn_train(pool, config: DqnConfig) -> TrainResult:
         action_indices[e] = a_idx
         instance_indices[e] = inst_idx
 
-        filled = min(e + 1, capacity)
-        if filled >= config.warmup:
-            rows = replay_rng.integers(0, filled, size=config.batch_size)
-            ep = e - (e - rows) % capacity
+        if e + 1 >= config.warmup:
+            ep = replay_rng.integers(0, e + 1, size=config.batch_size)
             _, d_w, d_b = td_loss_and_gradients(online, states[instance_indices[ep]], action_indices[ep], rewards[ep])
             optimizer.step(online, d_w, d_b)
 

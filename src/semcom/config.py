@@ -148,7 +148,6 @@ _SECTIONS = {
         "episodes": ("episodes", int),
         "lr": ("learning_rate", float),
         "epsilon_min": ("epsilon_min", float),
-        "buffer": ("buffer_capacity", int),
         "batch": ("batch_size", int),
         "hidden": ("hidden", _int_list),
         "warmup": ("warmup", int),

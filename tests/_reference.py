@@ -470,11 +470,7 @@ def reference_dqn_train(pool, config):
         q = np.array(qualities)
         reward = float(np.sum(weights * q) / np.sum(weights)) if total <= inst.channel.budget_bytes else -1.0
 
-        entry = (state, a_idx, reward)
-        if len(memory) < config.buffer_capacity:
-            memory.append(entry)
-        else:
-            memory[e % config.buffer_capacity] = entry
+        memory.append((state, a_idx, reward))
         if len(memory) >= config.warmup:
             idx = replay_rng.integers(0, len(memory), size=config.batch_size)
             s_b = np.array([memory[i][0] for i in idx])

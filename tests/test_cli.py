@@ -740,7 +740,7 @@ def test_the_pipeline_manifest_records_each_services_flipped_bits(tmp_path, p):
         ("services", "edges.treshold = 0.9999", "extractor, metric, image, threshold, weight, sigma_gen, d"),
         ("channel", "bugdet_bytes = 10", "budget_bytes, bit_flip_prob, seed"),
         ("factors", "ds = 1,2", "d"),
-        ("dqn", "episode = 3", "episodes, lr, epsilon_min, buffer, batch, hidden, warmup"),
+        ("dqn", "episode = 3", "episodes, lr, epsilon_min, batch, hidden, warmup"),
         ("output", "directory = elsewhere", "dir"),
     ],
     ids=["services", "channel", "factors", "dqn", "output"],
@@ -813,10 +813,8 @@ def test_a_repeated_config_key_is_a_config_error(tmp_path, section, line, messag
         ("dqn", "hidden", "0", "hidden layer sizes must be >= 1, got (0,)"),
         ("dqn", "hidden", "8,0", "hidden layer sizes must be >= 1, got (8, 0)"),
         ("dqn", "hidden", "-4", "hidden layer sizes must be >= 1, got (-4,)"),
-        ("dqn", "batch", "-1", "buffer and batch must be >= 1, got 4096 and -1"),
-        ("dqn", "buffer", "0", "buffer and batch must be >= 1, got 0 and 8"),
-        ("dqn", "buffer", "-1", "buffer and batch must be >= 1, got -1 and 8"),
-        ("dqn", "buffer", "4", "warmup 8 exceeds the buffer capacity 4"),
+        ("dqn", "batch", "-1", "batch must be >= 1, got -1"),
+        ("dqn", "warmup", "-1", "warmup must be >= 0, got -1"),
         ("dqn", "hidden", "4097", "hidden layer sizes and batch must be <= 4096, got (4097,) and 8"),
         ("dqn", "batch", "4097", "hidden layer sizes and batch must be <= 4096, got (64, 64) and 4097"),
         ("dqn", "episodes", "99999999999999999999", "episodes must lie in [1, 1000000], got 99999999999999999999"),
@@ -884,28 +882,16 @@ def test_fewer_episodes_than_the_default_warmup_exit_2_before_any_work(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
-def test_a_buffer_larger_than_the_episodes_changes_no_output_byte(tmp_path):
-    """The replay buffer never holds more entries than there are episodes, so it allocates no more."""
-    cfg = base_config(tmp_path, write_images(tmp_path))
-    out = tmp_path / "out"
-    assert main(["allocate", "--config", str(cfg), "--solver", "dqn"]) == 0  # the default buffer of 4096
-    default = {p.name: p.read_bytes() for p in out.iterdir() if "manifest" not in p.name}
-    cfg.write_text(cfg.read_text().replace("[dqn]\n", "[dqn]\nbuffer = 1000000000000\n"))
-    assert main(["allocate", "--config", str(cfg), "--solver", "dqn"]) == 0
-    assert set(default) == {"dqn_trace.csv", "dqn_agent.bin"}
-    assert {p.name: p.read_bytes() for p in out.iterdir() if "manifest" not in p.name} == default
-
-
-@pytest.mark.parametrize("key", ["gamma", "sync"])
-def test_the_former_dqn_keys_gamma_and_sync_are_rejected(tmp_path, capsys, key):
-    """A one-step agent has nothing to discount or sync, so neither key sets anything."""
+@pytest.mark.parametrize("key", ["gamma", "sync", "buffer"])
+def test_the_former_dqn_keys_gamma_sync_and_buffer_are_rejected(tmp_path, capsys, key):
+    """A one-step agent has nothing to discount or sync and replays every episode, so no key sets anything."""
     cfg = base_config(tmp_path, write_images(tmp_path))
     cfg.write_text(cfg.read_text().replace("[dqn]\n", f"[dqn]\n{key} = 1\n"))
     with pytest.raises(ConfigError, match=re.escape(f"unknown key {key!r} in [dqn]")):
         load_config(cfg)
     assert main(["allocate", "--config", str(cfg), "--solver", "dqn"]) == 2
     err = capsys.readouterr().err
-    assert err.rstrip().endswith("valid keys: episodes, lr, epsilon_min, buffer, batch, hidden, warmup")
+    assert err.rstrip().endswith("valid keys: episodes, lr, epsilon_min, batch, hidden, warmup")
     assert not (tmp_path / "out").exists()
 
 
@@ -976,7 +962,6 @@ d = 1,2,4
 episodes = 8
 lr = 0.01
 epsilon_min = 0.1
-buffer = 16
 batch = 4
 hidden = 8,8
 warmup = 4
@@ -986,7 +971,7 @@ dir = {out}
 """
 HOSTILE_VALUES = ["", "nan", "inf", "-inf", "-1", "0", "2.5", "1e308", "abc", "(", "k="]
 # keys that size an allocation: drawn only from values of at most 64, to keep each example fast
-SIZE_KEYS = {"hidden", "buffer", "batch", "episodes"}
+SIZE_KEYS = {"hidden", "batch", "episodes"}
 
 
 @st.composite
@@ -1038,3 +1023,11 @@ def test_every_command_on_a_hostile_config_value_exits_0_1_or_2_without_a_traceb
         assert "Traceback" not in err, name
         if code == 2:
             assert err.startswith("error: "), (name, err)
+
+
+def test_every_command_on_the_unmutated_fuzz_config_exits_0(fuzz_dir):
+    """The fuzz mutates one value of a config that loads, so each exit 2 it sees comes from that value."""
+    cfg = fuzz_dir / "unmutated.cfg"
+    cfg.write_text(FUZZ_CONFIG.format(image=fuzz_dir / "image.pgm", out=fuzz_dir / "unmutated-out"))
+    for name in _COMMANDS:
+        assert run_command(name, cfg) == 0, name

@@ -1,5 +1,5 @@
 """The shared evaluation core: memoised results match literal recomputation,
-every command extracts each (image, extractor) once, and a noisy
+each core extracts its image once, and a noisy
 reconstruction is kept only once its factor is asked for again."""
 
 from collections import Counter
@@ -20,12 +20,13 @@ from _fixtures import diagonal, filled_square, gradient_with_square, noisy_insta
 from _reference import reference_dqn_train, reference_quality
 
 
-# The CLI trains on a pool of one; a capacity below the 60 episodes makes the replay ring wrap.
+# The CLI trains on a pool of one.  Warmup 0 updates from the first episode,
+# and warmup 60 makes one update, at the last of the 60 episodes.
 @pytest.mark.parametrize("pool_size", [1, 2])
-@pytest.mark.parametrize("capacity", [16, 60, 64])
-def test_dqn_train_matches_literal_loop_with_generation_noise(pool_size, capacity):
+@pytest.mark.parametrize("warmup", [0, 8, 60])
+def test_dqn_train_matches_literal_loop_with_generation_noise(pool_size, warmup):
     pool = [noisy_instance(), noisy_instance(image_shift=4)][:pool_size]
-    cfg = DqnConfig(seed=5, warmup=8, batch_size=4, buffer_capacity=capacity, hidden=(16,), episodes=60)
+    cfg = DqnConfig(seed=5, warmup=warmup, batch_size=4, hidden=(16,), episodes=60)
     out = dqn_train(pool, cfg)
     rewards, losses, actions, net = reference_dqn_train(pool, cfg)
     assert np.array_equal(out.rewards, rewards)
@@ -48,7 +49,7 @@ def test_dqn_train_losses_use_the_sampled_instance_weights():
         )
 
     pool = [instance(1.0, 0), instance(5.0, 4)]
-    cfg = DqnConfig(seed=9, warmup=8, batch_size=4, buffer_capacity=16, hidden=(16,), episodes=60)
+    cfg = DqnConfig(seed=9, warmup=8, batch_size=4, hidden=(16,), episodes=60)
     out = dqn_train(pool, cfg)
     rewards, losses, actions, _ = reference_dqn_train(pool, cfg)
     assert set(out.instance_indices) == {0, 1}
@@ -157,7 +158,7 @@ def test_a_noisy_sweep_encodes_each_factor_once_per_image(encode_calls):
 
 def test_dqn_training_encodes_each_service_and_factor_at_most_twice(encode_calls):
     inst = noisy_instance()
-    out = dqn_train([inst], DqnConfig(seed=5, warmup=8, batch_size=4, buffer_capacity=16, hidden=(16,), episodes=60))
+    out = dqn_train([inst], DqnConfig(seed=5, warmup=8, batch_size=4, hidden=(16,), episodes=60))
     assert len(set(out.action_indices)) > inst.n_services  # many joint actions were scored
     assert len(encode_calls) == inst.n_services * len(inst.factors)
     assert max(encode_calls.values()) == 2
