@@ -482,6 +482,45 @@ def test_a_warmup_equal_to_the_episodes_makes_exactly_one_update(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("warmup", [-1, -3, -EPISODE_GUARD])
+def test_dqn_config_rejects_a_negative_warmup(warmup):
+    with pytest.raises(DomainError, match=re.escape(f"warmup must be >= 0, got {warmup}")):
+        DqnConfig(episodes=10, warmup=warmup)
+
+
+# Each update's batch is recorded as (action, reward) pairs; a batch of 256 over
+# at most 30 episodes draws every one of them at the last update.
+@pytest.mark.parametrize("warmup", [0, 1, 8, 30])
+def test_each_update_replays_only_and_all_of_the_episodes_so_far(monkeypatch, warmup):
+    real = semcom.allocator.td_loss_and_gradients
+    batches = []
+
+    def recorded(online, states, actions, rewards):
+        batches.append(set(zip(actions.tolist(), rewards.tolist())))
+        return real(online, states, actions, rewards)
+
+    monkeypatch.setattr(semcom.allocator, "td_loss_and_gradients", recorded)
+    episodes = 30
+    out = dqn_train([noisy_instance()], DqnConfig(seed=3, episodes=episodes, warmup=warmup, batch_size=256, hidden=(16,)))
+    first = max(warmup, 1) - 1  # the episode of the first update
+    assert len(batches) == episodes - first
+    trace = list(zip(out.action_indices.tolist(), out.rewards.tolist()))
+    for e, batch in enumerate(batches, start=first):
+        assert batch <= set(trace[: e + 1]), e
+    assert batches[-1] == set(trace)
+
+
+def test_a_warmup_of_0_trains_exactly_as_a_warmup_of_1():
+    """Both update from the first episode on, as the first update already holds one entry."""
+    inst = noisy_instance()
+    a = dqn_train([inst], DqnConfig(seed=4, episodes=20, warmup=0, batch_size=4, hidden=(16,)))
+    b = dqn_train([inst], DqnConfig(seed=4, episodes=20, warmup=1, batch_size=4, hidden=(16,)))
+    assert np.array_equal(a.rewards, b.rewards)
+    assert np.array_equal(a.action_indices, b.action_indices)
+    for pa, pb in zip(a.agent.online.weights + a.agent.online.biases, b.agent.online.weights + b.agent.online.biases):
+        assert np.array_equal(pa, pb)
+
+
 @pytest.mark.parametrize("episodes", [0, -1, EPISODE_GUARD + 1])
 def test_dqn_config_rejects_episodes_outside_the_guard(episodes):
     with pytest.raises(DomainError, match=re.escape(f"episodes must lie in [1, {EPISODE_GUARD}], got {episodes}")):
