@@ -100,9 +100,9 @@ def psnr_quality(a: SemanticMap, b: SemanticMap, cap_db: float = 50.0) -> float:
     return min(10.0 * math.log10(1.0 / mse), cap_db) / cap_db
 
 
-# Elements of one moment's integral-image rows that ssim_quality builds per
-# band of output rows: with five moments, its band buffers hold 2 to 3 MB
-# at window 8, whatever the image size.
+# Elements of one moment's rows that ssim_quality builds per band of output
+# rows: with five moments, the float path's band buffers hold 2 to 3 MB at
+# window 8, whatever the image size.
 _BAND = 1 << 14
 
 
@@ -125,45 +125,44 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
 
     Two BINARY maps hold only 0 and 1 (or -0.0), so x^2 = x and y^2 = y,
     and every float sum above is an exact integer: each window mean is a
-    count divided by w*w, never -0.0. Their integral images of x, y and xy
-    are then built in uint32 and their x^2 and y^2 means copied from the x
-    and y means, which gives the same bits from three planes instead of five.
+    count divided by w*w, never -0.0. Each band's rows of x, y and x AND y
+    are cast to the smallest unsigned dtype that holds w*w, and their window
+    counts are summed down the columns and then along the rows by doubling,
+    exact in any order. The counts divided by w*w are the float path's
+    means, bit for bit, and both paths share the ratio arithmetic.
     """
     _check_shapes(a, b)
     w = params.window
     _check_window(a, w)
-    x, y = a.pixels, b.pixels
-    c1, c2 = SSIM_C1, SSIM_C2
-    height, width = x.shape
-    oh, ow = height - w + 1, width - w + 1
+    height, width = a.pixels.shape
+    ratio = np.empty((height - w + 1, width - w + 1))
+    band = min(max(1, _BAND // width), len(ratio))
+    if a.kind == BINARY and b.kind == BINARY:
+        _binary_ssim_rows(a.pixels, b.pixels, w, band, ratio)
+    else:
+        _float_ssim_rows(a.pixels, b.pixels, w, band, ratio)
+    return min(max(float(np.mean(ratio)), 0.0), 1.0)
+
+
+def _float_ssim_rows(x: np.ndarray, y: np.ndarray, w: int, band: int, ratio: np.ndarray) -> None:
+    """Fill ``ratio`` with the SSIM of every window, from float integral images."""
+    oh, ow = ratio.shape
+    width = x.shape[1]
     span = width + 1
-    band = min(max(1, _BAND // width), oh)
-    exact = a.kind == BINARY and b.kind == BINARY
-    planes, dtype = (3, np.uint32) if exact else (5, np.float64)
     # cs[1:] holds the running column sums of a band's source rows, the
     # moments side by side in each row, and cs[0] those of the row before.
-    cs = np.empty((band + w, planes, width), dtype)
+    cs = np.empty((band + w, 5, width))
     # g[m] holds rows of moment m's integral image, zero in column 0; the
     # first w rows of each band are the last w of the band before.
-    g = np.zeros((planes, band + w, span), dtype)
-    flat = g.reshape(planes, -1)
+    g = np.zeros((5, band + w, span))
+    flat = g.reshape(5, -1)
     # Window means and ratio terms run over each plane's rows laid end to
     # end, so every operand is contiguous: position r * span + c is window
     # (r, c) for c < ow, and the wrapped positions past ow are finite and
     # never read.
     means = np.empty((5, band * span))
-    if exact:
-        # Integral values are counts of at most H*W, below 2^32 up to
-        # 65,535 pixels a side (the most a payload header holds). Beyond
-        # that uint32 wrap-around would still leave every four-term window
-        # count exact, since the true count is at most w*w < 2^32.
-        sums = np.empty((3, band * span), np.uint32)
-        scratch = np.empty(band * span)
-    else:
-        sums = means
-        # The ratio terms' scratch lies clear of cs[0], in rows free once in g.
-        scratch = cs.reshape(-1)[-band * span :]
-    ratio = np.empty((oh, ow))
+    # The ratio terms' scratch lies clear of cs[0], in rows free once in g.
+    scratch = cs.reshape(-1)[-band * span :]
     top, src = 1, 0  # next integral row to fill, and the source row it comes from
     for i in range(0, oh, band):
         n = min(band, oh - i)
@@ -172,56 +171,111 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
         xs, ys = x[src:end], y[src:end]
         rows[:, 0] = xs
         rows[:, 1] = ys
-        if exact:
-            np.multiply(rows[:, 0], rows[:, 1], out=rows[:, 2])
-        else:
-            np.multiply(xs, ys, out=rows[:, 2])
-            np.multiply(xs, xs, out=rows[:, 3])
-            np.multiply(ys, ys, out=rows[:, 4])
+        np.multiply(xs, ys, out=rows[:, 2])
+        np.multiply(xs, xs, out=rows[:, 3])
+        np.multiply(ys, ys, out=rows[:, 4])
         for r in range(1 if src else 2, len(rows) + 1):
             np.add(cs[r - 1], cs[r], out=cs[r])
         cs[0] = rows[-1]
-        np.cumsum(rows, axis=2, dtype=dtype, out=g[:, top : n + w, 1:].transpose(1, 0, 2))
+        np.cumsum(rows, axis=2, out=g[:, top : n + w, 1:].transpose(1, 0, 2))
         # (c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]) / (w * w) for each
         # plane's integral image c, in that order.
         k = (n - 1) * span + ow
         below = w * span
-        s = sums[:, :k]
-        np.subtract(flat[:, below + w : below + w + k], flat[:, w : w + k], out=s)
-        s -= flat[:, below : below + k]
-        s += flat[:, :k]
         m = means[:, :k]
-        np.divide(s, w * w, out=m[:planes])
-        if exact:
-            m[3:] = m[:2]
+        np.subtract(flat[:, below + w : below + w + k], flat[:, w : w + k], out=m)
+        m -= flat[:, below : below + k]
+        m += flat[:, :k]
+        m /= w * w
         g[:, :w] = g[:, n : n + w]
         top, src = w, end
-        # ((2 mx my + c1)(2 cov + c2)) / ((mx^2 + my^2 + c1)(vx + vy + c2))
-        # with sample (not Bessel-corrected) second moments, each factor
-        # evaluated in that left-to-right order. The xy, x^2 and y^2 means
-        # turn into cov, vx and vy in place.
-        mx, my, cov, vx, vy = m
-        t = scratch[:k]
-        np.multiply(mx, my, out=t)
-        cov -= t
-        np.multiply(2.0, mx, out=t)
-        t *= my
-        t += c1
-        cov *= 2.0
-        cov += c2
-        cov *= t
-        mx *= mx
-        vx -= mx
-        my *= my
-        vy -= my
-        mx += my
-        mx += c1
-        vx += vy
-        vx += c2
-        mx *= vx
-        grid = means[:, : n * span].reshape(5, n, span)[:, :, :ow]
-        np.divide(grid[2], grid[0], out=ratio[i : i + n])
-    return min(max(float(np.mean(ratio)), 0.0), 1.0)
+        _ssim_ratio(means, scratch, n, span, ratio[i : i + n])
+
+
+def _binary_ssim_rows(x: np.ndarray, y: np.ndarray, w: int, band: int, ratio: np.ndarray) -> None:
+    """Fill ``ratio`` with the SSIM of every window of two 0/1 maps, from integer window counts."""
+    oh, ow = ratio.shape
+    width = x.shape[1]
+    # Counts reach w*w, and the smallest unsigned dtype that holds it keeps
+    # every sum exact: uint8 up to w = 15, uint16 up to 255, then uint32.
+    bits = np.empty((3, (band + w - 1) * width), np.min_scalar_type(w * w))
+    # As in the float path, window (r, c) is at position r * width + c; the
+    # positions past ow wrap into the next row and hold counts of at most
+    # w*w, which never reach ``ratio``.
+    means = np.empty((5, band * width))
+    scratch = np.empty(band * width)
+    for i in range(0, oh, band):
+        n = min(band, oh - i)
+        v = bits[:, : (n + w - 1) * width]
+        np.copyto(v[0], x[i : i + n + w - 1].reshape(-1), casting="unsafe")
+        np.copyto(v[1], y[i : i + n + w - 1].reshape(-1), casting="unsafe")
+        np.bitwise_and(v[0], v[1], out=v[2])
+        k = (n - 1) * width + ow
+        counts = _window_sums(_window_sums(v, w, width, n * width), w, 1, k)
+        np.divide(counts, w * w, out=means[:3, :k])
+        means[3:, :k] = means[:2, :k]
+        _ssim_ratio(means, scratch, n, width, ratio[i : i + n])
+
+
+def _window_sums(v: np.ndarray, w: int, step: int, k: int) -> np.ndarray:
+    """Sums of w entries ``step`` apart in each row of the unsigned array v, at its first k positions.
+
+    Sums of widths 1, 2, 4, ... come from doubling, each the sum of two of
+    the width before, and the one for each set bit of w is added in, so the
+    cost grows with log w. Integer sums are exact in any order while the
+    dtype holds them. Overwrites v.
+    """
+    spare = np.empty_like(v)
+    total, offset, span = None, 0, 1
+    while True:
+        if w & span:
+            sums = v[:, offset * step : offset * step + k]
+            if total is None:
+                # Later doublings overwrite v, so only the last set bit's sums are kept as a view.
+                total = sums if span == w else sums.copy()
+            else:
+                total += sums
+            offset += span
+        if 2 * span > w:
+            return total
+        size = v.shape[1] - span * step
+        v, spare = np.add(v[:, :size], v[:, span * step :], out=spare[:, :size]), v
+        span *= 2
+
+
+def _ssim_ratio(means: np.ndarray, scratch: np.ndarray, n: int, stride: int, out: np.ndarray) -> None:
+    """Write the SSIM ratio of n rows of windows to ``out`` from their means, overwriting them.
+
+    means[0..4] hold the window means of x, y, xy, x^2 and y^2, window (r, c)
+    at position r * stride + c.
+    """
+    ow = out.shape[1]
+    k = (n - 1) * stride + ow
+    mx, my, cov, vx, vy = means[:, :k]
+    t = scratch[:k]
+    # ((2 mx my + c1)(2 cov + c2)) / ((mx^2 + my^2 + c1)(vx + vy + c2))
+    # with sample (not Bessel-corrected) second moments, each factor
+    # evaluated in that left-to-right order. The xy, x^2 and y^2 means
+    # turn into cov, vx and vy in place.
+    np.multiply(mx, my, out=t)
+    cov -= t
+    np.multiply(2.0, mx, out=t)
+    t *= my
+    t += SSIM_C1
+    cov *= 2.0
+    cov += SSIM_C2
+    cov *= t
+    mx *= mx
+    vx -= mx
+    my *= my
+    vy -= my
+    mx += my
+    mx += SSIM_C1
+    vx += vy
+    vx += SSIM_C2
+    mx *= vx
+    grid = means[:, : n * stride].reshape(5, n, stride)[:, :, :ow]
+    np.divide(grid[2], grid[0], out=out)
 
 
 # Pixels of each map vi_quality bins at a time.

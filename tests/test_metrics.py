@@ -260,10 +260,11 @@ def assert_binary_ssim_bits_equal_the_float_path(a, b, params=SsimQuality()):
 
 
 @pytest.mark.parametrize("rows", [1, 3, 64])
-@pytest.mark.parametrize("window", [2, 3, 8, 11])
+@pytest.mark.parametrize("window", [2, 3, 8, 11, 15, 16])
 def test_binary_ssim_bits_equal_the_float_path_across_band_edges(monkeypatch, rows, window):
     # The band heights of the float-path test above, at densities from all
-    # zeros to all ones, and with -0.0 pixels among the zeros.
+    # zeros to all ones, and with -0.0 pixels among the zeros. An all-ones
+    # window counts 15^2 = 225, the most a uint8 holds, and 16^2 = 256.
     rng = np.random.default_rng(1000 * rows + window)
     params = SsimQuality(window=window)
     for height in (rows + window - 1, rows + window, 2 * rows + window + 1):
@@ -276,6 +277,15 @@ def test_binary_ssim_bits_equal_the_float_path_across_band_edges(monkeypatch, ro
             assert_binary_ssim_bits_equal_the_float_path(a, b, params)
 
 
+def test_binary_ssim_of_a_256_window_count_beyond_uint16_equals_the_float_path():
+    # An all-ones 256 x 256 window counts 65,536, one past the largest uint16.
+    ones = SemanticMap(np.ones((256, 257)), kind=BINARY)
+    half = binary_pair(np.random.default_rng(256), (256, 257), 0.5)[0]
+    params = SsimQuality(window=256)
+    assert_binary_ssim_bits_equal_the_float_path(ones, half, params)
+    assert_binary_ssim_bits_equal_the_float_path(ones, SemanticMap(np.ones((256, 257)), kind=BINARY), params)
+
+
 def test_binary_ssim_of_all_negative_zero_maps_equals_the_float_path():
     zeros = SemanticMap(np.full((11, 13), -0.0), kind=BINARY)
     ones = SemanticMap(np.ones((11, 13)), kind=BINARY)
@@ -284,9 +294,9 @@ def test_binary_ssim_of_all_negative_zero_maps_equals_the_float_path():
 
 
 def test_binary_ssim_peaks_under_one_and_a_half_arrays_of_its_size():
-    # Measured at 1.19 of a 1024 x 1024 float64 map, against 1.34 for the
-    # same pixels as SOFT maps: three uint32 planes take less than five
-    # float64 ones, which also shows the integer path ran.
+    # Measured at 1.11 of a 1024 x 1024 float64 map, against 1.34 for the
+    # same pixels as SOFT maps: its uint8 count planes take less than five
+    # float64 integral-image planes, which also shows the integer path ran.
     a, b = binary_pair(np.random.default_rng(14), (1024, 1024), 0.1)
     peak = traced_peak(ssim_quality, a, b)
     assert peak < 1.5 * a.pixels.nbytes
