@@ -15,9 +15,9 @@ import numpy as np
 from .codec import EncodedPayload, cost_bytes
 from .errors import DomainError
 
-# Payload bytes whose per-bit uniforms are drawn and applied together: 2 MiB
-# of float64 uniforms at a time, however long the payload.
-_BLOCK_BYTES = 1 << 15
+# Gaps between flipped bits drawn at a time: 32 KiB of int64 gaps, summed
+# in place into positions, at any flip probability and payload length.
+_GAP_BATCH = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,17 @@ class BudgetCheck:
 def transmit(payload: EncodedPayload, cfg: ChannelConfig, rng: np.random.Generator) -> TransmitResult:
     """Flip each payload bit independently with probability cfg.bit_flip_prob.
 
+    Only the flips are drawn. The gaps between consecutive flipped bits of
+    an i.i.d. Bernoulli(p) sequence are i.i.d. geometric on 1, 2, ... (Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, ch. X), so the flipped
+    positions are the running sums of ``rng.geometric(p)`` gaps from position
+    -1, and the run stops at the first position past the payload's last bit.
+    Gaps come in batches of _GAP_BATCH, so scratch memory is bounded at any
+    p; each is clipped at one more than the payload's bit count, which still
+    carries it past the last bit but keeps the sums from overflowing int64
+    when p is so small that numpy draws 2**63 - 1. Position i flips bit
+    ``0x80 >> (i & 7)`` of byte ``i >> 3``, most significant bit first.
+
     Bytes are accounted whether or not noise corrupted them.  A single rng
     stream must not be shared across concurrent transmissions.
     """
@@ -59,19 +70,18 @@ def transmit(payload: EncodedPayload, cfg: ChannelConfig, rng: np.random.Generat
     p = cfg.bit_flip_prob
     if p == 0.0:
         return TransmitResult(delivered=payload, bytes_used=used, flipped_bits=0)
-    raw = np.frombuffer(payload.payload, dtype=np.uint8)
-    out = raw.copy()
-    # Consecutive blocks consume the stream exactly as one (n, 8) draw would.
-    uniforms = np.empty((min(raw.size, _BLOCK_BYTES), 8))
-    flipped = 0
-    for start in range(0, raw.size, _BLOCK_BYTES):
-        block = uniforms[: raw.size - start]
-        rng.random(out=block)
-        flips = block < p
-        flipped += int(np.count_nonzero(flips))
-        # flips is C-contiguous with 8 bits per byte, so one flat pack gives
-        # each byte's bits in order, as packing along axis 1 would.
-        out[start : start + len(block)] ^= np.packbits(flips.reshape(-1))
+    out = np.frombuffer(payload.payload, dtype=np.uint8).copy()
+    bits = 8 * out.size
+    last, flipped = -1, 0  # the position the next batch's gaps count from
+    while last < bits:
+        positions = rng.geometric(p, size=_GAP_BATCH)
+        np.minimum(positions, bits + 1, out=positions)
+        np.cumsum(positions, out=positions)
+        positions += last
+        inside = positions[: np.searchsorted(positions, bits)]
+        np.bitwise_xor.at(out, inside >> 3, (0x80 >> (inside & 7)).astype(np.uint8))
+        flipped += inside.size
+        last = int(positions[-1])
     delivered = replace(payload, payload=out.tobytes())
     return TransmitResult(delivered=delivered, bytes_used=used, flipped_bits=flipped)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, TooSmallError
-from .image import BINARY, MAX_LEVELS, SemanticMap, _level_floor
+from .image import BINARY, LABELS, MAX_LEVELS, SemanticMap, _level_floor
 
 
 @dataclass(frozen=True)
@@ -123,13 +123,21 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
     pairwise summation, so the score has the same bits as the whole-array
     form.
 
-    Two BINARY maps hold only 0 and 1 (or -0.0), so x^2 = x and y^2 = y,
-    and every float sum above is an exact integer: each window mean is a
-    count divided by w*w, never -0.0. Each band's rows of x, y and x AND y
-    are cast to the smallest unsigned dtype that holds w*w, and their window
-    counts are summed down the columns and then along the rows by doubling,
-    exact in any order. The counts divided by w*w are the float path's
-    means, bit for bit, and both paths share the ratio arithmetic.
+    Two maps on level grids, BINARY (K = 2) or LABELS (K levels), are
+    scored from exact integer window sums instead. Pixel v of a K-level
+    map is level l = rint(v (K - 1)), and each band's rows of lx, ly and
+    lx ly, plus lx^2 and ly^2 for a map with K > 2 (a 0/1 level is its
+    own square), are cast to the smallest unsigned dtype that holds the
+    largest window sum, w*w max(Kx - 1, Ky - 1)^2. Their window sums are
+    summed down the columns and then along the rows by doubling, exact in
+    any order, and each mean is its sum divided by w*w times its plane's
+    level scale, (Kx - 1), (Ky - 1), (Kx - 1)(Ky - 1), (Kx - 1)^2 or
+    (Ky - 1)^2, rounded once. Both paths share the ratio arithmetic. For
+    two BINARY maps every divisor is w*w and every float sum above is an
+    exact integer, so both paths give the same bits. For a LABELS map the
+    float sums round, and its scores differ from the float path's in their
+    last digits. A level scale so large that the sums would pass 2^53,
+    where float64 stops holding every integer, takes the float path.
     """
     _check_shapes(a, b)
     w = params.window
@@ -137,11 +145,21 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
     height, width = a.pixels.shape
     ratio = np.empty((height - w + 1, width - w + 1))
     band = min(max(1, _BAND // width), len(ratio))
-    if a.kind == BINARY and b.kind == BINARY:
-        _binary_ssim_rows(a.pixels, b.pixels, w, band, ratio)
+    sx, sy = _level_scale(a), _level_scale(b)
+    if sx and sy and w * w * max(sx, sy) ** 2 <= 1 << 53:
+        _grid_ssim_rows(a.pixels, sx, b.pixels, sy, w, band, ratio)
     else:
         _float_ssim_rows(a.pixels, b.pixels, w, band, ratio)
     return min(max(float(np.mean(ratio)), 0.0), 1.0)
+
+
+def _level_scale(a: SemanticMap) -> int | None:
+    """K - 1 for a map on the K-level grid: 1 for BINARY, levels - 1 for LABELS; None for SOFT."""
+    if a.kind == BINARY:
+        return 1
+    if a.kind == LABELS:
+        return a.levels - 1
+    return None
 
 
 def _float_ssim_rows(x: np.ndarray, y: np.ndarray, w: int, band: int, ratio: np.ndarray) -> None:
@@ -192,28 +210,49 @@ def _float_ssim_rows(x: np.ndarray, y: np.ndarray, w: int, band: int, ratio: np.
         _ssim_ratio(means, scratch, n, span, ratio[i : i + n])
 
 
-def _binary_ssim_rows(x: np.ndarray, y: np.ndarray, w: int, band: int, ratio: np.ndarray) -> None:
-    """Fill ``ratio`` with the SSIM of every window of two 0/1 maps, from integer window counts."""
+def _grid_ssim_rows(x: np.ndarray, sx: int, y: np.ndarray, sy: int, w: int, band: int, ratio: np.ndarray) -> None:
+    """Fill ``ratio`` with the SSIM of every window of two maps on level grids, from integer window sums.
+
+    sx and sy are the maps' level scales K - 1, and pixel v is level rint(v s).
+    """
     oh, ow = ratio.shape
     width = x.shape[1]
-    # Counts reach w*w, and the smallest unsigned dtype that holds it keeps
-    # every sum exact: uint8 up to w = 15, uint16 up to 255, then uint32.
-    bits = np.empty((3, (band + w - 1) * width), np.min_scalar_type(w * w))
+    # Planes lx, ly and lx ly, then the square of each map with more than two
+    # levels, and the row of ``means`` that each plane's means fill.
+    squared = [i for i, s in enumerate((sx, sy)) if s > 1]
+    scales = [sx, sy, sx * sy] + [(sx, sy)[i] ** 2 for i in squared]
+    rows = [0, 1, 2] + [3 + i for i in squared]
+    # Window sums reach w*w max(sx, sy)^2, and the smallest unsigned dtype
+    # that holds it keeps every sum exact: for two BINARY maps, uint8 up to
+    # w = 15, uint16 up to 255, then uint32.
+    planes = np.empty((len(scales), (band + w - 1) * width), np.min_scalar_type(w * w * max(sx, sy) ** 2))
+    # float scratch for the levels of a map with more than two levels
+    scaled = np.empty(planes.shape[1]) if squared else None
     # As in the float path, window (r, c) is at position r * width + c; the
-    # positions past ow wrap into the next row and hold counts of at most
-    # w*w, which never reach ``ratio``.
+    # positions past ow wrap into the next row and hold sums no larger than
+    # the largest, which never reach ``ratio``.
     means = np.empty((5, band * width))
     scratch = np.empty(band * width)
     for i in range(0, oh, band):
         n = min(band, oh - i)
-        v = bits[:, : (n + w - 1) * width]
-        np.copyto(v[0], x[i : i + n + w - 1].reshape(-1), casting="unsafe")
-        np.copyto(v[1], y[i : i + n + w - 1].reshape(-1), casting="unsafe")
-        np.bitwise_and(v[0], v[1], out=v[2])
+        v = planes[:, : (n + w - 1) * width]
+        for j, (src, s) in enumerate(((x, sx), (y, sy))):
+            src = src[i : i + n + w - 1].reshape(-1)
+            if s > 1:
+                np.rint(np.multiply(src, s, out=scaled[: src.size]), out=v[j], casting="unsafe")
+            else:
+                np.copyto(v[j], src, casting="unsafe")
+        np.multiply(v[0], v[1], out=v[2])
+        for j, p in enumerate(squared, 3):
+            np.multiply(v[p], v[p], out=v[j])
         k = (n - 1) * width + ow
-        counts = _window_sums(_window_sums(v, w, width, n * width), w, 1, k)
-        np.divide(counts, w * w, out=means[:3, :k])
-        means[3:, :k] = means[:2, :k]
+        sums = _window_sums(_window_sums(v, w, width, n * width), w, 1, k)
+        m = means[:, :k]
+        for row, total, scale in zip(rows, sums, scales):
+            np.divide(total, w * w * scale, out=m[row])
+        for j in {0, 1} - set(squared):
+            # a 0/1 level is its own square
+            m[3 + j] = m[j]
         _ssim_ratio(means, scratch, n, width, ratio[i : i + n])
 
 

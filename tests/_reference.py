@@ -310,6 +310,51 @@ def legacy_ssim_quality(a, b, params=None):
     return min(max(float(np.mean(ssim)), 0.0), 1.0)
 
 
+def reference_grid_ssim_quality(a, b, params=None):
+    """ssim_quality of two BINARY or LABELS maps from each window's integer sums, in literal loops.
+
+    Pixel v of a K-level map (K = 2 for BINARY) is level round(v (K - 1)).
+    Each window sums the levels, their products and their squares as Python
+    ints; each mean is one such sum divided by w*w times its level scale,
+    rounded once. legacy_ssim_quality's ratio formula and one np.mean follow.
+    """
+    from semcom.errors import TooSmallError
+    from semcom.image import BINARY
+    from semcom.metrics import SsimQuality, _check_shapes
+
+    if params is None:
+        params = SsimQuality()
+    _check_shapes(a, b)
+    w = params.window
+    if a.width < w or a.height < w:
+        raise TooSmallError(f"both dimensions must be >= window {w}, got {a.width}x{a.height}")
+
+    def levels(m):
+        scale = 1 if m.kind == BINARY else m.levels - 1
+        return [[round(v * scale) for v in row] for row in m.pixels.tolist()], scale
+
+    lx, sx = levels(a)
+    ly, sy = levels(b)
+    planes = [
+        (lx, sx),
+        (ly, sy),
+        ([[p * q for p, q in zip(r, s)] for r, s in zip(lx, ly)], sx * sy),
+        ([[p * p for p in r] for r in lx], sx * sx),
+        ([[q * q for q in s] for s in ly], sy * sy),
+    ]
+    oh, ow = a.height - w + 1, a.width - w + 1
+    mx, my, mxy, mxx, myy = (
+        np.array([[sum(sum(row[c : c + w]) for row in plane[r : r + w]) / (w * w * scale) for c in range(ow)] for r in range(oh)])
+        for plane, scale in planes
+    )
+    vx = mxx - mx * mx
+    vy = myy - my * my
+    cov = mxy - mx * my
+    c1, c2 = 0.01**2, 0.03**2
+    ssim = ((2.0 * mx * my + c1) * (2.0 * cov + c2)) / ((mx * mx + my * my + c1) * (vx + vy + c2))
+    return min(max(float(np.mean(ssim)), 0.0), 1.0)
+
+
 def reference_vi_quality(a, b, k):
     h, w = a.shape
     joint = {}
@@ -485,16 +530,28 @@ def reference_dqn_train(pool, config):
 
 
 def reference_transmit(payload, p, rng):
-    """transmit as first written, drawing every per-bit uniform at once.
+    """transmit as a literal loop over its geometric gaps, drawn in the same batches.
 
-    Returns the delivered payload bytes and the number of flipped bits.
+    Each gap is the distance from one flipped bit to the next, counted from
+    position -1; bit ``i`` is bit ``7 - i % 8`` of byte ``i // 8``. The
+    loop ends at the first position past the last bit, once its whole batch
+    is drawn. Python ints never overflow, so no gap is clipped. Returns the
+    delivered payload bytes and the number of flipped bits.
     """
-    raw = np.frombuffer(payload.payload, dtype=np.uint8)
+    import semcom.channel
+
+    out = bytearray(payload.payload)
     if p == 0.0:
-        return raw.tobytes(), 0
-    flips = rng.random((raw.size, 8)) < p
-    mask = np.packbits(flips, axis=1).ravel()
-    return (raw ^ mask).tobytes(), int(flips.sum())
+        return bytes(out), 0
+    bits = 8 * len(out)
+    position, flipped = -1, 0
+    while True:
+        for gap in rng.geometric(p, size=semcom.channel._GAP_BATCH).tolist():
+            position += gap
+            if position >= bits:
+                return bytes(out), flipped
+            out[position // 8] ^= 1 << (7 - position % 8)
+            flipped += 1
 
 
 def reference_on_label_grid(pixels, k):

@@ -24,14 +24,23 @@ import semcom.metrics
 from semcom import cli
 from semcom.channel import TransmitResult
 from semcom.codec import cost_bytes
+from semcom.image import BINARY, LABELS
+from semcom.metrics import SsimQuality
 
 import _reference
 
 
 def oracle_transmit(payload, cfg, rng):
-    """channel.transmit through reference_transmit's single (n, 8) draw."""
+    """channel.transmit through reference_transmit's literal loop over the gaps between flips."""
     delivered, flipped = _reference.reference_transmit(payload, cfg.bit_flip_prob, rng)
     return TransmitResult(dataclasses.replace(payload, payload=delivered), cost_bytes(payload), flipped)
+
+
+def oracle_ssim_quality(a, b, params=SsimQuality()):
+    """ssim_quality through the integer window-sum oracle for two maps on level grids, else the float one."""
+    if a.kind in (BINARY, LABELS) and b.kind in (BINARY, LABELS):
+        return _reference.reference_grid_ssim_quality(a, b, params)
+    return _reference.legacy_ssim_quality(a, b, params)
 
 
 # (defining module, kernel name, oracle)
@@ -40,13 +49,13 @@ ORACLES = [
     (semcom.extractors, "sobel_magnitude", _reference.legacy_sobel_magnitude),
     (semcom.image, "box_downscale", _reference.reference_box_downscale),
     (semcom.codec, "decode", _reference.legacy_decode),
-    (semcom.metrics, "ssim_quality", _reference.legacy_ssim_quality),
+    (semcom.metrics, "ssim_quality", oracle_ssim_quality),
     (semcom.metrics, "vi_quality", _reference.legacy_vi_quality),
     (semcom.channel, "transmit", oracle_transmit),
 ]
 
-# Elements per band (payload bytes per block for the channel): odd, and a
-# few rows of the 61- to 96-pixel-wide maps, so that bands end mid-map.
+# Elements per band (gaps per batch for the channel): odd, and a few rows
+# of the 61- to 96-pixel-wide maps, so that bands end mid-map.
 BANDS = [
     (semcom.extractors, "_EDGE_BAND", 251),
     (semcom.image, "_BAND", 199),
@@ -54,7 +63,7 @@ BANDS = [
     (semcom.image, "_CHECK_BAND", 97),
     (semcom.metrics, "_BAND", 233),
     (semcom.metrics, "_VI_BAND", 127),
-    (semcom.channel, "_BLOCK_BYTES", 37),
+    (semcom.channel, "_GAP_BATCH", 37),
 ]
 
 COMMANDS = [

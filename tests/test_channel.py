@@ -1,10 +1,13 @@
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 
-from semcom.channel import _BLOCK_BYTES, BudgetCheck, ChannelConfig, budget_check, transmit
+import semcom.channel
+from semcom.channel import _GAP_BATCH, BudgetCheck, ChannelConfig, budget_check, transmit
 from semcom.codec import EncodedPayload, cost_bytes, encode
 from semcom.errors import DomainError
 from semcom.image import SemanticMap
@@ -101,9 +104,29 @@ def raw_payload(n, seed=0):
     return EncodedPayload(n // rows, rows, n // rows, rows, 1, "soft", None, body)
 
 
-@pytest.mark.parametrize("n", [1, _BLOCK_BYTES - 1, _BLOCK_BYTES, _BLOCK_BYTES + 1, 3 * _BLOCK_BYTES + 5])
-@pytest.mark.parametrize("p", [0.0, 1e-4, 0.5, 1.0])
-def test_blocked_draws_equal_one_draw(n, p):
+# (gaps per batch, payload bytes): the shipped batch, with payloads of one
+# byte, one batch of bits at p = 1, one byte more and several batches; then
+# small batches whose payloads end exactly at a batch edge at p = 1 (8 bits
+# in a batch of 8, 56 in one of 7), one bit past it (8 in 7, 16 in 15), or
+# span many batches of one gap.
+BATCHES = [
+    (_GAP_BATCH, 1),
+    (_GAP_BATCH, _GAP_BATCH // 8),
+    (_GAP_BATCH, _GAP_BATCH // 8 + 1),
+    (_GAP_BATCH, 3 * _GAP_BATCH // 8 + 5),
+    (8, 1),
+    (8, 3),
+    (7, 7),
+    (7, 1),
+    (15, 2),
+    (1, 5),
+]
+
+
+@pytest.mark.parametrize("batch, n", BATCHES)
+@pytest.mark.parametrize("p", [0.0, 1e-300, 1e-4, 0.3, 0.5, 1.0])
+def test_gap_batches_equal_the_literal_gap_loop(monkeypatch, batch, n, p):
+    monkeypatch.setattr(semcom.channel, "_GAP_BATCH", batch)
     payload = raw_payload(n, seed=n)
     rng, ref_rng = stream(13, "channel"), stream(13, "channel")
     out = transmit(payload, ChannelConfig(budget_bytes=10**9, bit_flip_prob=p), rng)
@@ -111,11 +134,55 @@ def test_blocked_draws_equal_one_draw(n, p):
     assert out.delivered.payload == delivered
     assert out.flipped_bits == flipped
     assert rng.random() == ref_rng.random()
+    if p in (0.0, 1e-300):
+        # numpy draws 2**63 - 1 for every gap at p = 1e-300, which ends the run at once
+        assert (delivered, flipped) == (payload.payload, 0)
+    if p == 1.0:
+        assert (delivered, flipped) == (bytes(b ^ 0xFF for b in payload.payload), 8 * n)
 
 
-def test_transmit_of_a_mebibyte_peaks_under_8_mib():
+# Each test below rejects a correct channel with probability ALPHA.
+ALPHA = 1e-3
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.01, 0.3])
+def test_flips_fit_a_binomial_count_at_uniform_positions_and_offsets(p):
+    # Transmits of one payload of zeros, so each delivered 1 bit is a flip.
+    n, trials = 1000, 200 if p < 0.3 else 20
+    payload = EncodedPayload(n, 1, n, 1, 1, "soft", None, bytes(n))
+    rng = stream(2024, "channel")
+    cfg = ChannelConfig(budget_bytes=10**9, bit_flip_prob=p)
+    hits = np.zeros(8 * n, np.int64)
+    total = 0
+    for _ in range(trials):
+        out = transmit(payload, cfg, rng)
+        bits = np.unpackbits(np.frombuffer(out.delivered.payload, np.uint8))
+        assert out.flipped_bits == int(bits.sum())
+        hits += bits
+        total += out.flipped_bits
+    assert scipy.stats.binomtest(total, 8 * n * trials, p).pvalue > ALPHA
+    # Positions pooled into 50 equal bins of 160 bits; offsets within a byte into 8.
+    for counts in (hits.reshape(50, -1).sum(axis=1), hits.reshape(-1, 8).sum(axis=0)):
+        assert scipy.stats.chisquare(counts).pvalue > ALPHA
+
+
+GOLDEN_FLIPS = 29
+GOLDEN_SHA256 = "9a543c6d44fa9105c59de3e44d7062f648b600eca2c58608d7e7c3ac143646c8"
+
+
+def test_a_fixed_seed_transmit_keeps_its_bytes():
+    # Pins numpy's Generator.geometric: a numpy release that changes its
+    # draws changes every noisy payload, and fails here by name.
+    payload = raw_payload(4096, seed=4)
+    out = transmit(payload, ChannelConfig(budget_bytes=10**9, bit_flip_prob=1e-3), stream(3, "channel"))
+    assert out.flipped_bits == GOLDEN_FLIPS
+    assert hashlib.sha256(out.delivered.payload).hexdigest() == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("p", [1e-4, 0.5, 1.0])
+def test_transmit_of_a_mebibyte_peaks_under_8_mib(p):
     payload = raw_payload(1 << 20)
-    cfg = ChannelConfig(budget_bytes=10**9, bit_flip_prob=1e-4)
+    cfg = ChannelConfig(budget_bytes=10**9, bit_flip_prob=p)
     rng = stream(5, "channel")
     tracemalloc.start()
     try:
