@@ -132,8 +132,7 @@ def cmd_sweep(args) -> int:
         for entry in config.services:
             label = (extractor_label(entry.spec.extractor), metric_label(entry.spec.metric))
             pairs.setdefault(label, (entry.spec.extractor, entry.spec.metric))
-        rng = stream(config.seed, "gen")
-        curves = sweep_candidates(list(pairs.values()), images, config.factors, Surrogate(), rng, image_ids=ids)
+        curves = sweep_candidates(list(pairs.values()), images, config.factors, Surrogate(), image_ids=ids)
         reports = [fit_predictability(curve) for curve in curves]
 
         rows = [(r.pair_label, d, q) for r, c in zip(reports, curves) for d, q in zip(c.factors, c.qualities)]

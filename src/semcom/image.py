@@ -116,6 +116,8 @@ def _check_pixels(arr: np.ndarray, kind: str, levels: int | None) -> None:
     if kind == LABELS:
         if levels is None or levels < 2:
             raise DomainError("labels map needs a level count K >= 2")
+        if levels > MAX_LEVELS:
+            raise DomainError(f"labels map level count K must be <= {MAX_LEVELS}, got {levels}")
         if not _on_label_grid(bands, levels):
             raise DomainError(f"labels map values must lie on the {levels}-level grid")
     elif levels is not None:

@@ -136,8 +136,7 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
     two BINARY maps every divisor is w*w and every float sum above is an
     exact integer, so both paths give the same bits. For a LABELS map the
     float sums round, and its scores differ from the float path's in their
-    last digits. A level scale so large that the sums would pass 2^53,
-    where float64 stops holding every integer, takes the float path.
+    last digits.
     """
     _check_shapes(a, b)
     w = params.window
@@ -146,7 +145,8 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
     ratio = np.empty((height - w + 1, width - w + 1))
     band = min(max(1, _BAND // width), len(ratio))
     sx, sy = _level_scale(a), _level_scale(b)
-    if sx and sy and w * w * max(sx, sy) ** 2 <= 1 << 53:
+    # K <= 255 and w <= the map's side: a window sum passes 2^53 only beyond about 373,000 pixels a side
+    if sx and sy:
         _grid_ssim_rows(a.pixels, sx, b.pixels, sy, w, band, ratio)
     else:
         _float_ssim_rows(a.pixels, b.pixels, w, band, ratio)

@@ -4,7 +4,9 @@ A candidate pair is swept over a factor set to get its mean quality curve,
 then scored by how well an ordinary least-squares line explains that
 curve.  The most predictable pair is the one with the highest R squared;
 ties fall back to the larger absolute Spearman rank correlation, then to
-the lexicographically smallest pair name.
+the lexicographically smallest pair name.  A candidate pair is not yet a
+service, so its curve is noise-free and a pure function of its inputs;
+generation noise belongs to the services of ``allocate`` and ``pipeline``.
 """
 
 from __future__ import annotations
@@ -96,8 +98,6 @@ def sweep_curve(
     images: Sequence[SemanticMap],
     factors: Sequence[int],
     backend: GenerationBackend,
-    rng: np.random.Generator,
-    sigma_gen: float = 0.0,
     image_ids: Sequence[str] | None = None,
 ) -> ResponseCurve:
     """Mean quality over the corpus at every factor for one candidate pair."""
@@ -107,15 +107,12 @@ def sweep_curve(
         raise DomainError(f"need at least 3 factors, got {list(factors)}")
     ids = list(image_ids) if image_ids is not None else [f"img{i}" for i in range(len(images))]
     ordered = sorted(factors)
-    streams = rng.spawn(len(images))
-    # image-outer so each map is extracted once; every image's stream is still
-    # drawn in factor order, and every factor's total still sums in image order
+    # image-outer so each map is extracted once; every factor's total still sums in image order
     totals = [0.0] * len(ordered)
-    for img, img_id, sub in zip(images, ids, streams):
-        svc = ServiceSpec(id=img_id, extractor=extractor, metric=metric, sigma_gen=sigma_gen)
-        core = QualityCore(svc, img, backend)
+    for img, img_id in zip(images, ids):
+        core = QualityCore(ServiceSpec(id=img_id, extractor=extractor, metric=metric), img, backend)
         for j, d in enumerate(ordered):
-            totals[j] += core.quality(d, sub)
+            totals[j] += core.quality(d, None)  # a noise-free core draws nothing
     return ResponseCurve(
         factors=tuple(ordered),
         qualities=tuple(total / len(images) for total in totals),
@@ -143,15 +140,10 @@ def sweep_candidates(
     images: Sequence[SemanticMap],
     factors: Sequence[int],
     backend: GenerationBackend,
-    rng: np.random.Generator,
-    sigma_gen: float = 0.0,
     image_ids: Sequence[str] | None = None,
 ) -> list[ResponseCurve]:
-    """Every candidate pair's curve; each pair gets its own stream, spawned in pair order."""
-    return [
-        sweep_curve(extractor, metric, images, factors, backend, sub, sigma_gen, image_ids)
-        for (extractor, metric), sub in zip(pairs, rng.spawn(len(pairs)))
-    ]
+    """Every candidate pair's noise-free curve, in pair order."""
+    return [sweep_curve(extractor, metric, images, factors, backend, image_ids) for extractor, metric in pairs]
 
 
 def rank_reports(reports: Sequence[PredictabilityReport]) -> list[PredictabilityReport]:
@@ -165,8 +157,6 @@ def select_pair(
     images: Sequence[SemanticMap],
     factors: Sequence[int],
     backend: GenerationBackend,
-    rng: np.random.Generator,
-    sigma_gen: float = 0.0,
     image_ids: Sequence[str] | None = None,
 ) -> PredictabilityReport:
     """Most predictable pair in the product of the candidate lists.
@@ -177,5 +167,5 @@ def select_pair(
     pairs = list(product(extractors, metrics))
     if not pairs:
         raise DomainError("candidate set is empty: pass at least one extractor and one metric")
-    curves = sweep_candidates(pairs, images, factors, backend, rng, sigma_gen, image_ids)
+    curves = sweep_candidates(pairs, images, factors, backend, image_ids)
     return rank_reports([fit_predictability(c) for c in curves])[0]

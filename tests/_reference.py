@@ -623,7 +623,7 @@ def reference_box_downscale(map, d):
 def reference_validate(pixels, kind="soft", levels=None):
     """SemanticMap's checks as first written, each over the whole array; returns the copy it keeps."""
     from semcom.errors import DomainError, ShapeError
-    from semcom.image import _KINDS, BINARY, LABELS
+    from semcom.image import _KINDS, BINARY, LABELS, MAX_LEVELS
 
     arr = np.array(pixels, dtype=np.float64, copy=True, order="C")
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -640,6 +640,8 @@ def reference_validate(pixels, kind="soft", levels=None):
     if kind == LABELS:
         if levels is None or levels < 2:
             raise DomainError("labels map needs a level count K >= 2")
+        if levels > MAX_LEVELS:
+            raise DomainError(f"labels map level count K must be <= {MAX_LEVELS}, got {levels}")
         residue = arr * (levels - 1)
         residue -= np.rint(residue)
         np.abs(residue, out=residue)

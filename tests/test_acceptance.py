@@ -146,7 +146,7 @@ def test_criterion_04_degradation_monotonicity():
     assert len(corpus) == 10
     factors = (1, 2, 4, 8, 10)
     for extractor, metric in [(Canny(), MseQuality()), (SobelMagnitude(), SsimQuality())]:
-        curve = sweep_curve(extractor, metric, corpus, factors, Surrogate(), stream(4, "gen"))
+        curve = sweep_curve(extractor, metric, corpus, factors, Surrogate())
         report = fit_predictability(curve)
         assert report.spearman <= -0.8, (metric_label(metric), curve.qualities)
     _report(4, "degradation-monotonicity")
@@ -187,18 +187,11 @@ def test_criterion_05_pairing_selection(tmp_path):
         ([expected[0]], [expected[1]]),
     ]
     for archetype in archetypes:
-        winner = select_pair(*archetype, images, factors, backend, stream(5, "gen"), image_ids=ids)
+        winner = select_pair(*archetype, images, factors, backend, image_ids=ids)
         assert (winner.extractor, winner.metric) == expected, archetype
         assert winner.r_squared == 1.0
         assert winner.slope == -1.0 / 32.0
-    curves = sweep_candidates(
-        list(product(extractors, metrics)),
-        images,
-        factors,
-        backend,
-        stream(5, "gen"),
-        image_ids=ids,
-    )
+    curves = sweep_candidates(list(product(extractors, metrics)), images, factors, backend, image_ids=ids)
     reports = [fit_predictability(c) for c in curves]
     assert winner.r_squared == max(r.r_squared for r in reports)
     _report(5, "pairing-selection")

@@ -133,7 +133,7 @@ seg.metric = vi(k=5)
 seg.image = {b}
 seg.threshold = 0.6
 seg.weight = 2.0
-lab.extractor = quantize(k=3)
+lab.extractor = quantize(k=8)
 lab.metric = ssim(window=5)
 lab.image = {a}
 lab.threshold = 0.5

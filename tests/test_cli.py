@@ -290,12 +290,23 @@ edges2.image = {paths['diag']}
     config = load_config(cfg)
     images = [read_pgm(paths[name]) for name in ("diag", "square", "grad")]
     pairs = [(SobelMagnitude(), SsimQuality()), (QuantizeSegmentation(4), ViQuality(4)), (Canny(), MseQuality())]
-    curves = sweep_candidates(
-        pairs, images, config.factors, Surrogate(), stream(config.seed, "gen"), image_ids=["edges", "regions", "again"]
-    )
+    curves = sweep_candidates(pairs, images, config.factors, Surrogate(), image_ids=["edges", "regions", "again"])
     reports = [fit_predictability(c) for c in curves]
     expected = [f"{r.pair_label},{r.r_squared!r},{r.slope!r},{r.spearman!r}" for r in rank_reports(reports)]
     assert (tmp_path / "out" / "pairing_report.csv").read_text().splitlines()[1:] == expected
+
+
+def test_sweep_curves_are_noise_free_whatever_a_services_sigma_gen(tmp_path):
+    paths = write_images(tmp_path)
+    cfg = base_config(tmp_path, paths)
+    plain = cfg.read_text()
+    outputs = []
+    for body in (plain, plain.replace("edges.threshold = 0.0", "edges.threshold = 0.0\nedges.sigma_gen = 0.3")):
+        cfg.write_text(body)
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        outputs.append([(tmp_path / "out" / name).read_bytes() for name in ("curves.csv", "pairing_report.csv")])
+    assert load_config(cfg).services[0].spec.sigma_gen == 0.3
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_rerun_byte_identical(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import semcom.image
+from semcom.codec import decode, encode
 from semcom.errors import DomainError, ParseError, SemcomError, ShapeError, TruncatedError
 from semcom.image import (
     BINARY,
@@ -77,6 +78,8 @@ _CHECK_CASES = {
     "labels-one-level": (_LABELS, LABELS, 1),
     "labels-without-levels-nan-last": (put(_LABELS, -1, np.nan), LABELS, None),
     "labels-many-levels": (_LABELS, LABELS, 10**6 + 1),
+    "labels-255-levels": (_BINARY, LABELS, 255),
+    "labels-256-levels": (_BINARY, LABELS, 256),
     "soft-with-levels": (_SOFT, SOFT, 3),
     "zero-rows": (_SOFT[:0], SOFT, None),
     "binary-with-levels-off-last": (put(_BINARY, -1, 0.5), BINARY, 3),
@@ -148,6 +151,14 @@ def test_map_invariants_enforced():
     # valid 3-level grid {0, 0.5, 1}
     m = SemanticMap([[0.0, 0.5, 1.0]], kind=LABELS, levels=3)
     assert m.width == 3 and m.height == 1
+
+
+def test_a_labels_map_holds_at_most_as_many_levels_as_a_payload():
+    # A payload header holds K <= 255, so a map with more levels is rejected where it is built, not in encode.
+    with pytest.raises(DomainError, match=re.escape("labels map level count K must be <= 255, got 300")):
+        SemanticMap(np.zeros((4, 4)), kind=LABELS, levels=300)
+    m = SemanticMap(np.tile(np.arange(255) / 254, (2, 1)), kind=LABELS, levels=255)
+    assert decode(encode(m, 2)).levels == 255
 
 
 def test_pixels_are_immutable():

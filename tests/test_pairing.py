@@ -22,7 +22,6 @@ from semcom.pairing import (
     sweep_candidates,
     sweep_curve,
 )
-from semcom.rng import stream
 
 
 def test_curve_invariants():
@@ -104,7 +103,7 @@ def test_ranks_equal_scipy_average_ranks_bit_for_bit():
 
 def test_sweep_constant_image_with_canny_is_all_one():
     images = [SemanticMap(np.full((16, 16), 0.5))]
-    curve = sweep_curve(Canny(), MseQuality(), images, [1, 2, 4, 8], Surrogate(), stream(0, "gen"))
+    curve = sweep_curve(Canny(), MseQuality(), images, [1, 2, 4, 8], Surrogate())
     assert curve.qualities == (1.0, 1.0, 1.0, 1.0)
 
 
@@ -112,9 +111,9 @@ def test_sweep_two_image_corpus_is_mean_of_singles():
     rng = np.random.default_rng(2)
     images = [SemanticMap(rng.random((16, 16))) for _ in range(2)]
     factors = [1, 2, 4]
-    both = sweep_curve(SobelMagnitude(), MseQuality(), images, factors, Surrogate(), stream(0, "gen"))
+    both = sweep_curve(SobelMagnitude(), MseQuality(), images, factors, Surrogate())
     singles = [
-        sweep_curve(SobelMagnitude(), MseQuality(), [img], factors, Surrogate(), stream(0, "gen"))
+        sweep_curve(SobelMagnitude(), MseQuality(), [img], factors, Surrogate())
         for img in images
     ]
     for i in range(len(factors)):
@@ -125,7 +124,7 @@ def test_sweep_two_image_corpus_is_mean_of_singles():
 def test_sweep_starts_at_one_without_noise():
     rng = np.random.default_rng(3)
     images = [SemanticMap((rng.random((16, 16)) > 0.5).astype(float))]
-    curve = sweep_curve(Canny(), MseQuality(), images, [1, 2, 4], Surrogate(), stream(0, "gen"))
+    curve = sweep_curve(Canny(), MseQuality(), images, [1, 2, 4], Surrogate())
     assert curve.qualities[0] == 1.0
 
 
@@ -136,7 +135,7 @@ def test_select_pair_archetypes_are_candidate_lists(rng):
     mets = [MseQuality(), SsimQuality()]
 
     def select(extractors, metrics):
-        rep = select_pair(extractors, metrics, images, factors, Surrogate(), stream(0, "gen"))
+        rep = select_pair(extractors, metrics, images, factors, Surrogate())
         return rep.extractor, rep.metric
 
     assert select(exts, mets) in list(product(exts, mets))
@@ -178,13 +177,11 @@ def test_select_pair_all_modes_pick_linear_winner(tmp_path):
     # free, metric fixed, extractor fixed, both fixed
     archetypes = [(exts, mets), (exts, [MseQuality()]), ([Canny()], mets), ([expected[0]], [expected[1]])]
     for archetype in archetypes:
-        rep = select_pair(*archetype, images, factors, backend, stream(0, "gen"), image_ids=["lin"])
+        rep = select_pair(*archetype, images, factors, backend, image_ids=["lin"])
         assert (rep.extractor, rep.metric) == expected
         assert rep.r_squared == 1.0
     # re-scan oracle: the winner's r^2 is the maximum over the full grid
-    curves = sweep_candidates(
-        list(product(exts, mets)), images, factors, backend, stream(0, "gen"), image_ids=["lin"]
-    )
+    curves = sweep_candidates(list(product(exts, mets)), images, factors, backend, image_ids=["lin"])
     reports = [fit_predictability(c) for c in curves]
     assert max(r.r_squared for r in reports) == 1.0
     vi_reports = [r for r in reports if isinstance(r.metric, ViQuality)]
@@ -196,8 +193,8 @@ def test_select_winner_dominates_re_scan(rng):
     exts = [Canny(), SobelMagnitude()]
     mets = [MseQuality(), SsimQuality()]
     factors = [1, 2, 4, 8]
-    winner = select_pair(exts, mets, images, factors, Surrogate(), stream(5, "gen"))
-    curves = sweep_candidates(list(product(exts, mets)), images, factors, Surrogate(), stream(5, "gen"))
+    winner = select_pair(exts, mets, images, factors, Surrogate())
+    curves = sweep_candidates(list(product(exts, mets)), images, factors, Surrogate())
     reports = [fit_predictability(c) for c in curves]
     assert all(winner.r_squared >= r.r_squared for r in reports)
 
@@ -215,4 +212,4 @@ def test_report_label_has_no_commas():
 def test_sweep_curve_rejects_an_empty_corpus_or_fewer_than_three_factors(images, factors, message):
     corpus = [SemanticMap(np.zeros((8, 8)))] * images
     with pytest.raises(DomainError, match=re.escape(message)):
-        sweep_curve(SobelMagnitude(), MseQuality(), corpus, factors, Surrogate(), stream(1, "gen"))
+        sweep_curve(SobelMagnitude(), MseQuality(), corpus, factors, Surrogate())
