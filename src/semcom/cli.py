@@ -32,7 +32,7 @@ from .allocator import (
     random_allocate,
 )
 from .channel import budget_check, transmit
-from .codec import decode, encode, serialize_payload
+from .codec import decode, serialize_payload
 from .config import ExperimentConfig, load_config, parse_extractor
 from .errors import IoError, SemcomError, ValidationFailedError
 from .extractors import extract, extractor_label
@@ -186,7 +186,8 @@ def _deliver(entry, config: ExperimentConfig, emitted: list[str], gen_rng, chan_
         spec, read_pgm(entry.image_path), requested, config.factors, Surrogate(), gen_rng
     )
     core = validation.core
-    result = transmit(encode(core.semantic, validation.accepted_d), config.channel, chan_rng)
+    # the payload the core encoded while it validated that factor
+    result = transmit(core.payload(validation.accepted_d), config.channel, chan_rng)
     _emit(emitted, config, f"{spec.id}_payload.bin", serialize_payload(result.delivered))
 
     quality = core.score_reconstruction(decode(result.delivered), gen_rng)

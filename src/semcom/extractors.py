@@ -287,7 +287,7 @@ def canny(image: SemanticMap, params: Canny = Canny()) -> SemanticMap:
             keep |= ge
         np.multiply(core, keep, out=deg)
     if gmax == 0.0:
-        return SemanticMap(nms, kind=BINARY)
+        return SemanticMap._adopt(nms, BINARY)
 
     strong = nms >= params.high * gmax
     weak = nms >= params.low * gmax
@@ -308,7 +308,7 @@ def canny(image: SemanticMap, params: Canny = Canny()) -> SemanticMap:
         frontier = np.greater(reach, edges, out=reach)  # reach & ~edges
         edges |= frontier
     nms[...] = edges
-    return SemanticMap(nms, kind=BINARY)
+    return SemanticMap._adopt(nms, BINARY)
 
 
 def sobel_magnitude(image: SemanticMap) -> SemanticMap:
@@ -329,7 +329,7 @@ def sobel_magnitude(image: SemanticMap) -> SemanticMap:
         out[i : i + n] = mag[1 : n + 1, 1 : w + 1]
     if gmax != 0.0:
         out /= gmax
-    return SemanticMap(out)
+    return SemanticMap._adopt(out)
 
 
 def quantize_segmentation(image: SemanticMap, levels: int) -> SemanticMap:

@@ -18,10 +18,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codec import decode, encode
+from .codec import EncodedPayload, decode, encode
 from .errors import DomainError, MissingMapError, ValidationFailedError
 from .extractors import ExtractorKind, extract
-from .image import SemanticMap, read_pgm, restore_kind
+from .image import SemanticMap, _restore, read_pgm
 from .metrics import MetricKind, score
 
 
@@ -73,17 +73,19 @@ class QualityCore:
     """The one evaluation path: quality of one service's content at any factor.
 
     The semantic map is extracted lazily and once, and so is the factor-1
-    reference ``decode(encode(map, 1))``.  A noise-free service's score is
-    kept per factor: it is one float, and scoring it draws nothing from the
-    rng.  A noisy service's reconstruction, as large as the source image,
-    is kept only from the second request for its factor onward, so a
-    caller that asks for each factor once holds none.
+    reference ``decode(encode(map, 1))``.  Each factor's payload is encoded
+    once and kept: one byte per encoded pixel.  A noise-free service's
+    score is kept per factor: it is one float, and scoring it draws nothing
+    from the rng.  A noisy service's reconstruction, as large as the source
+    image, is kept only from the second request for its factor onward, so
+    a caller that asks for each factor once holds none.
     """
 
     def __init__(self, svc: ServiceSpec, source: SemanticMap | None, backend: GenerationBackend = Surrogate()):
         self.svc = svc
         self.source = source
         self.backend = backend
+        self._payloads: dict[int, EncodedPayload] = {}
         self._scores: dict[int, float] = {}
         self._recons: dict[int, SemanticMap | None] = {}
 
@@ -91,21 +93,31 @@ class QualityCore:
     def semantic(self) -> SemanticMap:
         return extract(self.svc.extractor, self.source, image_id=self.svc.id)
 
+    def payload(self, d: int) -> EncodedPayload:
+        """The semantic map encoded at factor d; each factor is encoded once."""
+        if d not in self._payloads:
+            self._payloads[d] = encode(self.semantic, d)
+        return self._payloads[d]
+
     @cached_property
     def reference(self) -> SemanticMap:
         """Content deliverable from the original semantics: the factor-1 round trip."""
-        return decode(encode(self.semantic, 1))
+        return decode(self.payload(1))
 
     def _reconstruct(self, d: int) -> SemanticMap:
         # the reference first: its full-size decode then runs while no reconstruction is held
         reference = self.reference
-        return reference if d == 1 else decode(encode(self.semantic, d))
+        return reference if d == 1 else decode(self.payload(d))
 
     def score_reconstruction(self, recon: SemanticMap, rng: np.random.Generator) -> float:
         """Score received content against the reference, after generation noise."""
         if self.svc.sigma_gen > 0.0:
-            noisy = np.clip(recon.pixels + rng.normal(0.0, self.svc.sigma_gen, recon.pixels.shape), 0.0, 1.0)
-            recon = restore_kind(noisy, recon.kind, recon.levels)
+            # the fresh noise array takes the sum, the clip and restore_kind's coercion in place
+            noisy = rng.normal(0.0, self.svc.sigma_gen, recon.pixels.shape)
+            noisy += recon.pixels
+            np.clip(noisy, 0.0, 1.0, out=noisy)
+            _restore(noisy, recon.kind, recon.levels)
+            recon = SemanticMap._adopt(noisy, recon.kind, recon.levels)
         return score(self.svc.metric, self.reference, recon)
 
     def quality(self, d: int, rng: np.random.Generator) -> float:
@@ -163,7 +175,7 @@ def reconstruct_and_score(
 
 @dataclass(frozen=True)
 class ValidationResult:
-    """The accepted factor and its quality; ``core`` lets the caller reuse the extracted map."""
+    """The accepted factor and its quality; ``core`` lets the caller reuse the extracted map and its payloads."""
 
     accepted_d: int
     quality: float

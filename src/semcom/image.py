@@ -60,9 +60,16 @@ class SemanticMap:
     def _adopt(cls, arr: np.ndarray, kind: str = SOFT, levels: int | None = None) -> SemanticMap:
         """A map that keeps ``arr`` itself, after the constructor's checks.
 
-        ``arr`` must be a C-ordered float64 array that nothing else holds:
-        it is made read-only, not copied.
+        ``arr`` is made read-only, not copied, so nothing may write to it
+        afterwards: a producer hands over the fresh array it built, or a
+        map's own read-only pixels.  A ``ShapeError`` rejects an ``arr``
+        that is not C-contiguous and a ``DomainError`` one whose dtype is
+        not float64, before the constructor's checks run.
         """
+        if not arr.flags.c_contiguous:
+            raise ShapeError("an adopted array must be C-contiguous")
+        if arr.dtype != np.float64:
+            raise DomainError(f"an adopted array must be float64, got {arr.dtype}")
         _check_pixels(arr, kind, levels)
         arr.setflags(write=False)
         map = object.__new__(cls)
@@ -164,9 +171,9 @@ def restore_kind(pixels: np.ndarray, kind: str, levels: int | None) -> SemanticM
     """
     if kind not in (BINARY, LABELS):
         return SemanticMap(pixels, kind=SOFT)
-    arr = np.array(pixels, dtype=np.float64)
+    arr = np.array(pixels, dtype=np.float64, order="C")
     _restore(arr, kind, levels)
-    return SemanticMap(arr, kind=kind, levels=levels if kind == LABELS else None)
+    return SemanticMap._adopt(arr, kind, levels if kind == LABELS else None)
 
 
 def _restore(arr: np.ndarray, kind: str, levels: int | None) -> None:
@@ -220,7 +227,7 @@ def read_pgm(path) -> SemanticMap:
             f"payload has {len(data) - pos} bytes, header {width}x{height} (maxval {maxval}) needs {need}"
         )
     raw = np.frombuffer(data, dtype=">u2" if two_byte else np.uint8, count=width * height, offset=pos)
-    return SemanticMap((raw / maxval).reshape(height, width))
+    return SemanticMap._adopt((raw / maxval).reshape(height, width))
 
 
 def write_pgm(map: SemanticMap, path) -> None:
@@ -234,7 +241,8 @@ def box_downscale(map: SemanticMap, d: int) -> SemanticMap:
 
     Output is ceil(W/d) x ceil(H/d); partial blocks at the right/bottom
     edges are averaged over the pixels actually present, so the output
-    range and (for exact tilings) the mean are preserved.  Result is soft.
+    range and (for exact tilings) the mean are preserved.  Result is soft;
+    at d = 1 it is ``map`` itself, or a soft map over its read-only pixels.
 
     The block sums are those of ``np.add.reduceat`` down the rows, then
     along the columns, bit for bit.  They mirror numpy's rule for a
@@ -248,7 +256,7 @@ def box_downscale(map: SemanticMap, d: int) -> SemanticMap:
     if d < 1:
         raise DomainError(f"downscale factor must be >= 1, got {d}")
     if d == 1:
-        return SemanticMap(map.pixels)
+        return map if map.kind == SOFT else SemanticMap._adopt(map.pixels)
     arr = map.pixels
     h, w = arr.shape
     sums = np.empty((-(-h // d), -(-w // d)))
@@ -261,7 +269,7 @@ def box_downscale(map: SemanticMap, d: int) -> SemanticMap:
     row_counts = np.minimum(row_idx + d, h) - row_idx
     col_counts = np.minimum(col_idx + d, w) - col_idx
     sums /= np.outer(row_counts, col_counts)
-    return SemanticMap(sums)
+    return SemanticMap._adopt(sums)
 
 
 # Elements of the row sums box_downscale holds for one band; no temporary is larger.
@@ -329,7 +337,7 @@ def bilinear_upscale(map: SemanticMap, target: Resolution) -> SemanticMap:
     """Resample to the target resolution with corner-aligned bilinear interpolation."""
     if (target.height, target.width) == map.pixels.shape:
         # Every sample falls on a source pixel with zero weight on its neighbour.
-        return map if map.kind == SOFT else SemanticMap(map.pixels)
+        return map if map.kind == SOFT else SemanticMap._adopt(map.pixels)
     return SemanticMap._adopt(_upscale(map.pixels, target.height, target.width, SOFT, None))
 
 

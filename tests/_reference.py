@@ -620,6 +620,12 @@ def reference_box_downscale(map, d):
     return SemanticMap(sums / np.outer(row_counts, col_counts))
 
 
+def legacy_encode_payload(map, d):
+    """encode's payload bytes by its first route: reference_box_downscale (a new soft map even at d = 1), then rint(v * 255) per byte."""
+    small = reference_box_downscale(map, d)
+    return np.rint(small.pixels * 255.0).astype(np.uint8).tobytes()
+
+
 def reference_validate(pixels, kind="soft", levels=None):
     """SemanticMap's checks as first written, each over the whole array; returns the copy it keeps."""
     from semcom.errors import DomainError, ShapeError

@@ -5,6 +5,7 @@ import io
 import os
 import platform
 import re
+from collections import Counter
 from datetime import datetime
 from pathlib import Path
 
@@ -498,6 +499,37 @@ def test_pipeline_extracts_once_per_service(tmp_path, extract_calls):
     cfg.write_text(cfg.read_text().replace("edges.threshold = 0.0", "edges.threshold = 0.999"))
     assert main(["pipeline", "--config", str(cfg)]) == 0
     assert len(extract_calls) == len(set(extract_calls)) == 2
+
+
+def test_pipeline_encodes_each_service_once_per_factor_it_tries(tmp_path, monkeypatch):
+    # The payload sent is the one the validation scan encoded for the accepted factor.
+    import sys
+
+    import semcom.codec
+
+    calls = Counter()
+    maps = []  # kept alive, so that no two counted maps share an id
+    original = semcom.codec.encode
+
+    def counted(smap, d):
+        maps.append(smap)
+        calls[id(smap), d] += 1
+        return original(smap, d)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("semcom") and getattr(module, "encode", None) is original:
+            monkeypatch.setattr(module, "encode", counted)
+    cfg = base_config(tmp_path, write_images(tmp_path))
+    cfg.write_text(cfg.read_text().replace("edges.threshold = 0.0", "edges.threshold = 0.999"))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    rows = (tmp_path / "out" / "pipeline_report.csv").read_text().splitlines()[1:]
+    accepted = {row.split(",")[0]: int(row.split(",")[2]) for row in rows}
+    assert accepted["edges"] < 8 and accepted["regions"] == 8  # edges stepped down, so it tried several factors
+    assert set(calls.values()) == {1}
+    assert len({smap for smap, _ in calls}) == 2
+    # each service's factor-1 reference, and each factor its scan tried, from 8 down
+    tried = {"edges": {1} | {d for d in (1, 2, 4, 8) if d >= accepted["edges"]}, "regions": {1, 8}}
+    assert sorted(d for _, d in calls) == sorted([*tried["edges"], *tried["regions"]])
 
 
 def test_pipeline_shortfall_after_the_channel_is_a_domain_failure(tmp_path, capsys):

@@ -20,7 +20,7 @@ from semcom.errors import CorruptPayloadError, DomainError
 from semcom.image import BINARY, LABELS, SemanticMap
 
 from _fixtures import traced_peak
-from _reference import legacy_decode
+from _reference import legacy_decode, legacy_encode_payload
 
 
 def test_compression_ratio_16x_at_d4():
@@ -120,6 +120,22 @@ def test_decode_bytes_equal_the_first_restore_path_across_band_edges(monkeypatch
             out, expected = decode(payload), legacy_decode(payload)
             assert (out.kind, out.levels) == (expected.kind, expected.levels)
             assert out.pixels.tobytes() == expected.pixels.tobytes(), (m.kind, m.levels, d)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (61, 97)])
+def test_encode_at_1_quantises_the_pixels_as_the_downscale_route_did(shape):
+    # encode(m, 1) reads m.pixels directly; it used to quantise box_downscale(m, 1)'s copy.
+    for m in kind_maps(shape, np.random.default_rng(shape[0] * 1000 + shape[1])):
+        payload = encode(m, 1)
+        assert payload.payload == legacy_encode_payload(m, 1), (m.kind, m.levels)
+        assert (payload.enc_width, payload.enc_height) == (m.width, m.height)
+
+
+def test_encode_at_1_of_a_1024_map_peaks_under_one_and_a_half_arrays_of_its_size():
+    # The scaled levels are the one image-sized float64 array; the uint8
+    # levels and the payload bytes add an eighth of one each.
+    for m in kind_maps((1024, 1024), np.random.default_rng(6))[::2]:
+        assert traced_peak(encode, m, 1) < 1.5 * m.pixels.nbytes, m.kind
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -116,18 +116,39 @@ def encode_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Count the evaluator's decodes per payload: each one builds a reconstruction."""
+    import semcom.generation
+
+    calls = Counter()
+    payloads = []  # kept alive, so that no two counted payloads share an id
+    original = semcom.generation.decode
+
+    def counted(payload):
+        payloads.append(payload)
+        calls[id(payload)] += 1
+        return original(payload)
+
+    monkeypatch.setattr(semcom.generation, "decode", counted)
+    return calls
+
+
 def noisy_service(threshold=0.0):
     return ServiceSpec(id="n", extractor=SobelMagnitude(), metric=MseQuality(), threshold=threshold, sigma_gen=0.1)
 
 
-def test_a_noisy_core_keeps_a_reconstruction_from_the_second_request(encode_calls):
+def test_a_noisy_core_keeps_a_reconstruction_from_the_second_request(encode_calls, decode_calls):
     core = QualityCore(noisy_service(), diagonal(24))
     rng = stream(0, "gen")
     for _ in range(3):
         core.quality(4, rng)
-    assert encode_calls == Counter({(id(core.semantic), 1): 1, (id(core.semantic), 4): 2})
+    # each factor is encoded once; the factor-4 payload is decoded on the first two requests
+    assert encode_calls == Counter({(id(core.semantic), 1): 1, (id(core.semantic), 4): 1})
+    assert decode_calls == Counter({id(core.payload(1)): 1, id(core.payload(4)): 2})
     core.quality(4, rng)
-    assert encode_calls[id(core.semantic), 4] == 2
+    assert decode_calls[id(core.payload(4))] == 2
+    assert encode_calls[id(core.semantic), 4] == 1
 
 
 def test_a_noise_free_core_keeps_its_score(encode_calls):
@@ -145,9 +166,11 @@ def test_validate_encodes_each_tried_factor_once(encode_calls):
     assert set(encode_calls.values()) == {1}
 
 
-def test_dqn_training_encodes_each_service_and_factor_at_most_twice(encode_calls):
+def test_dqn_training_encodes_each_service_and_factor_once_and_decodes_it_at_most_twice(encode_calls, decode_calls):
     inst = noisy_instance()
     out = dqn_train([inst], DqnConfig(seed=5, warmup=8, batch_size=4, hidden=(16,), episodes=60))
     assert len(set(out.action_indices)) > inst.n_services  # many joint actions were scored
-    assert len(encode_calls) == inst.n_services * len(inst.factors)
-    assert max(encode_calls.values()) == 2
+    assert len(encode_calls) == len(decode_calls) == inst.n_services * len(inst.factors)
+    assert set(encode_calls.values()) == {1}
+    # only the noisy service's reconstructions are built twice: unkept on the first request
+    assert max(decode_calls.values()) == 2

@@ -123,6 +123,22 @@ def test_adopt_keeps_the_array_and_makes_it_read_only():
     assert not arr.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "arr", [np.asfortranarray(_SOFT), _SOFT[:, ::2], put(_SOFT, -1, np.nan).T], ids=["fortran", "strided", "nan-transposed"]
+)
+def test_adopt_rejects_an_array_that_is_not_c_contiguous_before_its_checks(arr):
+    with pytest.raises(ShapeError, match="adopted array must be C-contiguous"):
+        SemanticMap._adopt(arr)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint8, bool])
+def test_adopt_rejects_a_dtype_other_than_float64_before_its_checks(dtype):
+    # 2 is out of range as a float value; the dtype is reported first.
+    arr = np.full((3, 4), 2, dtype=dtype)
+    with pytest.raises(DomainError, match=f"adopted array must be float64, got {np.dtype(dtype)}"):
+        SemanticMap._adopt(arr)
+
+
 def test_a_map_does_not_see_later_writes_to_its_source_array():
     arr = _SOFT.copy()
     m = SemanticMap(arr)
@@ -173,6 +189,13 @@ def test_read_pgm_2x2(tmp_path):
     m = read_pgm(path)
     assert m.kind == "soft"
     assert np.array_equal(m.pixels, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_read_pgm_of_a_1024_image_peaks_under_one_and_a_quarter_arrays_of_its_size(tmp_path):
+    # The quotient is the map's array; the file's bytes add an eighth of it.
+    path = tmp_path / "big.pgm"
+    path.write_bytes(b"P5\n1024 1024\n255\n" + np.random.default_rng(4).integers(0, 256, 1 << 20, dtype=np.uint8).tobytes())
+    assert traced_peak(read_pgm, path) < 1.25 * 8 * (1 << 20)
 
 
 def test_read_pgm_rejects_p2(tmp_path):
