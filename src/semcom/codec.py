@@ -89,16 +89,15 @@ def encode(map: SemanticMap, d: int) -> EncodedPayload:
         raise DomainError(f"factor {d} exceeds the wire format limit of {MAX_FACTOR}")
     if map.width > _MAX_DIM or map.height > _MAX_DIM:
         raise DomainError(f"resolution exceeds the wire format limit of {_MAX_DIM}")
-    # At d = 1 the downscale would be a map over the same pixels.
-    small = map.pixels if d == 1 else box_downscale(map, d).pixels
-    levels = small * 255.0
+    small = box_downscale(map, d)
+    levels = small.pixels * 255.0
     np.rint(levels, out=levels)
     payload = levels.astype(np.uint8).tobytes()
     return EncodedPayload(
         orig_width=map.width,
         orig_height=map.height,
-        enc_width=small.shape[1],
-        enc_height=small.shape[0],
+        enc_width=small.width,
+        enc_height=small.height,
         factor=d,
         kind=map.kind,
         levels=map.levels,

@@ -123,8 +123,8 @@ def test_decode_bytes_equal_the_first_restore_path_across_band_edges(monkeypatch
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (7, 5), (61, 97)])
-def test_encode_at_1_quantises_the_pixels_as_the_downscale_route_did(shape):
-    # encode(m, 1) reads m.pixels directly; it used to quantise box_downscale(m, 1)'s copy.
+def test_encode_at_1_quantises_the_pixels_as_the_copying_downscale_route_did(shape):
+    # box_downscale(m, 1) hands encode m's own pixels; the reference route quantises a copy.
     for m in kind_maps(shape, np.random.default_rng(shape[0] * 1000 + shape[1])):
         payload = encode(m, 1)
         assert payload.payload == legacy_encode_payload(m, 1), (m.kind, m.levels)
