@@ -1,8 +1,15 @@
 """Exception hierarchy shared by all semcom modules."""
 
+import copyreg
+
 
 class SemcomError(Exception):
     """Base class for every error raised by this package."""
+
+    def __reduce__(self):
+        # rebuilt from its args and attributes without calling __init__, so an error
+        # whose __init__ takes other arguments still crosses a process boundary
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ParseError(SemcomError):
