@@ -43,6 +43,7 @@ from .metrics import metric_label
 from .pairing import fit_predictability, rank_reports, sweep_candidates
 from .qnet import save_qnet
 from .rng import stream
+from .workers import in_order
 
 
 def _cell(value) -> str:
@@ -175,16 +176,32 @@ def cmd_allocate(args) -> int:
     return 0
 
 
-def _deliver(entry, config: ExperimentConfig, emitted: list[str], gen_rng, chan_rng) -> tuple:
-    """Validate, send and score one service; its maps are freed before the next one is extracted.
+def _validate(entry, config: ExperimentConfig, gen_rng):
+    """validate_and_adjust on the entry's image; a ValidationFailedError is returned, not raised.
 
-    Returns the service's report row and the payload bits the channel flipped.
+    A noise-free service draws nothing, so it may run in a worker with no ``gen_rng``.
+    """
+    requested = entry.requested_d if entry.requested_d is not None else max(config.factors)
+    try:
+        return validate_and_adjust(
+            entry.spec, read_pgm(entry.image_path), requested, config.factors, Surrogate(), gen_rng
+        )
+    except ValidationFailedError as exc:
+        return exc
+
+
+def _deliver(entry, validated, config: ExperimentConfig, emitted: list[str], gen_rng, chan_rng) -> tuple:
+    """Validate, send and score one service; its core and every map it holds are freed on return.
+
+    A noise-free service's validation is the next one ``validated`` yields. A
+    noisy one is validated here, at its turn in the ``gen`` stream. Returns
+    the service's report row and the payload bits the channel flipped, None
+    when the service failed validation and nothing was sent.
     """
     spec = entry.spec
-    requested = entry.requested_d if entry.requested_d is not None else max(config.factors)
-    validation = validate_and_adjust(
-        spec, read_pgm(entry.image_path), requested, config.factors, Surrogate(), gen_rng
-    )
+    validation = next(validated) if spec.sigma_gen == 0.0 else _validate(entry, config, gen_rng)
+    if isinstance(validation, ValidationFailedError):
+        return (spec.id, "validation_failed", "", 0, validation.quality), None
     core = validation.core
     # the payload the core encoded while it validated that factor
     result = transmit(core.payload(validation.accepted_d), config.channel, chan_rng)
@@ -199,22 +216,22 @@ def cmd_pipeline(args) -> int:
     config = load_config(args.config)
     gen_rng = stream(config.seed, "gen")
     chan_rng = stream(config.seed, "channel")
+    services = config.services
 
     rows = []
     channel_lines = []
-    any_failed = False
-    with _run_manifest("pipeline", config) as emitted:
-        for entry in config.services:
-            try:
-                row, flipped_bits = _deliver(entry, config, emitted, gen_rng, chan_rng)
-            except ValidationFailedError as exc:
-                any_failed = True
-                rows.append((entry.spec.id, "validation_failed", "", 0, exc.quality))
-                continue
+    # validated ahead in worker processes; the channel and every gen_rng draw stay here, in service order
+    noise_free = [i for i, entry in enumerate(services) if entry.spec.sigma_gen == 0.0]
+    with (
+        _run_manifest("pipeline", config) as emitted,
+        in_order(lambda i: _validate(services[i], config, None), noise_free) as validated,
+    ):
+        for entry in services:
+            row, flipped_bits = _deliver(entry, validated, config, emitted, gen_rng, chan_rng)
             rows.append(row)
-            channel_lines.append(f"channel: service={row[0]} bytes={row[3]} flipped_bits={flipped_bits}")
+            if flipped_bits is not None:
+                channel_lines.append(f"channel: service={row[0]} bytes={row[3]} flipped_bits={flipped_bits}")
             if row[1] == "below_threshold":
-                any_failed = True
                 print(
                     f"service {entry.spec.id}: scores {row[4]:.6f} after the channel, "
                     f"below threshold {entry.spec.threshold}",
@@ -230,7 +247,7 @@ def cmd_pipeline(args) -> int:
             f"budget: delivered {check.total} bytes exceed budget_bytes = {config.channel.budget_bytes}",
             file=sys.stderr,
         )
-    return 1 if any_failed or not check.feasible else 0
+    return 1 if any(row[1] != "ok" for row in rows) or not check.feasible else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

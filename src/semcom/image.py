@@ -77,6 +77,10 @@ class SemanticMap:
             object.__setattr__(map, name, value)
         return map
 
+    def __reduce__(self):
+        # rebuilt through _adopt, so an unpickled map passes every check and is read-only
+        return _unpickle_map, (self.pixels, self.kind, self.levels)
+
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
@@ -88,6 +92,13 @@ class SemanticMap:
     @property
     def resolution(self) -> Resolution:
         return Resolution(self.width, self.height)
+
+
+def _unpickle_map(pixels: np.ndarray, kind: str, levels: int | None) -> SemanticMap:
+    # a read-only array, or one over a buffer it does not own (pickle protocol 5), is copied first
+    if not (pixels.flags.writeable and pixels.flags.owndata):
+        pixels = pixels.copy()
+    return SemanticMap._adopt(pixels, kind, levels)
 
 
 # Values of a map's pixels that SemanticMap's checks scan at a time: a

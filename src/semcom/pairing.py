@@ -13,7 +13,6 @@ swept in forked worker processes, one per usable CPU.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -25,6 +24,7 @@ from .extractors import ExtractorKind, extractor_label
 from .generation import GenerationBackend, QualityCore, ServiceSpec
 from .image import SemanticMap
 from .metrics import MetricKind, metric_label
+from .workers import in_order
 
 
 @dataclass(frozen=True)
@@ -154,42 +154,8 @@ def sweep_candidates(
     process. Either way the curves are the same, and a pair's error is
     raised as the in-process loop raises it.
     """
-    workers = _worker_count(len(pairs))
-    if workers <= 1:
-        return [sweep_curve(extractor, metric, images, factors, backend, image_ids) for extractor, metric in pairs]
-    # imported here: they add 1.6 MB of resident memory to every command that never pools
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # forked, so each worker starts with the corpus in memory: nothing large is pickled or re-imported
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_hold_corpus,
-        initargs=(images, factors, backend, image_ids),
-    ) as pool:
-        return list(pool.map(_sweep_pair, pairs))
-
-
-def _worker_count(n_pairs: int) -> int:
-    """Usable CPUs capped at ``n_pairs``; 1 where fork or the CPU set is not available."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(n_pairs, len(os.sched_getaffinity(0)))
-
-
-# (images, factors, backend, image_ids), set by the pool's initializer in each worker
-# and never in the calling process
-_corpus: tuple = ()
-
-
-def _hold_corpus(*corpus) -> None:
-    global _corpus
-    _corpus = corpus
-
-
-def _sweep_pair(pair: tuple[ExtractorKind, MetricKind]) -> ResponseCurve:
-    return sweep_curve(*pair, *_corpus)
+    with in_order(lambda pair: sweep_curve(*pair, images, factors, backend, image_ids), pairs) as curves:
+        return list(curves)
 
 
 def rank_reports(reports: Sequence[PredictabilityReport]) -> list[PredictabilityReport]:

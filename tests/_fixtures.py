@@ -1,5 +1,6 @@
-"""Shared synthetic images, random allocation instances and a memory probe for the tests."""
+"""Shared synthetic images, random allocation instances, a memory probe and a CPU-count patch for the tests."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,16 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def use_cpus(monkeypatch, n):
+    """Make the process see ``n`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def forbidden_fork():
+    """os.fork for a run that must start no process."""
+    raise AssertionError("a one-worker run forked")
 
 
 def vertical_step(size=16, at=None):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -26,6 +28,20 @@ def random_map(rng, width, height):
 @pytest.fixture
 def make_random_map():
     return random_map
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The processes forked in this process."""
+    calls = []
+    real_fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
 
 
 @pytest.fixture

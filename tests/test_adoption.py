@@ -6,10 +6,13 @@ same-size ``bilinear_upscale``, which are soft maps over ``m``'s own
 read-only pixels.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 import semcom.generation
+from semcom.errors import DomainError
 from semcom.extractors import Canny, QuantizeSegmentation, SobelMagnitude, canny, quantize_segmentation, sobel_magnitude
 from semcom.generation import QualityCore, ServiceSpec
 from semcom.image import (
@@ -122,3 +125,51 @@ def test_a_noisy_reconstruction_keeps_the_noise_array(monkeypatch, extractor):
     # the sum, clip and restore in place give restore_kind's map of the clipped sum
     expected = np.clip(recon.pixels + stream(3, "gen").normal(0.0, 0.2, recon.pixels.shape), 0.0, 1.0)
     assert noisy.pixels.tobytes() == restore_kind(expected, recon.kind, recon.levels).pixels.tobytes()
+
+
+def unchecked_map(pixels, kind, levels=None):
+    """A map over ``pixels`` that skipped every check, as a tampered pickle could describe one."""
+    smap = object.__new__(SemanticMap)
+    for name, value in (("pixels", pixels), ("kind", kind), ("levels", levels)):
+        object.__setattr__(smap, name, value)
+    return smap
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("index", range(3), ids=["soft", "binary", "labels"])
+def test_a_map_survives_pickling_equal_and_read_only(index, protocol):
+    smap = kind_maps()[index]
+    loaded = pickle.loads(pickle.dumps(smap, protocol=protocol))
+    assert type(loaded) is SemanticMap
+    assert (loaded.kind, loaded.levels) == (smap.kind, smap.levels)
+    assert loaded.pixels.tobytes() == smap.pixels.tobytes()
+    assert loaded.pixels.dtype == np.float64 and loaded.pixels.flags.c_contiguous
+    assert not loaded.pixels.flags.writeable
+
+
+@pytest.mark.parametrize("index", range(3), ids=["soft", "binary", "labels"])
+def test_an_unpickled_map_owns_its_pixels_when_its_buffer_came_from_outside(index):
+    smap = kind_maps()[index]
+    buffers = []
+    data = pickle.dumps(smap, protocol=5, buffer_callback=buffers.append)
+    writable = [bytearray(buffer.raw()) for buffer in buffers]
+    loaded = pickle.loads(data, buffers=writable)
+    for buffer in writable:
+        buffer[:] = bytes(len(buffer))
+    assert loaded.pixels.tobytes() == smap.pixels.tobytes()
+    assert not loaded.pixels.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "pixels, kind, levels, message",
+    [
+        (_VALUES * 2.0, SOFT, None, "must lie in \\[0, 1\\]"),
+        (_VALUES, BINARY, None, "exactly 0 or 1"),
+        (np.floor(_VALUES * 4) / 3 * 0.99 + 0.005, LABELS, 4, "4-level grid"),
+    ],
+    ids=["soft out of range", "binary off {0, 1}", "labels off the grid"],
+)
+def test_a_pickled_map_that_fails_a_check_fails_to_load(pixels, kind, levels, message):
+    data = pickle.dumps(unchecked_map(pixels, kind, levels))
+    with pytest.raises(DomainError, match=message):
+        pickle.loads(data)

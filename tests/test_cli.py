@@ -26,7 +26,7 @@ from semcom.metrics import MseQuality, PsnrQuality, SsimQuality, ViQuality
 from semcom.pairing import fit_predictability, rank_reports, sweep_candidates
 from semcom.rng import stream
 
-from _fixtures import diagonal, filled_square, gradient, gradient_with_square, vertical_step
+from _fixtures import diagonal, filled_square, gradient, gradient_with_square, use_cpus, vertical_step
 from _reference import reference_transmit
 
 
@@ -494,28 +494,66 @@ def test_pipeline_over_budget_is_a_domain_failure(tmp_path, capsys):
     assert f"budget: total={total} feasible=False" in (out / "pipeline_manifest.txt").read_text()
 
 
-def test_pipeline_extracts_once_per_service(tmp_path, extract_calls):
+def logged(path, fn, describe):
+    """``fn``, appending ``<pid> <describe(*args)>`` to ``path`` on every call; the log survives a fork."""
+
+    def counted(*args, **kwargs):
+        with open(path, "a") as log:
+            log.write(f"{os.getpid()} {describe(*args, **kwargs)}\n")
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def logged_calls(path, cpus):
+    """The logged calls as ``pid, *fields``, after checking that every call ran where ``cpus`` puts it."""
+    calls = [tuple(line.split(" ")) for line in path.read_text().splitlines()]
+    # one CPU validates in this process, a pool only in its workers
+    assert {pid == str(os.getpid()) for pid, *_ in calls} == {cpus == 1}
+    return calls
+
+
+POOLING = pytest.mark.parametrize("cpus", [1, 2], ids=["one CPU", "pooled"])
+
+
+@POOLING
+def test_pipeline_extracts_once_per_service(tmp_path, monkeypatch, cpus):
+    import semcom.cli
+    import semcom.generation
+
+    use_cpus(monkeypatch, cpus)
+    log = tmp_path / "extract.log"
+
+    def described(kind, image, image_id=None):
+        return f"{type(kind).__name__} {image_id}"
+
+    counted = logged(log, semcom.generation.extract, described)
+    for module in (semcom.generation, semcom.cli):
+        monkeypatch.setattr(module, "extract", counted)
     cfg = base_config(tmp_path, write_images(tmp_path))
     cfg.write_text(cfg.read_text().replace("edges.threshold = 0.0", "edges.threshold = 0.999"))
     assert main(["pipeline", "--config", str(cfg)]) == 0
-    assert len(extract_calls) == len(set(extract_calls)) == 2
+    calls = [(kind, image_id) for _, kind, image_id in logged_calls(log, cpus)]
+    assert len(calls) == len(set(calls)) == 2
 
 
-def test_pipeline_encodes_each_service_once_per_factor_it_tries(tmp_path, monkeypatch):
+@POOLING
+def test_pipeline_encodes_each_service_once_per_factor_it_tries(tmp_path, monkeypatch, cpus):
     # The payload sent is the one the validation scan encoded for the accepted factor.
     import sys
 
     import semcom.codec
 
-    calls = Counter()
-    maps = []  # kept alive, so that no two counted maps share an id
+    use_cpus(monkeypatch, cpus)
+    log = tmp_path / "encode.log"
+    maps = []  # kept alive in each process, so that no two counted maps of one process share an id
     original = semcom.codec.encode
 
-    def counted(smap, d):
+    def described(smap, d):
         maps.append(smap)
-        calls[id(smap), d] += 1
-        return original(smap, d)
+        return f"{id(smap)} {d}"
 
+    counted = logged(log, original, described)
     for name, module in list(sys.modules.items()):
         if name.startswith("semcom") and getattr(module, "encode", None) is original:
             monkeypatch.setattr(module, "encode", counted)
@@ -525,11 +563,13 @@ def test_pipeline_encodes_each_service_once_per_factor_it_tries(tmp_path, monkey
     rows = (tmp_path / "out" / "pipeline_report.csv").read_text().splitlines()[1:]
     accepted = {row.split(",")[0]: int(row.split(",")[2]) for row in rows}
     assert accepted["edges"] < 8 and accepted["regions"] == 8  # edges stepped down, so it tried several factors
+    # a map is its (pid, id): two workers may each hold a map at one address
+    calls = Counter(((pid, smap), d) for pid, smap, d in logged_calls(log, cpus))
     assert set(calls.values()) == {1}
     assert len({smap for smap, _ in calls}) == 2
     # each service's factor-1 reference, and each factor its scan tried, from 8 down
     tried = {"edges": {1} | {d for d in (1, 2, 4, 8) if d >= accepted["edges"]}, "regions": {1, 8}}
-    assert sorted(d for _, d in calls) == sorted([*tried["edges"], *tried["regions"]])
+    assert sorted(int(d) for _, d in calls) == sorted([*tried["edges"], *tried["regions"]])
 
 
 def test_pipeline_shortfall_after_the_channel_is_a_domain_failure(tmp_path, capsys):

@@ -12,28 +12,9 @@ from semcom.image import write_pgm
 from semcom.metrics import MseQuality, SsimQuality, ViQuality
 from semcom.pairing import select_pair, sweep_candidates, sweep_curve
 
-from _fixtures import diagonal, gradient_with_square
+from _fixtures import diagonal, forbidden_fork, gradient_with_square, use_cpus
 
 FACTORS = [1, 2, 4, 8]
-
-
-def use_cpus(monkeypatch, n):
-    """Make the process see ``n`` usable CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The processes forked in this process."""
-    calls = []
-    real_fork = os.fork
-
-    def counted():
-        calls.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
 
 
 def sweep_config(tmp_path, seg_metric="vi(k=4)", peak_extractor="sobel"):
@@ -99,10 +80,6 @@ def test_pooled_and_one_cpu_select_pair_give_the_same_winner(monkeypatch, forks)
     assert len(forks) == 2
     assert winners[0] == winners[1]
     assert multiprocessing.active_children() == []
-
-
-def forbidden_fork():
-    raise AssertionError("a one-worker sweep forked")
 
 
 @pytest.mark.parametrize("platform", ["one usable CPU", "no CPU set", "no fork", "one pair"])
