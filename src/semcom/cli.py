@@ -176,60 +176,50 @@ def cmd_allocate(args) -> int:
     return 0
 
 
-def _validate(entry, config: ExperimentConfig, gen_rng):
-    """validate_and_adjust on the entry's image; a ValidationFailedError is returned, not raised.
+def _deliver(entry, config: ExperimentConfig) -> tuple:
+    """Validate, send, decode and score one service, on its own streams; every map it holds is freed on return.
 
-    A noise-free service draws nothing, so it may run in a worker with no ``gen_rng``.
-    """
-    requested = entry.requested_d if entry.requested_d is not None else max(config.factors)
-    try:
-        return validate_and_adjust(
-            entry.spec, read_pgm(entry.image_path), requested, config.factors, Surrogate(), gen_rng
-        )
-    except ValidationFailedError as exc:
-        return exc
-
-
-def _deliver(entry, validated, config: ExperimentConfig, emitted: list[str], gen_rng, chan_rng) -> tuple:
-    """Validate, send and score one service; its core and every map it holds are freed on return.
-
-    A noise-free service's validation is the next one ``validated`` yields. A
-    noisy one is validated here, at its turn in the ``gen`` stream. Returns
-    the service's report row and the payload bits the channel flipped, None
-    when the service failed validation and nothing was sent.
+    The service's generation noise comes from its ``gen/<id>`` stream and the
+    channel's flips from its ``channel/<id>`` stream, so its delivery reads
+    no other service and may run in any process. Returns the service's report
+    row, the payload bits the channel flipped and the delivered payload's
+    bytes; the last two are None when the service failed validation and
+    nothing was sent.
     """
     spec = entry.spec
-    validation = next(validated) if spec.sigma_gen == 0.0 else _validate(entry, config, gen_rng)
-    if isinstance(validation, ValidationFailedError):
-        return (spec.id, "validation_failed", "", 0, validation.quality), None
+    gen_rng = stream(config.seed, f"gen/{spec.id}")
+    requested = entry.requested_d if entry.requested_d is not None else max(config.factors)
+    try:
+        validation = validate_and_adjust(
+            spec, read_pgm(entry.image_path), requested, config.factors, Surrogate(), gen_rng
+        )
+    except ValidationFailedError as exc:
+        return (spec.id, "validation_failed", "", 0, exc.quality), None, None
     core = validation.core
+    chan_rng = stream(config.seed, f"channel/{spec.id}")
     # the payload the core encoded while it validated that factor
     result = transmit(core.payload(validation.accepted_d), config.channel, chan_rng)
-    _emit(emitted, config, f"{spec.id}_payload.bin", serialize_payload(result.delivered))
-
     quality = core.score_reconstruction(decode(result.delivered), gen_rng)
     status = "ok" if quality >= spec.threshold else "below_threshold"
-    return (spec.id, status, validation.accepted_d, result.bytes_used, quality), result.flipped_bits
+    row = (spec.id, status, validation.accepted_d, result.bytes_used, quality)
+    return row, result.flipped_bits, serialize_payload(result.delivered)
 
 
 def cmd_pipeline(args) -> int:
     config = load_config(args.config)
-    gen_rng = stream(config.seed, "gen")
-    chan_rng = stream(config.seed, "channel")
     services = config.services
 
     rows = []
     channel_lines = []
-    # validated ahead in worker processes; the channel and every gen_rng draw stay here, in service order
-    noise_free = [i for i, entry in enumerate(services) if entry.spec.sigma_gen == 0.0]
+    # each service is delivered whole where in_order runs it; this process writes the results in service order
     with (
         _run_manifest("pipeline", config) as emitted,
-        in_order(lambda i: _validate(services[i], config, None), noise_free) as validated,
+        in_order(lambda i: _deliver(services[i], config), range(len(services))) as delivered,
     ):
-        for entry in services:
-            row, flipped_bits = _deliver(entry, validated, config, emitted, gen_rng, chan_rng)
+        for entry, (row, flipped_bits, payload) in zip(services, delivered):
             rows.append(row)
-            if flipped_bits is not None:
+            if payload is not None:
+                _emit(emitted, config, f"{entry.spec.id}_payload.bin", payload)
                 channel_lines.append(f"channel: service={row[0]} bytes={row[3]} flipped_bits={flipped_bits}")
             if row[1] == "below_threshold":
                 print(

@@ -181,21 +181,6 @@ class ValidationResult:
     quality: float
     core: QualityCore | None = field(default=None, compare=False, repr=False)
 
-    def __reduce__(self):
-        # Pickled without a map: the core crosses as the two payloads a receiver
-        # needs, the accepted factor's to send and factor 1's to decode its reference.
-        core = self.core
-        if core is None:
-            return ValidationResult, (self.accepted_d, self.quality)
-        payloads = {d: core.payload(d) for d in (1, self.accepted_d)}
-        return _received_validation, (self.accepted_d, self.quality, core.svc, core.backend, payloads)
-
-
-def _received_validation(accepted_d, quality, svc, backend, payloads) -> ValidationResult:
-    """A ValidationResult whose core holds ``payloads`` and no map: it scores what the channel delivers."""
-    core = QualityCore(svc, None, backend)
-    core._payloads.update(payloads)
-    return ValidationResult(accepted_d, quality, core)
 
 
 def validate_and_adjust(

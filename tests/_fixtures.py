@@ -1,4 +1,4 @@
-"""Shared synthetic images, random allocation instances, a memory probe and a CPU-count patch for the tests."""
+"""Shared synthetic images, random allocation instances, a memory probe, a CPU-count patch and a call log for the tests."""
 
 import os
 import tracemalloc
@@ -28,6 +28,17 @@ def traced_peak(fn, *args):
 def use_cpus(monkeypatch, n):
     """Make the process see ``n`` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def logged(path, fn, describe):
+    """``fn``, appending ``<pid> <describe(*args)>`` to ``path`` on every call; the log survives a fork."""
+
+    def counted(*args, **kwargs):
+        with open(path, "a") as log:
+            log.write(f"{os.getpid()} {describe(*args, **kwargs)}\n")
+        return fn(*args, **kwargs)
+
+    return counted
 
 
 def forbidden_fork():

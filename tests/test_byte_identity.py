@@ -28,6 +28,7 @@ from semcom.image import BINARY, LABELS
 from semcom.metrics import SsimQuality
 
 import _reference
+from _fixtures import logged
 
 
 def oracle_transmit(payload, cfg, rng):
@@ -88,15 +89,14 @@ def bindings(targets):
     return found
 
 
-def swap_in_oracles(monkeypatch, calls: Counter) -> None:
-    """Bind each kernel's oracle wherever a semcom module binds the kernel, counting the oracle's calls."""
+def swap_in_oracles(monkeypatch, log) -> None:
+    """Bind each kernel's oracle wherever a semcom module binds the kernel, logging each call to ``log``.
+
+    The log is a file, so the calls made in forked workers are counted too.
+    """
     kernels = [getattr(module, name) for module, name, _ in ORACLES]
     for (module, name, oracle), kernel in zip(ORACLES, kernels):
-
-        def counted(*args, _oracle=oracle, _name=name, **kwargs):
-            calls[_name] += 1
-            return _oracle(*args, **kwargs)
-
+        counted = logged(log, oracle, lambda *args, _name=name, **kwargs: _name)
         bound = [(m, attr) for m in semcom_modules() for attr, value in vars(m).items() if value is kernel]
         assert (module, name) in bound, f"{module.__name__}.{name} is not the kernel's own binding"
         for m, attr in bound:
@@ -180,10 +180,11 @@ def test_every_output_byte_matches_the_whole_array_oracles(tmp_path, monkeypatch
     cfg = write_inputs(tmp_path)
     shipped = run_all(cfg, capsys)
 
-    calls = Counter()
-    swap_in_oracles(monkeypatch, calls)
+    log = tmp_path / "oracles.log"
+    swap_in_oracles(monkeypatch, log)
     oracle = run_all(cfg, capsys)
 
+    calls = Counter(line.split(" ")[1] for line in log.read_text().splitlines())
     assert set(calls) == {name for _, name, _ in ORACLES}, "an oracle never ran"
     assert shipped.keys() == oracle.keys()
     for command in shipped:

@@ -26,7 +26,7 @@ from semcom.metrics import MseQuality, PsnrQuality, SsimQuality, ViQuality
 from semcom.pairing import fit_predictability, rank_reports, sweep_candidates
 from semcom.rng import stream
 
-from _fixtures import diagonal, filled_square, gradient, gradient_with_square, use_cpus, vertical_step
+from _fixtures import diagonal, filled_square, gradient, gradient_with_square, logged, use_cpus, vertical_step
 from _reference import reference_transmit
 
 
@@ -494,17 +494,6 @@ def test_pipeline_over_budget_is_a_domain_failure(tmp_path, capsys):
     assert f"budget: total={total} feasible=False" in (out / "pipeline_manifest.txt").read_text()
 
 
-def logged(path, fn, describe):
-    """``fn``, appending ``<pid> <describe(*args)>`` to ``path`` on every call; the log survives a fork."""
-
-    def counted(*args, **kwargs):
-        with open(path, "a") as log:
-            log.write(f"{os.getpid()} {describe(*args, **kwargs)}\n")
-        return fn(*args, **kwargs)
-
-    return counted
-
-
 def logged_calls(path, cpus):
     """The logged calls as ``pid, *fields``, after checking that every call ran where ``cpus`` puts it."""
     calls = [tuple(line.split(" ")) for line in path.read_text().splitlines()]
@@ -803,12 +792,12 @@ def test_the_pipeline_manifest_records_each_services_flipped_bits(tmp_path, p):
     rows = [line.split(",") for line in (out / "pipeline_report.csv").read_text().splitlines()[1:]]
     _, emitted = manifest_fields(out / "pipeline_manifest.txt")
     config = load_config(cfg)
-    rng = stream(config.seed, "channel")
     expected = []
     for entry, (service, status, d, nbytes, _) in zip(config.services, rows):
         assert (service, status) == (entry.spec.id, "ok")
         payload = encode(extract(entry.spec.extractor, read_pgm(entry.image_path)), int(d))
-        delivered, flipped = reference_transmit(payload, p, rng)
+        # each service's flips come from its own channel stream
+        delivered, flipped = reference_transmit(payload, p, stream(config.seed, f"channel/{service}"))
         assert parse_payload((out / f"{service}_payload.bin").read_bytes()).payload == delivered
         expected.append(f"channel: service={service} bytes={nbytes} flipped_bits={flipped}")
     assert emitted[-3:-1] == expected

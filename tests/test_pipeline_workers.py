@@ -1,21 +1,24 @@
-"""Pipelines that validate in forked worker processes write what the one-CPU loop writes."""
+"""Pipelines that deliver each service in forked worker processes write what the one-CPU loop writes."""
 
 import io
 import multiprocessing
 import os
 import pickle
 import shutil
+import sys
 
+import numpy as np
 import pytest
 
-from semcom.cli import main
-from semcom.codec import decode, serialize_payload
-from semcom.extractors import SobelMagnitude
-from semcom.generation import ServiceSpec, Surrogate, validate_and_adjust
-from semcom.image import SemanticMap, write_pgm
-from semcom.metrics import PsnrQuality
+from semcom.channel import transmit
+from semcom.cli import _deliver, main
+from semcom.codec import HEADER_BYTES, decode, encode, serialize_payload
+from semcom.config import load_config
+from semcom.extractors import extract
+from semcom.image import SemanticMap, read_pgm, write_pgm
+from semcom.metrics import score
 
-from _fixtures import diagonal, forbidden_fork, gradient_with_square, use_cpus
+from _fixtures import diagonal, forbidden_fork, gradient_with_square, logged, use_cpus
 
 
 def write_images(tmp_path):
@@ -25,50 +28,39 @@ def write_images(tmp_path):
     return paths
 
 
-def pipeline_config(tmp_path, sigma_gen=0.0):
-    """Six services over two 32x32 images on a noisy channel, in config order:
+# Each service's config lines, in the order pipeline_config writes them.
+SERVICES = {
+    "a": "extractor = sobel\nmetric = mse\nimage = {mixed}",
+    "b": "extractor = quantize(k=4)\nmetric = vi(k=4)\nimage = {diag}\nsigma_gen = 0.05",
+    "c": "extractor = canny\nmetric = ssim(window=4)\nimage = {diag}\nthreshold = 0.9999",
+    "d": "extractor = sobel\nmetric = psnr\nimage = {diag}\nthreshold = 0.383",
+    "e": "extractor = quantize(k=4)\nmetric = mse\nimage = {mixed}",
+    "f": "extractor = sobel\nmetric = psnr\nimage = {mixed}\nsigma_gen = 0.1",
+    "g": "extractor = sobel\nmetric = ssim(window=4)\nimage = {diag}\nsigma_gen = 0.2",
+}
+
+
+def pipeline_config(tmp_path, order="abcdef"):
+    """The services named in ``order`` over two 32x32 images on a noisy channel; by default six:
 
     - a: noise-free, ok;
     - b: noisy (``sigma_gen`` 0.05), placed between noise-free services;
     - c: fails validation, since no factor reaches 0.9999 without factor 1;
     - d: passes validation at d = 2 and scores below its threshold after the channel;
     - e: noise-free, ok;
-    - f: noisy, so b's validation and scoring draws must come before f's.
+    - f: noisy, ok.
 
-    The delivered bytes exceed the budget. ``sigma_gen`` adds noise to every service but b and f.
+    g, noisy, is left out unless ``order`` names it. The default six deliver more bytes than the budget.
     """
     paths = write_images(tmp_path)
+    services = "".join(
+        f"{name}.{line}\n" for name in order for line in SERVICES[name].format(**paths).splitlines()
+    )
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
         f"""
 [services]
-a.extractor = sobel
-a.metric = mse
-a.image = {paths['mixed']}
-a.sigma_gen = {sigma_gen}
-b.extractor = quantize(k=4)
-b.metric = vi(k=4)
-b.image = {paths['diag']}
-b.sigma_gen = 0.05
-c.extractor = canny
-c.metric = ssim(window=4)
-c.image = {paths['diag']}
-c.threshold = 0.9999
-c.sigma_gen = {sigma_gen}
-d.extractor = sobel
-d.metric = psnr
-d.image = {paths['diag']}
-d.threshold = 0.38
-d.sigma_gen = {sigma_gen}
-e.extractor = quantize(k=4)
-e.metric = mse
-e.image = {paths['mixed']}
-e.sigma_gen = {sigma_gen}
-f.extractor = sobel
-f.metric = psnr
-f.image = {paths['mixed']}
-f.sigma_gen = 0.1
-
+{services}
 [channel]
 budget_bytes = 300
 bit_flip_prob = 0.01
@@ -97,16 +89,43 @@ def pipeline_run(tmp_path, cfg, capsys):
     return code, captured.out, captured.err, files, [l for l in manifest if not l.startswith(("started:", "finished:"))]
 
 
+def log_stages(monkeypatch, log):
+    """Log each call of decode, encode, extract, transmit and score wherever a semcom module binds it."""
+    modules = [module for name, module in list(sys.modules.items()) if name.split(".")[0] == "semcom"]
+    for fn in (decode, encode, extract, transmit, score):
+        counted = logged(log, fn, lambda *args, _name=fn.__name__, **kwargs: _name)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+def logged_stages(log):
+    """(pid, name) of every logged call, and the log emptied."""
+    calls = [tuple(line.split(" ")) for line in log.read_text().splitlines()]
+    log.unlink()
+    return calls
+
+
 @pytest.mark.parametrize("cpus", [2, 8])
 def test_pooled_and_one_cpu_pipelines_are_the_same_run(tmp_path, monkeypatch, capsys, forks, cpus):
     cfg = pipeline_config(tmp_path)
+    log = tmp_path / "stages.log"
+    log_stages(monkeypatch, log)
     use_cpus(monkeypatch, cpus)
     pooled = pipeline_run(tmp_path, cfg, capsys)
-    # one worker per noise-free service (a, c, d and e), at most one per CPU
-    assert len(forks) == min(4, cpus)
+    # one worker per service, at most one per CPU
+    assert len(forks) == min(6, cpus)
+    # the workers deliver every service: this process extracts, encodes, sends, decodes and scores nothing
+    pooled_calls = logged_stages(log)
+    assert {name for _, name in pooled_calls} == {"decode", "encode", "extract", "transmit", "score"}
+    assert str(os.getpid()) not in {pid for pid, _ in pooled_calls}
     use_cpus(monkeypatch, 1)
     serial = pipeline_run(tmp_path, cfg, capsys)
-    assert len(forks) == min(4, cpus)
+    assert len(forks) == min(6, cpus)
+    serial_calls = logged_stages(log)
+    assert {pid for pid, _ in serial_calls} == {str(os.getpid())}
+    assert sorted(name for _, name in pooled_calls) == sorted(name for _, name in serial_calls)
     assert pooled == serial
 
     code, _, err, files, manifest = serial
@@ -120,10 +139,28 @@ def test_pooled_and_one_cpu_pipelines_are_the_same_run(tmp_path, monkeypatch, ca
     assert "status: ok" in manifest and sum(line.startswith("  channel: ") for line in manifest) == 5
 
 
+@pytest.mark.parametrize("cpus", [1, 8], ids=["one CPU", "pooled"])
+def test_a_services_outputs_do_not_depend_on_the_other_services(tmp_path, monkeypatch, capsys, cpus):
+    # reversed, with the noisy service g delivered between the others
+    use_cpus(monkeypatch, cpus)
+    runs = [pipeline_run(tmp_path, pipeline_config(tmp_path, order), capsys) for order in ("abcdef", "fedgcba")]
+    reports, channels = [], []
+    for _, _, _, files, manifest in runs:
+        reports.append({row.split(",")[0]: row for row in files["pipeline_report.csv"].decode().splitlines()[1:]})
+        channels.append({line.split()[1]: line for line in manifest if line.startswith("  channel: ")})
+    assert sorted(reports[1]) == sorted(reports[0]) + ["g"]
+    assert len(channels[0]) == 5 and "g_payload.bin" in runs[1][3]
+    for service in "abcdef":
+        assert reports[1][service] == reports[0][service], service
+        assert runs[1][3].get(f"{service}_payload.bin") == runs[0][3].get(f"{service}_payload.bin"), service
+    for service, line in channels[0].items():
+        assert channels[1][service] == line, service
+
+
 @pytest.mark.parametrize("broken", ["image", "payload"])
 def test_an_error_at_service_two_fails_the_pipeline_as_in_process(tmp_path, monkeypatch, capsys, broken):
     # an unreadable image fails service two's validation in a worker; an unwritable
-    # payload fails its delivery in this process, while service three may be validating
+    # payload fails its write in this process, while service three may be delivering
     paths = write_images(tmp_path)
     # exists, so the config loads, but cannot be read as a file
     (tmp_path / "unreadable.pgm").mkdir()
@@ -157,9 +194,9 @@ def test_an_error_at_service_two_fails_the_pipeline_as_in_process(tmp_path, monk
     ]
 
 
-@pytest.mark.parametrize("platform", ["one usable CPU", "no CPU set", "no fork", "no noise-free service"])
+@pytest.mark.parametrize("platform", ["one usable CPU", "no CPU set", "no fork", "one service"])
 def test_a_pipeline_without_two_workers_starts_no_process(tmp_path, monkeypatch, capsys, platform):
-    cfg = pipeline_config(tmp_path, sigma_gen=0.05 if platform == "no noise-free service" else 0.0)
+    cfg = pipeline_config(tmp_path, "b" if platform == "one service" else "abcdef")
     use_cpus(monkeypatch, 1)
     expected = pipeline_run(tmp_path, cfg, capsys)
     use_cpus(monkeypatch, 4)
@@ -181,21 +218,17 @@ class MapFreePickler(pickle.Pickler):
         return NotImplemented
 
 
-def test_a_validation_crosses_a_process_boundary_as_two_payloads_and_no_map():
-    svc = ServiceSpec(id="s", extractor=SobelMagnitude(), metric=PsnrQuality(), threshold=0.3)
-    validation = validate_and_adjust(svc, diagonal(32), 8, [1, 2, 4, 8], Surrogate(), None)
-    assert validation.accepted_d > 1
+def test_a_delivery_crosses_a_process_boundary_as_its_row_flips_and_payload_bytes_and_no_map(tmp_path):
+    config = load_config(pipeline_config(tmp_path, "d"))
+    (entry,) = config.services
+    delivered = _deliver(entry, config)
     data = io.BytesIO()
-    MapFreePickler(data).dump(validation)
-    loaded = pickle.loads(data.getvalue())
-    assert (loaded.accepted_d, loaded.quality) == (validation.accepted_d, validation.quality)
-    core = loaded.core
-    assert core.svc == svc and core.source is None
-    assert sorted(core._payloads) == [1, loaded.accepted_d]
-    assert {"semantic", "reference"}.isdisjoint(vars(core))
-    for d in (1, loaded.accepted_d):
-        assert serialize_payload(core.payload(d)) == serialize_payload(validation.core.payload(d))
-    # the reference is decoded again from factor 1's payload, to the same bits
-    assert core.reference.pixels.tobytes() == validation.core.reference.pixels.tobytes()
-    received = decode(core.payload(loaded.accepted_d))
-    assert core.score_reconstruction(received, None) == validation.core.score_reconstruction(received, None)
+    MapFreePickler(data).dump(delivered)
+    row, flipped_bits, payload = pickle.loads(data.getvalue())
+    assert (row, flipped_bits, payload) == delivered
+    assert row[:4] == ("d", "below_threshold", 2, len(payload)) and isinstance(row[4], float)
+    # the payload the validation encoded at factor 2, with the flips the channel counted
+    sent = serialize_payload(encode(extract(entry.spec.extractor, read_pgm(entry.image_path)), 2))
+    assert len(sent) == len(payload) and sent[:HEADER_BYTES] == payload[:HEADER_BYTES]
+    difference = np.bitwise_xor(np.frombuffer(sent, np.uint8), np.frombuffer(payload, np.uint8))
+    assert type(flipped_bits) is int and flipped_bits == int(np.unpackbits(difference).sum()) > 0
