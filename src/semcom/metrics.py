@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, TooSmallError
-from .image import BINARY, LABELS, MAX_LEVELS, SemanticMap, _level_floor
+from .image import BINARY, LABELS, MAX_LEVELS, SOFT, SemanticMap, _level_floor
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,9 @@ def psnr_quality(a: SemanticMap, b: SemanticMap, cap_db: float = 50.0) -> float:
     return min(10.0 * math.log10(1.0 / mse), cap_db) / cap_db
 
 
-# Elements of one moment's rows that ssim_quality builds per band of output
-# rows: with five moments, the float path's band buffers hold 2 to 3 MB at
-# window 8, whatever the image size.
+# Elements of one plane's rows that ssim_quality builds per band of output
+# rows: the band buffers of two SOFT maps, with five float64 planes, hold
+# about 4 MB at window 8 on a 1024-pixel-wide map.
 _BAND = 1 << 14
 
 
@@ -114,29 +114,21 @@ def _check_window(a: SemanticMap, w: int) -> None:
 def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuality()) -> float:
     """Mean SSIM over all w x w windows (Wang et al., IEEE TIP 13(4), 2004).
 
-    The window means come from integral images of the five moments x, y,
-    xy, x^2 and y^2, built one band of output rows at a time. Each step
-    repeats the whole-array arithmetic in its order: column sums
-    S_r = S_(r-1) + v_r from the first row itself, a running sum along
-    each row, then the four-term window sum over w*w. Only the ratio map
-    is image-sized, and one ``np.mean`` over all of it keeps numpy's
-    pairwise summation, so the score has the same bits as the whole-array
-    form.
-
-    Two maps on level grids, BINARY (K = 2) or LABELS (K levels), are
-    scored from exact integer window sums instead. Pixel v of a K-level
-    map is level l = rint(v (K - 1)), and each band's rows of lx, ly and
-    lx ly, plus lx^2 and ly^2 for a map with K > 2 (a 0/1 level is its
-    own square), are cast to the smallest unsigned dtype that holds the
-    largest window sum, w*w max(Kx - 1, Ky - 1)^2. Their window sums are
-    summed down the columns and then along the rows by doubling, exact in
-    any order, and each mean is its sum divided by w*w times its plane's
-    level scale, (Kx - 1), (Ky - 1), (Kx - 1)(Ky - 1), (Kx - 1)^2 or
-    (Ky - 1)^2, rounded once. Both paths share the ratio arithmetic. For
-    two BINARY maps every divisor is w*w and every float sum above is an
-    exact integer, so both paths give the same bits. For a LABELS map the
-    float sums round, and its scores differ from the float path's in their
-    last digits.
+    Each map is scored on a plane: a SOFT map's own values, or the levels
+    l = rint(v (K - 1)) of a map on a K-level grid, BINARY (K = 2) or
+    LABELS. The planes x, y and xy, and the square of each map that is not
+    BINARY (a 0/1 level is its own square), are built one band of output
+    rows at a time. Their window sums are summed down the columns and then
+    along the rows by doubling (``_window_sums``), and each mean is its
+    sum divided by w*w times its plane's scale, rounded once: 1 for a SOFT
+    map and K - 1 for a grid map, their product for xy and their squares
+    for x^2 and y^2. When either map is SOFT the planes are float64, and
+    the sums round in the doubling order, which no band edge changes. Two
+    grid maps' planes take the smallest unsigned dtype that holds the
+    largest window sum, w*w max(Kx - 1, Ky - 1)^2, so every sum is exact.
+    Only the ratio map is image-sized, and one ``np.mean`` over all of it
+    keeps numpy's pairwise summation, so the score has the same bits as
+    the whole-array form.
     """
     _check_shapes(a, b)
     w = params.window
@@ -144,99 +136,30 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
     height, width = a.pixels.shape
     ratio = np.empty((height - w + 1, width - w + 1))
     band = min(max(1, _BAND // width), len(ratio))
-    sx, sy = _level_scale(a), _level_scale(b)
-    # K <= 255 and w <= the map's side: a window sum passes 2^53 only beyond about 373,000 pixels a side
-    if sx and sy:
-        _grid_ssim_rows(a.pixels, sx, b.pixels, sy, w, band, ratio)
-    else:
-        _float_ssim_rows(a.pixels, b.pixels, w, band, ratio)
-    return min(max(float(np.mean(ratio)), 0.0), 1.0)
-
-
-def _level_scale(a: SemanticMap) -> int | None:
-    """K - 1 for a map on the K-level grid: 1 for BINARY, levels - 1 for LABELS; None for SOFT."""
-    if a.kind == BINARY:
-        return 1
-    if a.kind == LABELS:
-        return a.levels - 1
-    return None
-
-
-def _float_ssim_rows(x: np.ndarray, y: np.ndarray, w: int, band: int, ratio: np.ndarray) -> None:
-    """Fill ``ratio`` with the SSIM of every window, from float integral images."""
-    oh, ow = ratio.shape
-    width = x.shape[1]
-    span = width + 1
-    # cs[1:] holds the running column sums of a band's source rows, the
-    # moments side by side in each row, and cs[0] those of the row before.
-    cs = np.empty((band + w, 5, width))
-    # g[m] holds rows of moment m's integral image, zero in column 0; the
-    # first w rows of each band are the last w of the band before.
-    g = np.zeros((5, band + w, span))
-    flat = g.reshape(5, -1)
-    # Window means and ratio terms run over each plane's rows laid end to
-    # end, so every operand is contiguous: position r * span + c is window
-    # (r, c) for c < ow, and the wrapped positions past ow are finite and
-    # never read.
-    means = np.empty((5, band * span))
-    # The ratio terms' scratch lies clear of cs[0], in rows free once in g.
-    scratch = cs.reshape(-1)[-band * span :]
-    top, src = 1, 0  # next integral row to fill, and the source row it comes from
-    for i in range(0, oh, band):
-        n = min(band, oh - i)
-        end = i + n + w - 1
-        rows = cs[1 : 1 + end - src]
-        xs, ys = x[src:end], y[src:end]
-        rows[:, 0] = xs
-        rows[:, 1] = ys
-        np.multiply(xs, ys, out=rows[:, 2])
-        np.multiply(xs, xs, out=rows[:, 3])
-        np.multiply(ys, ys, out=rows[:, 4])
-        for r in range(1 if src else 2, len(rows) + 1):
-            np.add(cs[r - 1], cs[r], out=cs[r])
-        cs[0] = rows[-1]
-        np.cumsum(rows, axis=2, out=g[:, top : n + w, 1:].transpose(1, 0, 2))
-        # (c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]) / (w * w) for each
-        # plane's integral image c, in that order.
-        k = (n - 1) * span + ow
-        below = w * span
-        m = means[:, :k]
-        np.subtract(flat[:, below + w : below + w + k], flat[:, w : w + k], out=m)
-        m -= flat[:, below : below + k]
-        m += flat[:, :k]
-        m /= w * w
-        g[:, :w] = g[:, n : n + w]
-        top, src = w, end
-        _ssim_ratio(means, scratch, n, span, ratio[i : i + n])
-
-
-def _grid_ssim_rows(x: np.ndarray, sx: int, y: np.ndarray, sy: int, w: int, band: int, ratio: np.ndarray) -> None:
-    """Fill ``ratio`` with the SSIM of every window of two maps on level grids, from integer window sums.
-
-    sx and sy are the maps' level scales K - 1, and pixel v is level rint(v s).
-    """
-    oh, ow = ratio.shape
-    width = x.shape[1]
-    # Planes lx, ly and lx ly, then the square of each map with more than two
-    # levels, and the row of ``means`` that each plane's means fill.
-    squared = [i for i, s in enumerate((sx, sy)) if s > 1]
+    sx, sy = (m.levels - 1 if m.kind == LABELS else 1 for m in (a, b))
+    # Planes x, y and xy, then the square of each map that is not BINARY, and
+    # the row of ``means`` that each plane's means fill.
+    squared = [i for i, m in enumerate((a, b)) if m.kind != BINARY]
     scales = [sx, sy, sx * sy] + [(sx, sy)[i] ** 2 for i in squared]
     rows = [0, 1, 2] + [3 + i for i in squared]
-    # Window sums reach w*w max(sx, sy)^2, and the smallest unsigned dtype
-    # that holds it keeps every sum exact: for two BINARY maps, uint8 up to
-    # w = 15, uint16 up to 255, then uint32.
-    planes = np.empty((len(scales), (band + w - 1) * width), np.min_scalar_type(w * w * max(sx, sy) ** 2))
+    # Two grid maps' window sums reach w*w max(sx, sy)^2, and the smallest
+    # unsigned dtype that holds it keeps every sum exact: for two BINARY maps,
+    # uint8 up to w = 15, uint16 up to 255, then uint32. With K <= 255 and w
+    # at most the map's side, a sum passes 2^53 only beyond about 373,000
+    # pixels a side.
+    dtype = np.float64 if SOFT in (a.kind, b.kind) else np.min_scalar_type(w * w * max(sx, sy) ** 2)
+    planes = np.empty((len(scales), (band + w - 1) * width), dtype)
     # float scratch for the levels of a map with more than two levels
-    scaled = np.empty(planes.shape[1]) if squared else None
-    # As in the float path, window (r, c) is at position r * width + c; the
-    # positions past ow wrap into the next row and hold sums no larger than
-    # the largest, which never reach ``ratio``.
+    scaled = np.empty(planes.shape[1]) if max(sx, sy) > 1 else None
+    # Window (r, c) is at position r * width + c; the positions past the last
+    # window of a row wrap into the next row, are finite, and never reach
+    # ``ratio``.
     means = np.empty((5, band * width))
     scratch = np.empty(band * width)
-    for i in range(0, oh, band):
-        n = min(band, oh - i)
+    for i in range(0, len(ratio), band):
+        n = min(band, len(ratio) - i)
         v = planes[:, : (n + w - 1) * width]
-        for j, (src, s) in enumerate(((x, sx), (y, sy))):
+        for j, (src, s) in enumerate(((a.pixels, sx), (b.pixels, sy))):
             src = src[i : i + n + w - 1].reshape(-1)
             if s > 1:
                 np.rint(np.multiply(src, s, out=scaled[: src.size]), out=v[j], casting="unsafe")
@@ -245,24 +168,25 @@ def _grid_ssim_rows(x: np.ndarray, sx: int, y: np.ndarray, sy: int, w: int, band
         np.multiply(v[0], v[1], out=v[2])
         for j, p in enumerate(squared, 3):
             np.multiply(v[p], v[p], out=v[j])
-        k = (n - 1) * width + ow
+        k = (n - 1) * width + ratio.shape[1]
         sums = _window_sums(_window_sums(v, w, width, n * width), w, 1, k)
         m = means[:, :k]
         for row, total, scale in zip(rows, sums, scales):
             np.divide(total, w * w * scale, out=m[row])
         for j in {0, 1} - set(squared):
-            # a 0/1 level is its own square
             m[3 + j] = m[j]
-        _ssim_ratio(means, scratch, n, width, ratio[i : i + n])
+        _ssim_ratio(means[:, : n * width], scratch, ratio[i : i + n])
+    return min(max(float(np.mean(ratio)), 0.0), 1.0)
 
 
 def _window_sums(v: np.ndarray, w: int, step: int, k: int) -> np.ndarray:
-    """Sums of w entries ``step`` apart in each row of the unsigned array v, at its first k positions.
+    """Sums of w entries ``step`` apart in each row of v, at its first k positions.
 
     Sums of widths 1, 2, 4, ... come from doubling, each the sum of two of
-    the width before, and the one for each set bit of w is added in, so the
-    cost grows with log w. Integer sums are exact in any order while the
-    dtype holds them. Overwrites v.
+    the width before, and the ones for the set bits of w are added in,
+    lowest bit first, so the cost grows with log w. Integer sums are exact
+    while the dtype holds them; float sums round in this order, which is
+    the same at every position. Overwrites v.
     """
     spare = np.empty_like(v)
     total, offset, span = None, 0, 1
@@ -282,14 +206,15 @@ def _window_sums(v: np.ndarray, w: int, step: int, k: int) -> np.ndarray:
         span *= 2
 
 
-def _ssim_ratio(means: np.ndarray, scratch: np.ndarray, n: int, stride: int, out: np.ndarray) -> None:
-    """Write the SSIM ratio of n rows of windows to ``out`` from their means, overwriting them.
+def _ssim_ratio(means: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """Write the SSIM ratio of the rows of windows in ``out`` from their means, overwriting them.
 
-    means[0..4] hold the window means of x, y, xy, x^2 and y^2, window (r, c)
-    at position r * stride + c.
+    means[0..4] hold the window means of x, y, xy, x^2 and y^2 for len(out)
+    rows of the image, window (r, c) at position r * width + c.
     """
-    ow = out.shape[1]
-    k = (n - 1) * stride + ow
+    n, ow = out.shape
+    width = means.shape[1] // n
+    k = (n - 1) * width + ow
     mx, my, cov, vx, vy = means[:, :k]
     t = scratch[:k]
     # ((2 mx my + c1)(2 cov + c2)) / ((mx^2 + my^2 + c1)(vx + vy + c2))
@@ -313,7 +238,7 @@ def _ssim_ratio(means: np.ndarray, scratch: np.ndarray, n: int, stride: int, out
     vx += vy
     vx += SSIM_C2
     mx *= vx
-    grid = means[:, : n * stride].reshape(5, n, stride)[:, :, :ow]
+    grid = means.reshape(5, n, width)[:, :, :ow]
     np.divide(grid[2], grid[0], out=out)
 
 

@@ -355,6 +355,56 @@ def reference_grid_ssim_quality(a, b, params=None):
     return min(max(float(np.mean(ssim)), 0.0), 1.0)
 
 
+def reference_window_ssim_quality(a, b, params=None):
+    """ssim_quality from whole-array window sums taken by doubling, in float64.
+
+    A BINARY or LABELS map enters as its levels rint(v (K - 1)), a SOFT map
+    as its own values with scale 1. Each w-wide sum is taken down the
+    columns and then along the rows: the sums of widths 1, 2, 4, ... each
+    add two of the width before, and the ones for the set bits of w are
+    added lowest bit first. Each mean is one such sum divided by w*w times
+    its plane's scale; legacy_ssim_quality's ratio formula and one np.mean
+    follow.
+    """
+    from semcom.errors import TooSmallError
+    from semcom.image import LABELS
+    from semcom.metrics import SsimQuality, _check_shapes
+
+    if params is None:
+        params = SsimQuality()
+    _check_shapes(a, b)
+    w = params.window
+    if a.width < w or a.height < w:
+        raise TooSmallError(f"both dimensions must be >= window {w}, got {a.width}x{a.height}")
+
+    def plane(m):
+        scale = m.levels - 1 if m.kind == LABELS else 1
+        return (np.rint(m.pixels * scale) if scale > 1 else m.pixels), scale
+
+    def doubled(v, axis):
+        total, offset, width, sums = None, 0, 1, v
+        while width <= w:
+            if w & width:
+                part = np.take(sums, range(offset, offset + v.shape[axis] - w + 1), axis=axis)
+                total = part if total is None else total + part
+                offset += width
+            sums = np.take(sums, range(sums.shape[axis] - width), axis=axis) + np.take(sums, range(width, sums.shape[axis]), axis=axis)
+            width *= 2
+        return total
+
+    (lx, sx), (ly, sy) = plane(a), plane(b)
+    mx, my, mxy, mxx, myy = (
+        doubled(doubled(p, 0), 1) / (w * w * scale)
+        for p, scale in ((lx, sx), (ly, sy), (lx * ly, sx * sy), (lx * lx, sx * sx), (ly * ly, sy * sy))
+    )
+    vx = mxx - mx * mx
+    vy = myy - my * my
+    cov = mxy - mx * my
+    c1, c2 = 0.01**2, 0.03**2
+    ssim = ((2.0 * mx * my + c1) * (2.0 * cov + c2)) / ((mx * mx + my * my + c1) * (vx + vy + c2))
+    return min(max(float(np.mean(ssim)), 0.0), 1.0)
+
+
 def reference_vi_quality(a, b, k):
     h, w = a.shape
     joint = {}

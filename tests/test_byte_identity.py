@@ -38,10 +38,10 @@ def oracle_transmit(payload, cfg, rng):
 
 
 def oracle_ssim_quality(a, b, params=SsimQuality()):
-    """ssim_quality through the integer window-sum oracle for two maps on level grids, else the float one."""
+    """ssim_quality through the integer window-sum oracle for two maps on level grids, else the doubling one."""
     if a.kind in (BINARY, LABELS) and b.kind in (BINARY, LABELS):
         return _reference.reference_grid_ssim_quality(a, b, params)
-    return _reference.legacy_ssim_quality(a, b, params)
+    return _reference.reference_window_ssim_quality(a, b, params)
 
 
 # (defining module, kernel name, oracle)
@@ -105,7 +105,7 @@ def swap_in_oracles(monkeypatch, log) -> None:
 
 
 def write_inputs(tmp_path):
-    """Two noisy sinusoid images of ragged sizes and a four-service config over odd factors."""
+    """Two noisy sinusoid images of ragged sizes and a five-service config over odd factors."""
     paths = []
     for index, (width, height) in enumerate([(67, 61), (96, 64)]):
         rng = np.random.default_rng([2024, index])
@@ -137,6 +137,10 @@ lab.extractor = quantize(k=8)
 lab.metric = ssim(window=5)
 lab.image = {a}
 lab.threshold = 0.5
+soft.extractor = sobel
+soft.metric = ssim(window=6)
+soft.image = {b}
+soft.threshold = 0.4
 [channel]
 budget_bytes = 6000
 bit_flip_prob = 0.003

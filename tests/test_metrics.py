@@ -32,6 +32,7 @@ from _reference import (
     reference_psnr_quality,
     reference_ssim_quality,
     reference_vi_quality,
+    reference_window_ssim_quality,
 )
 
 ALL_KINDS = [MseQuality(), PsnrQuality(), SsimQuality(), ViQuality(8)]
@@ -178,14 +179,14 @@ def test_all_metrics_match_direct_formula_oracles():
 
 
 @pytest.mark.parametrize("shape, window", [((8, 8), 8), ((9, 13), 8), ((17, 10), 5), ((31, 8), 8), ((7, 3), 2)])
-def test_ssim_equals_first_implementation_exactly(shape, window):
+def test_soft_ssim_equals_the_doubling_window_sum_oracle_exactly(shape, window):
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     params = SsimQuality(window=window)
     for _ in range(3):
         a = SemanticMap(rng.random(shape))
         b = SemanticMap(np.clip(a.pixels + rng.normal(0.0, 0.2, shape), 0.0, 1.0))
-        assert ssim_quality(a, b, params) == legacy_ssim_quality(a, b, params)
-        assert ssim_quality(b, a, params) == legacy_ssim_quality(b, a, params)
+        assert ssim_quality(a, b, params) == reference_window_ssim_quality(a, b, params)
+        assert ssim_quality(b, a, params) == reference_window_ssim_quality(b, a, params)
 
 
 def noisy_pair(rng, shape):
@@ -198,9 +199,14 @@ def assert_ssim_bits_equal_first_implementation(a, b, params=SsimQuality()):
     assert ssim_quality(b, a, params).hex() == legacy_ssim_quality(b, a, params).hex()
 
 
+def assert_soft_ssim_bits_equal_the_window_sum_oracle(a, b, params=SsimQuality()):
+    assert ssim_quality(a, b, params).hex() == reference_window_ssim_quality(a, b, params).hex()
+    assert ssim_quality(b, a, params).hex() == reference_window_ssim_quality(b, a, params).hex()
+
+
 @pytest.mark.parametrize("rows", [1, 3, 64])
 @pytest.mark.parametrize("window", [2, 7, 8])
-def test_ssim_equals_first_implementation_across_band_edges(monkeypatch, rows, window):
+def test_soft_ssim_equals_the_doubling_window_sum_oracle_across_band_edges(monkeypatch, rows, window):
     # Heights give one full band, a last band of one row, and two full bands
     # with a last band of two rows; the narrowest width equals the window.
     rng = np.random.default_rng(100 * rows + window)
@@ -208,7 +214,7 @@ def test_ssim_equals_first_implementation_across_band_edges(monkeypatch, rows, w
     for height in (rows + window - 1, rows + window, 2 * rows + window + 1):
         for width in (window, window + 5, 2 * window + 9):
             monkeypatch.setattr(semcom.metrics, "_BAND", rows * width)
-            assert_ssim_bits_equal_first_implementation(*noisy_pair(rng, (height, width)), params)
+            assert_soft_ssim_bits_equal_the_window_sum_oracle(*noisy_pair(rng, (height, width)), params)
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -221,13 +227,50 @@ def test_ssim_of_constant_and_negative_zero_maps_equals_first_implementation(mon
             assert_ssim_bits_equal_first_implementation(a, b)
 
 
-def test_ssim_equals_first_implementation_at_1024():
-    assert_ssim_bits_equal_first_implementation(*noisy_pair(np.random.default_rng(1024), (1024, 1024)))
+def test_soft_ssim_equals_the_doubling_window_sum_oracle_at_1024():
+    assert_soft_ssim_bits_equal_the_window_sum_oracle(*noisy_pair(np.random.default_rng(1024), (1024, 1024)))
+
+
+def exactly_rounded_ssim(x8, y8, w):
+    """SSIM of the 8-bit maps x8 / 255 and y8 / 255 from int64 window sums, each mean one rounded division."""
+
+    def means(p, scale):
+        c = np.pad(p.cumsum(0).cumsum(1), ((1, 0), (1, 0)))
+        return (c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]) / (w * w * scale)
+
+    x8, y8 = x8.astype(np.int64), y8.astype(np.int64)
+    mx, my = means(x8, 255), means(y8, 255)
+    vx = means(x8 * x8, 255**2) - mx * mx
+    vy = means(y8 * y8, 255**2) - my * my
+    cov = means(x8 * y8, 255**2) - mx * my
+    ssim = ((2.0 * mx * my + semcom.metrics.SSIM_C1) * (2.0 * cov + semcom.metrics.SSIM_C2)) / (
+        (mx * mx + my * my + semcom.metrics.SSIM_C1) * (vx + vy + semcom.metrics.SSIM_C2)
+    )
+    return min(max(float(np.mean(ssim)), 0.0), 1.0)
+
+
+@pytest.fixture(scope="module")
+def eight_bit_1024_pair():
+    rng = np.random.default_rng(1024)
+    a8 = rng.integers(0, 256, (1024, 1024))
+    return a8, np.clip(a8 + rng.integers(-40, 41, a8.shape), 0, 255)
+
+
+@pytest.mark.parametrize("window", [4, 7, 8, 11, 15])
+def test_soft_ssim_of_8_bit_maps_lies_within_2_ulps_of_exactly_rounded_window_means(eight_bit_1024_pair, window):
+    # Integral images of the moments lose 22 to 27 ulps on this pair to
+    # cancellation (2.8e-15 at w = 7); a doubling sum adds only w terms.
+    a8, b8 = eight_bit_1024_pair
+    exact = exactly_rounded_ssim(a8, b8, window)
+    got = ssim_quality(SemanticMap(a8 / 255), SemanticMap(b8 / 255), SsimQuality(window))
+    assert abs(got - exact) <= 2 * np.spacing(exact)
 
 
 def test_ssim_peaks_under_one_and_a_half_arrays_of_its_size():
-    # The ratio map is the one image-sized buffer; the band buffers add a
-    # fixed 2 to 3 MB, measured at 0.34 of a 1024 x 1024 float64 map.
+    # The ratio map is the one image-sized buffer; the band buffers of two
+    # SOFT maps add about 4 MB at window 8, measured at 0.46 of a 1024 x 1024
+    # float64 map: five float64 planes, the means, and the spare and sums
+    # of each _window_sums call.
     rng = np.random.default_rng(12)
     a = SemanticMap(rng.random((1024, 1024)))
     b = SemanticMap(rng.random((1024, 1024)))
@@ -295,9 +338,9 @@ def test_binary_ssim_of_all_negative_zero_maps_equals_the_float_path():
 
 
 def test_binary_ssim_peaks_under_one_and_a_half_arrays_of_its_size():
-    # Measured at 1.11 of a 1024 x 1024 float64 map, against 1.34 for the
-    # same pixels as SOFT maps: its uint8 count planes take less than five
-    # float64 integral-image planes, which also shows the integer path ran.
+    # Measured at 1.11 of a 1024 x 1024 float64 map, against 1.46 for the
+    # same pixels as SOFT maps: its three uint8 count planes take less than
+    # five float64 planes, which also shows the planes took the count dtype.
     a, b = binary_pair(np.random.default_rng(14), (1024, 1024), 0.1)
     peak = traced_peak(ssim_quality, a, b)
     assert peak < 1.5 * a.pixels.nbytes
@@ -383,21 +426,22 @@ def labels_1024_pair(rng, k=8):
 
 
 def test_labels_ssim_peaks_under_one_and_a_half_arrays_of_its_size():
-    # Measured at 1.20 of a 1024 x 1024 float64 map, against 1.34 for the
+    # Measured at 1.20 of a 1024 x 1024 float64 map, against 1.46 for the
     # same pixels as SOFT maps: its five uint16 planes take less than five
-    # float64 integral-image planes.
+    # float64 planes.
     a, b = labels_1024_pair(np.random.default_rng(16))
     peak = traced_peak(ssim_quality, a, b)
     assert peak < 1.5 * a.pixels.nbytes
     assert peak < traced_peak(ssim_quality, SemanticMap(a.pixels), SemanticMap(b.pixels))
 
 
-def test_labels_ssim_differs_from_the_float_path_only_in_its_last_digits():
-    # The float path's sums round, the integer path's are exact.
+def test_labels_ssim_differs_from_its_soft_copies_only_in_their_last_digits():
+    # The soft copies' float sums round, the labels' integer sums are exact.
     a, b = labels_1024_pair(np.random.default_rng(17))
-    exact, rounded = ssim_quality(a, b), ssim_quality(SemanticMap(a.pixels), SemanticMap(b.pixels))
-    assert rounded == legacy_ssim_quality(a, b)
-    assert 0 < abs(exact - rounded) < 1e-12
+    soft_a, soft_b = SemanticMap(a.pixels), SemanticMap(b.pixels)
+    exact, rounded = ssim_quality(a, b), ssim_quality(soft_a, soft_b)
+    assert rounded == reference_window_ssim_quality(soft_a, soft_b)
+    assert abs(exact - rounded) < 1e-12
 
 
 def quantized_pair(rng, shape, k):
