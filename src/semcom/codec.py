@@ -22,9 +22,12 @@ import numpy as np
 
 from .errors import CorruptPayloadError, DomainError
 from .image import (
+    _GRID_KINDS,
     LABELS,
     MAX_LEVELS,
     SemanticMap,
+    _grid_size,
+    _lookup,
     _restore,
     _upscale,
     box_downscale,
@@ -82,22 +85,29 @@ class EncodedPayload:
 
 
 def encode(map: SemanticMap, d: int) -> EncodedPayload:
-    """Box-downscale by d and quantize to one byte per pixel."""
+    """Box-downscale by d and quantize to one byte per pixel.
+
+    The byte of a pixel is rint(v * 255).  At d = 1 a grid map's bytes are
+    looked up from its grid in a table of that byte for each of its levels.
+    """
     if d < 1:
         raise DomainError(f"downscale factor must be >= 1, got {d}")
     if d > MAX_FACTOR:
         raise DomainError(f"factor {d} exceeds the wire format limit of {MAX_FACTOR}")
     if map.width > _MAX_DIM or map.height > _MAX_DIM:
         raise DomainError(f"resolution exceeds the wire format limit of {_MAX_DIM}")
-    small = box_downscale(map, d)
-    levels = small.pixels * 255.0
-    np.rint(levels, out=levels)
-    payload = levels.astype(np.uint8).tobytes()
+    if d == 1 and map.grid is not None:
+        k = _grid_size(map)
+        table = _to_bytes(np.arange(k) / (k - 1))
+        payload, (height, width) = _lookup(table, map.grid).tobytes(), map.shape
+    else:
+        small = box_downscale(map, d)
+        payload, (height, width) = _to_bytes(small.pixels).tobytes(), small.shape
     return EncodedPayload(
         orig_width=map.width,
         orig_height=map.height,
-        enc_width=small.width,
-        enc_height=small.height,
+        enc_width=width,
+        enc_height=height,
         factor=d,
         kind=map.kind,
         levels=map.levels,
@@ -105,22 +115,34 @@ def encode(map: SemanticMap, d: int) -> EncodedPayload:
     )
 
 
+def _to_bytes(values: np.ndarray) -> np.ndarray:
+    """rint(v * 255) of each value v in [0, 1], as uint8."""
+    scaled = values * 255.0
+    return np.rint(scaled, out=scaled).astype(np.uint8)
+
+
 def decode(payload: EncodedPayload) -> SemanticMap:
     """Dequantize, upscale back to the original resolution, restore the kind.
 
     Binary payloads are re-thresholded at 0.5 and labels payloads
     re-quantized onto their grid, one band of rows at a time as the
-    upscale writes them.  The returned map keeps that one array, after
-    every check of the ``SemanticMap`` constructor.
+    upscale writes them, straight into the map's uint8 grid.  At d = 1 a
+    grid map's levels are looked up from the bytes in a table of the
+    level each byte restores to.  The returned map keeps that one array,
+    after every check of the ``SemanticMap`` constructor.
     """
     kind, levels = payload.kind, payload.levels
-    raw = np.frombuffer(payload.payload, dtype=np.uint8) / 255.0
-    pixels = raw.reshape(payload.enc_height, payload.enc_width)
-    if pixels.shape == (payload.orig_height, payload.orig_width):
-        # Every sample of the upscale falls on a source pixel, so it is the dequantized array.
-        _restore(pixels, kind, levels)
+    raw = np.frombuffer(payload.payload, dtype=np.uint8).reshape(payload.enc_height, payload.enc_width)
+    same_size = raw.shape == (payload.orig_height, payload.orig_width)
+    if kind in _GRID_KINDS and same_size:
+        # Every sample of the upscale falls on a source pixel, so each byte's level is that of its dequantized value.
+        table = np.empty(256, np.uint8)
+        _restore(np.arange(256) / 255.0, kind, levels, table)
+        pixels = _lookup(table, raw)
+    elif same_size:
+        pixels = raw / 255.0
     else:
-        pixels = _upscale(pixels, payload.orig_height, payload.orig_width, kind, levels)
+        pixels = _upscale(raw, payload.orig_height, payload.orig_width, kind, levels)
     return SemanticMap._adopt(pixels, kind, levels)
 
 

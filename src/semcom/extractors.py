@@ -245,26 +245,63 @@ def canny(image: SemanticMap, params: Canny = Canny()) -> SemanticMap:
     Sobel gradients, direction quantized to 4 sectors, keep-if->= NMS
     along the gradient, double threshold at low/high fractions of the
     maximum magnitude, then 8-connected hysteresis from strong pixels.
-    All stages up to the NMS run one band of rows at a time (see
-    _gradient_bands) into one image-sized array of NMS magnitudes, and
-    the maximum magnitude is the largest of the bands' maxima.
+    All stages up to the NMS run one band of rows at a time
+    (_suppress_non_maxima), and the maximum magnitude is the largest of
+    the bands' maxima.
     """
     if min(image.width, image.height) < 5:
         raise DomainError(f"canny needs min dimension >= 5, got {image.width}x{image.height}")
-    h, w = image.pixels.shape
-    nms = np.empty((h, w))
+    h, w = image.shape
     band = min(max(1, _EDGE_BAND // w), h)
+    kept, gmax = _suppress_non_maxima(image.pixels, params.sigma, band)
+    if gmax == 0.0:
+        return SemanticMap._adopt(np.zeros((h, w), np.uint8), BINARY)
+
+    # Every pixel the NMS did not keep has magnitude 0, which reaches a threshold only if it is 0.
+    strong, weak = (np.full((h, w), 0.0 >= t * gmax) for t in (params.high, params.low))
+    for i, (at, values) in zip(range(0, h, band), kept):
+        for passed, t in ((strong, params.high), (weak, params.low)):
+            passed[i : i + band].reshape(-1)[np.compress(values >= t * gmax, at)] = True
+    del kept  # freed before the hysteresis buffers are allocated
+    # 8-connected growth from the strong pixels through the weak ones: a
+    # 3x3 dilation as a row pass then a column pass over a zero border,
+    # which reaches what clamping the border would.
+    edges = frontier = strong
+    padded = np.zeros((h + 2, w + 2), dtype=bool)
+    rows = np.empty((h + 2, w), dtype=bool)
+    reach = np.empty((h, w), dtype=bool)
+    while frontier.any():
+        padded[1:-1, 1:-1] = frontier
+        np.logical_or(padded[:, :-2], padded[:, 1:-1], out=rows)
+        rows |= padded[:, 2:]
+        np.logical_or(rows[:-2], rows[1:-1], out=reach)
+        reach |= rows[2:]
+        reach &= weak
+        frontier = np.greater(reach, edges, out=reach)  # reach & ~edges
+        edges |= frontier
+    return SemanticMap._adopt(edges.view(np.uint8), BINARY)
+
+
+def _suppress_non_maxima(pixels: np.ndarray, sigma: float, band: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
+    """canny's stages up to the NMS, over ``band`` rows at a time (see _gradient_bands).
+
+    Returns, per band, the flat positions within the band of the pixels
+    the NMS keeps with a positive magnitude and their magnitudes, and the
+    maximum magnitude.
+    """
+    h, w = pixels.shape
+    angles = np.empty((band, w))
     turn = np.empty((band, w))
     flags = np.empty((8, band, w), dtype=bool)
+    kept = []
     gmax = 0.0
-    for i, gx, gy, mag in _gradient_bands(image.pixels, params.sigma):
+    for i, gx, gy, mag in _gradient_bands(pixels, sigma):
         n = len(gx)
         gmax = max(gmax, mag[1:-1].max())
-        # Direction modulo 180 degrees, in the band's rows of nms.  Adding
-        # 180 to the negative angles (and 0 to the others) is what % 180
-        # computes for them; -180 and 180 (0 under %) and -0.0 all fall in
-        # sector 0 either way.
-        deg = np.arctan2(gy, gx, out=nms[i : i + n])
+        # Direction modulo 180 degrees.  Adding 180 to the negative angles
+        # (and 0 to the others) is what % 180 computes for them; -180 and
+        # 180 (0 under %) and -0.0 all fall in sector 0 either way.
+        deg = np.arctan2(gy, gx, out=angles[:n])
         np.degrees(deg, out=deg)
         past = flags[:4, :n]
         sector, ge, ge_back, keep = flags[4:, :n]
@@ -285,30 +322,11 @@ def canny(image: SemanticMap, params: Canny = Canny()) -> SemanticMap:
             ge &= ge_back
             ge &= sector
             keep |= ge
-        np.multiply(core, keep, out=deg)
-    if gmax == 0.0:
-        return SemanticMap._adopt(nms, BINARY)
-
-    strong = nms >= params.high * gmax
-    weak = nms >= params.low * gmax
-    # 8-connected growth from the strong pixels through the weak ones: a
-    # 3x3 dilation as a row pass then a column pass over a zero border,
-    # which reaches what clamping the border would.
-    edges = frontier = strong
-    padded = np.zeros((h + 2, w + 2), dtype=bool)
-    rows = np.empty((h + 2, w), dtype=bool)
-    reach = np.empty((h, w), dtype=bool)
-    while frontier.any():
-        padded[1:-1, 1:-1] = frontier
-        np.logical_or(padded[:, :-2], padded[:, 1:-1], out=rows)
-        rows |= padded[:, 2:]
-        np.logical_or(rows[:-2], rows[1:-1], out=reach)
-        reach |= rows[2:]
-        reach &= weak
-        frontier = np.greater(reach, edges, out=reach)  # reach & ~edges
-        edges |= frontier
-    nms[...] = edges
-    return SemanticMap._adopt(nms, BINARY)
+        keep &= np.greater(core, 0.0, out=ge)
+        at = np.flatnonzero(keep).astype(np.int32)
+        np.copyto(deg, core)  # contiguous, for the gather
+        kept.append((at, deg.reshape(-1).take(at)))
+    return kept, gmax
 
 
 def sobel_magnitude(image: SemanticMap) -> SemanticMap:
@@ -320,7 +338,7 @@ def sobel_magnitude(image: SemanticMap) -> SemanticMap:
     """
     if min(image.width, image.height) < 3:
         raise DomainError(f"sobel needs min dimension >= 3, got {image.width}x{image.height}")
-    h, w = image.pixels.shape
+    h, w = image.shape
     out = np.empty((h, w))
     gmax = 0.0
     for i, gx, _, mag in _gradient_bands(image.pixels, None):

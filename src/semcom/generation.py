@@ -21,7 +21,7 @@ import numpy as np
 from .codec import EncodedPayload, decode, encode
 from .errors import DomainError, MissingMapError, ValidationFailedError
 from .extractors import ExtractorKind, extract
-from .image import SemanticMap, _restore, read_pgm
+from .image import SemanticMap, _float_rows, read_pgm, restore_kind
 from .metrics import MetricKind, score
 
 
@@ -112,12 +112,11 @@ class QualityCore:
     def score_reconstruction(self, recon: SemanticMap, rng: np.random.Generator) -> float:
         """Score received content against the reference, after generation noise."""
         if self.svc.sigma_gen > 0.0:
-            # the fresh noise array takes the sum, the clip and restore_kind's coercion in place
-            noisy = rng.normal(0.0, self.svc.sigma_gen, recon.pixels.shape)
-            noisy += recon.pixels
+            # the fresh noise array takes the sum and the clip in place; a soft map keeps it, a grid map its levels
+            noisy = rng.normal(0.0, self.svc.sigma_gen, recon.shape)
+            noisy += _float_rows(recon, 0, recon.height)
             np.clip(noisy, 0.0, 1.0, out=noisy)
-            _restore(noisy, recon.kind, recon.levels)
-            recon = SemanticMap._adopt(noisy, recon.kind, recon.levels)
+            recon = SemanticMap._adopt(noisy) if recon.grid is None else restore_kind(noisy, recon.kind, recon.levels)
         return score(self.svc.metric, self.reference, recon)
 
     def quality(self, d: int, rng: np.random.Generator) -> float:

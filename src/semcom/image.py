@@ -26,6 +26,8 @@ LABELS = "labels"
 MAX_LEVELS = 255
 
 _KINDS = (SOFT, BINARY, LABELS)
+# The kinds whose maps store a uint8 grid of levels.
+_GRID_KINDS = (BINARY, LABELS)
 
 
 @dataclass(frozen=True)
@@ -42,56 +44,110 @@ class Resolution:
 class SemanticMap:
     """Immutable 2D intensity raster with values in [0, 1].
 
-    ``pixels`` is row-major, shape (height, width), float64.  ``levels``
-    is the label count K and is set only when kind is LABELS.
+    ``pixels`` is row-major, shape (height, width), float64 and read-only.
+    ``levels`` is the label count K and is set only when kind is LABELS.
+
+    A BINARY or LABELS map stores ``grid``: the level j of each pixel, a
+    read-only, C-ordered uint8 array with every j < K (K = 2 for BINARY).
+    Its ``pixels`` are j / (K - 1), built on their first request and kept,
+    so every read returns the same array.  The constructor accepts grid
+    input that is -0.0 or within 1e-9 of the grid, and stores the nearest
+    level: such a map's pixels read back as j / (K - 1) exactly, with +0.0
+    for -0.0.  A SOFT map's ``grid`` is None.
     """
 
     pixels: np.ndarray
     kind: str = SOFT
     levels: int | None = field(default=None)
+    grid: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.array(self.pixels, dtype=np.float64, copy=True, order="C")
-        _check_pixels(arr, self.kind, self.levels)
-        arr.setflags(write=False)
-        object.__setattr__(self, "pixels", arr)
+        # Only a soft map keeps these floats, so only a soft map needs them copied.
+        copy = True if self.kind == SOFT else None
+        self._keep(np.array(self.pixels, dtype=np.float64, copy=copy, order="C"))
 
     @classmethod
     def _adopt(cls, arr: np.ndarray, kind: str = SOFT, levels: int | None = None) -> SemanticMap:
         """A map that keeps ``arr`` itself, after the constructor's checks.
 
-        ``arr`` is made read-only, not copied, so nothing may write to it
-        afterwards: a producer hands over the fresh array it built, or a
-        map's own read-only pixels.  A ``ShapeError`` rejects an ``arr``
-        that is not C-contiguous and a ``DomainError`` one whose dtype is
-        not float64, before the constructor's checks run.
+        ``arr`` is float64 pixels, or the uint8 ``grid`` of a BINARY or
+        LABELS map, whose checks are that each level lies below K.  A grid
+        map given float64 pixels keeps their levels, as the constructor
+        does.  A kept ``arr`` is made read-only, not copied, so nothing may
+        write to it afterwards: a producer hands over the fresh array it
+        built, or a map's own read-only pixels or grid.  A ``ShapeError``
+        rejects an ``arr`` that is not C-contiguous and a ``DomainError``
+        one of another dtype, before the constructor's checks run.
         """
         if not arr.flags.c_contiguous:
             raise ShapeError("an adopted array must be C-contiguous")
-        if arr.dtype != np.float64:
-            raise DomainError(f"an adopted array must be float64, got {arr.dtype}")
-        _check_pixels(arr, kind, levels)
-        arr.setflags(write=False)
+        if arr.dtype != np.float64 and not (arr.dtype == np.uint8 and kind in _GRID_KINDS):
+            allowed = "float64 or uint8" if kind in _GRID_KINDS else "float64"
+            raise DomainError(f"an adopted array must be {allowed}, got {arr.dtype}")
         map = object.__new__(cls)
-        for name, value in (("pixels", arr), ("kind", kind), ("levels", levels)):
-            object.__setattr__(map, name, value)
+        object.__setattr__(map, "kind", kind)
+        object.__setattr__(map, "levels", levels)
+        map._keep(arr)
         return map
 
+    def _keep(self, arr: np.ndarray) -> None:
+        """Check the C-ordered ``arr``, then keep it as pixels or, for a grid map, keep its grid."""
+        if arr.dtype == np.uint8:
+            _check_grid(arr, self.kind, self.levels)
+            grid = arr
+        else:
+            _check_pixels(arr, self.kind, self.levels)
+            if self.kind == SOFT:
+                arr.setflags(write=False)
+                object.__setattr__(self, "pixels", arr)
+                return
+            # the nearest level of each value, which the checks put within 1e-9 of it
+            grid = np.empty(arr.shape, np.uint8)
+            flat, out = arr.reshape(-1), grid.reshape(-1)
+            for i in range(0, flat.size, _CHECK_BAND):
+                np.rint(flat[i : i + _CHECK_BAND] * (_grid_size(self) - 1), out=out[i : i + _CHECK_BAND], casting="unsafe")
+        grid.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        # a grid map's pixels are built from its grid when first read (__getattr__)
+        self.__dict__.pop("pixels", None)
+
+    def __getattr__(self, name):
+        # Reached only for an attribute the map does not hold: a grid map's
+        # pixels before their first read.
+        grid = self.__dict__.get("grid")
+        if name != "pixels" or grid is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        pixels = np.divide(grid, _grid_size(self) - 1, dtype=np.float64)
+        pixels.setflags(write=False)
+        object.__setattr__(self, "pixels", pixels)
+        return pixels
+
     def __reduce__(self):
-        # rebuilt through _adopt, so an unpickled map passes every check and is read-only
-        return _unpickle_map, (self.pixels, self.kind, self.levels)
+        # A grid map travels as its grid.  Either way it is rebuilt through
+        # _adopt, so an unpickled map passes every check and is read-only.
+        return _unpickle_map, (self.pixels if self.grid is None else self.grid, self.kind, self.levels)
 
     @property
     def width(self) -> int:
-        return self.pixels.shape[1]
+        return self.shape[1]
 
     @property
     def height(self) -> int:
-        return self.pixels.shape[0]
+        return self.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(height, width), read without building a grid map's pixels."""
+        return (self.pixels if self.grid is None else self.grid).shape
 
     @property
     def resolution(self) -> Resolution:
         return Resolution(self.width, self.height)
+
+
+def _grid_size(map: SemanticMap) -> int:
+    """K of a grid map: its levels, or 2 for a BINARY map."""
+    return map.levels if map.kind == LABELS else 2
 
 
 def _unpickle_map(pixels: np.ndarray, kind: str, levels: int | None) -> SemanticMap:
@@ -99,6 +155,23 @@ def _unpickle_map(pixels: np.ndarray, kind: str, levels: int | None) -> Semantic
     if not (pixels.flags.writeable and pixels.flags.owndata):
         pixels = pixels.copy()
     return SemanticMap._adopt(pixels, kind, levels)
+
+
+def _float_rows(map: SemanticMap, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows start..stop of ``map``'s pixels, or of values equal to them.
+
+    A view of the pixels once they exist; else a view of a BINARY map's
+    levels, which are its 0/1 values; else a LABELS map's floats, built
+    from its grid in ``out`` if given.
+    """
+    pixels = map.__dict__.get("pixels")
+    if pixels is not None:
+        return pixels[start:stop]
+    if map.kind == BINARY:
+        return map.grid[start:stop]
+    k = _grid_size(map)
+    rows = map.grid[start:stop]
+    return np.take(np.arange(k) / (k - 1), rows, out=None if out is None else out[: len(rows)], mode="clip")
 
 
 # Values of a map's pixels that SemanticMap's checks scan at a time: a
@@ -131,15 +204,30 @@ def _check_pixels(arr: np.ndarray, kind: str, levels: int | None) -> None:
     if kind == BINARY:
         if not all(np.all((band == 0.0) | (band == 1.0)) for band in bands):
             raise DomainError("binary map values must be exactly 0 or 1")
+    _check_level_count(kind, levels)
+    if kind == LABELS and not _on_label_grid(bands, levels):
+        raise DomainError(f"labels map values must lie on the {levels}-level grid")
+
+
+def _check_level_count(kind: str, levels: int | None) -> None:
+    """Raise unless ``levels`` is a LABELS map's K in [2, MAX_LEVELS], or None for another kind."""
     if kind == LABELS:
         if levels is None or levels < 2:
             raise DomainError("labels map needs a level count K >= 2")
         if levels > MAX_LEVELS:
             raise DomainError(f"labels map level count K must be <= {MAX_LEVELS}, got {levels}")
-        if not _on_label_grid(bands, levels):
-            raise DomainError(f"labels map values must lie on the {levels}-level grid")
     elif levels is not None:
         raise DomainError("levels is only meaningful for labels maps")
+
+
+def _check_grid(grid: np.ndarray, kind: str, levels: int | None) -> None:
+    """Raise the first check a uint8 ``grid`` of a BINARY or LABELS map fails: its shape, its K, each level below K."""
+    if grid.ndim != 2 or grid.shape[0] < 1 or grid.shape[1] < 1:
+        raise ShapeError(f"pixels must be a non-empty 2D array, got shape {grid.shape}")
+    _check_level_count(kind, levels)
+    k, top = levels if kind == LABELS else 2, grid.max()
+    if top >= k:
+        raise DomainError(f"{kind} map levels must lie below {k}, got {top}")
 
 
 def _on_label_grid(bands: list[np.ndarray], levels: int) -> bool:
@@ -154,6 +242,18 @@ def _on_label_grid(bands: list[np.ndarray], levels: int) -> bool:
         if not r.max() <= 1e-9:
             return False
     return True
+
+
+def _lookup(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """table[codes] for the C-ordered integer ``codes``, as a new array of their shape.
+
+    np.take converts its indices to intp, so it takes _CHECK_BAND codes at a time.
+    """
+    out = np.empty(codes.shape, table.dtype)
+    flat, dst = codes.reshape(-1), out.reshape(-1)
+    for i in range(0, flat.size, _CHECK_BAND):
+        np.take(table, flat[i : i + _CHECK_BAND], out=dst[i : i + _CHECK_BAND], mode="clip")
+    return out
 
 
 def quantize_levels(pixels: np.ndarray, k: int) -> np.ndarray:
@@ -178,22 +278,40 @@ def restore_kind(pixels: np.ndarray, kind: str, levels: int | None) -> SemanticM
     """Coerce raw intensities back onto a kind's value set.
 
     Binary maps are re-thresholded at 0.5, labels maps re-quantized to
-    their K-level grid, soft maps passed through unchanged.
+    their K-level grid, soft maps passed through unchanged.  A grid map's
+    levels are computed one band of _CHECK_BAND values at a time, so its
+    grid is the only array of the image's size that is built.
     """
-    if kind not in (BINARY, LABELS):
+    if kind not in _GRID_KINDS:
         return SemanticMap(pixels, kind=SOFT)
-    arr = np.array(pixels, dtype=np.float64, order="C")
-    _restore(arr, kind, levels)
-    return SemanticMap._adopt(arr, kind, levels if kind == LABELS else None)
+    arr = np.asarray(pixels, dtype=np.float64)
+    grid = np.empty(arr.shape, np.uint8)
+    flat, out = arr.reshape(-1), grid.reshape(-1)
+    scratch = np.empty(min(flat.size, _CHECK_BAND))
+    for i in range(0, flat.size, _CHECK_BAND):
+        band = scratch[: min(_CHECK_BAND, flat.size - i)]
+        np.copyto(band, flat[i : i + band.size])
+        # min propagates NaN; a NaN or negative value bins below level 0
+        if kind == LABELS and not (levels is not None and 2 <= levels <= MAX_LEVELS and band.min() >= 0.0):
+            # the error that the checks of the restored floats give
+            _check_pixels(_level_floor(arr, levels) / (levels - 1), kind, levels)
+        _restore(band, kind, levels, out[i : i + band.size])
+    return SemanticMap._adopt(grid, kind, levels if kind == LABELS else None)
 
 
-def _restore(arr: np.ndarray, kind: str, levels: int | None) -> None:
-    """restore_kind's coercion of the float64 array ``arr``, in place; a soft ``arr`` is left as it is."""
+def _restore(arr: np.ndarray, kind: str, levels: int | None, out: np.ndarray) -> None:
+    """restore_kind's level of each value of the float64 ``arr`` of a grid ``kind``, into the uint8 ``out``.
+
+    Overwrites ``arr``.  For a LABELS ``kind``, ``levels`` lies in
+    [2, MAX_LEVELS] and no value of ``arr`` is NaN or negative.
+    """
     if kind == BINARY:
-        np.greater_equal(arr, 0.5, out=arr)
-    elif kind == LABELS:
-        _level_floor(arr, levels, out=arr)
-        arr /= levels - 1
+        np.greater_equal(arr, 0.5, out=out)
+    else:
+        # _level_floor's bins, floored straight into ``out``
+        bins = np.minimum(arr, 1.0 - 1e-9, out=arr)
+        bins *= levels
+        np.floor(bins, out=out, casting="unsafe")
 
 
 # PGM headers allow whitespace and '#' comment lines between tokens.
@@ -259,7 +377,10 @@ def box_downscale(map: SemanticMap, d: int) -> SemanticMap:
     along the columns, bit for bit.  They mirror numpy's rule for a
     reduceat block: its first row (or column) plus numpy's pairwise sum
     of the rest (``_pairwise``).  They are formed one band of output rows
-    at a time, so the only full-size buffer is the output.
+    at a time, so the only full-size buffer is the output.  A grid map
+    whose pixels have not been read gives each band from its grid: a
+    LABELS map its floats, and a BINARY map its uint8 levels, whose sums
+    are whole numbers that every summation order gives exactly.
     ``tests/test_image.py::test_box_downscale_bits_equal_reduceat`` pins
     the bytes against the ``reduceat`` form, so a numpy release that
     changes its summation order fails there.
@@ -268,12 +389,12 @@ def box_downscale(map: SemanticMap, d: int) -> SemanticMap:
         raise DomainError(f"downscale factor must be >= 1, got {d}")
     if d == 1:
         return map if map.kind == SOFT else SemanticMap._adopt(map.pixels)
-    arr = map.pixels
-    h, w = arr.shape
+    h, w = map.shape
     sums = np.empty((-(-h // d), -(-w // d)))
     band = max(1, _BAND // w)
+    scratch = None if map.grid is None else np.empty((min(band * d, h), w))
     for i in range(0, sums.shape[0], band):
-        rows = _block_sums(arr[i * d : (i + band) * d], d)
+        rows = _block_sums(_float_rows(map, i * d, (i + band) * d, scratch), d)
         _block_sums(rows.T, d, out=sums[i : i + band].T)
     row_idx = np.arange(0, h, d)
     col_idx = np.arange(0, w, d)
@@ -346,7 +467,7 @@ def _pairwise(terms: list[np.ndarray], out: np.ndarray) -> np.ndarray:
 
 def bilinear_upscale(map: SemanticMap, target: Resolution) -> SemanticMap:
     """Resample to the target resolution with corner-aligned bilinear interpolation."""
-    if (target.height, target.width) == map.pixels.shape:
+    if (target.height, target.width) == map.shape:
         # Every sample falls on a source pixel with zero weight on its neighbour.
         return map if map.kind == SOFT else SemanticMap._adopt(map.pixels)
     return SemanticMap._adopt(_upscale(map.pixels, target.height, target.width, SOFT, None))
@@ -355,8 +476,12 @@ def bilinear_upscale(map: SemanticMap, target: Resolution) -> SemanticMap:
 def _upscale(arr: np.ndarray, th: int, tw: int, kind: str, levels: int | None) -> np.ndarray:
     """``arr`` resampled to th x tw as bilinear_upscale does, then coerced onto ``kind`` as restore_kind does.
 
-    The result is a new array; each band of its rows is restored
-    (``_restore``) as soon as it is lerped, while it is in cache.
+    ``arr`` holds float64 pixels, or payload bytes b (uint8) that stand for
+    b / 255.  The result is a new array: float64 pixels for a SOFT
+    ``kind``, else the uint8 grid.  It is built one band of output rows at
+    a time, from the source rows that band reads; a grid kind's band is
+    lerped into a band buffer and restored (``_restore``) from it while it
+    is in cache.
     """
     h, w = arr.shape
 
@@ -375,35 +500,52 @@ def _upscale(arr: np.ndarray, th: int, tw: int, kind: str, levels: int | None) -
     fx = (xs - x0)[None, :]
 
     # Lerp form keeps constants exact and stays inside [min, max].  Each
-    # source row is lerped along x once; gathering rows y0 and y1 of that
-    # gives the same top and bottom rows as gathering the four corners.
-    # Each pass fills its result one band of rows at a time, and np.take
-    # keeps every gather C-ordered.  The indices lie in range by
-    # construction; mode="clip" lets np.take write into its ``out``
-    # argument directly, where the default mode buffers the write.
-    rows = np.empty((h, tw))
+    # source row is lerped along x once, into a buffer that holds the rows
+    # the current band reads and is refilled, from the first of them, as
+    # the bands move down; gathering rows y0 and y1 of that gives the same
+    # top and bottom rows as gathering the four corners.  np.take keeps
+    # every gather C-ordered.  The indices lie in range by construction;
+    # mode="clip" lets np.take write into its ``out`` argument directly,
+    # where the default mode buffers the write.
     band = max(1, _UPSCALE_BAND // tw)
-    for i in range(0, h, band):
-        part = rows[i : i + band]
-        src = arr[i : i + band]
-        left = np.take(src, x0, axis=1)
-        np.take(src, x1, axis=1, out=part, mode="clip")
-        part -= left
-        part *= fx
-        part += left
-    out = np.empty((th, tw))
-    for i in range(0, th, band):
-        part = out[i : i + band]
-        top = np.take(rows, y0[i : i + band], axis=0)
-        np.take(rows, y1[i : i + band], axis=0, out=part, mode="clip")
+    starts = np.arange(0, th, band)
+    # the source rows lo..hi that each band of output rows reads
+    los, his = y0[starts], y1[np.minimum(starts + band, th) - 1] + 1
+    # y0 and y1 as rows of each band's span
+    offsets = np.repeat(los, band)[:th]
+    y0, y1 = y0 - offsets, y1 - offsets
+    rows = np.empty((int((his - los).max()) + band, tw))
+    first = last = 0  # rows holds source rows first..last
+    grid = kind in _GRID_KINDS
+    out = np.empty((th, tw), np.uint8 if grid else np.float64)
+    lerped = np.empty((min(band, th), tw)) if grid else out
+    for i, lo, hi in zip(starts.tolist(), los.tolist(), his.tolist()):
+        if hi > last:
+            kept = max(last - lo, 0)
+            rows[:kept] = rows[lo - first : last - first]
+            first, last = lo, min(h, lo + len(rows))
+            src = arr[lo + kept : last]
+            if src.dtype == np.uint8:
+                src = src / 255.0
+            part = rows[kept : last - lo]
+            left = np.take(src, x0, axis=1)
+            np.take(src, x1, axis=1, out=part, mode="clip")
+            part -= left
+            part *= fx
+            part += left
+        across = rows[lo - first : hi - first]
+        part = lerped[: min(band, th - i)] if grid else out[i : i + band]
+        top = np.take(across, y0[i : i + band], axis=0)
+        np.take(across, y1[i : i + band], axis=0, out=part, mode="clip")
         part -= top
         part *= fy[i : i + band]
         part += top
-        _restore(part, kind, levels)
+        if grid:
+            _restore(part, kind, levels, out[i : i + band])
     return out
 
 
-# Elements of the rows _upscale lerps at a time, in each of its two passes.
+# Elements of the output rows _upscale builds at a time.
 _UPSCALE_BAND = 1 << 15
 
 

@@ -13,13 +13,14 @@ returns 1.0 for it without computing, after the same argument checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError, TooSmallError
-from .image import BINARY, LABELS, MAX_LEVELS, SOFT, SemanticMap, _level_floor
+from .image import BINARY, LABELS, MAX_LEVELS, SOFT, SemanticMap, _grid_size, _level_floor
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ def metric_label(kind: MetricKind) -> str:
 
 
 def _check_shapes(a: SemanticMap, b: SemanticMap) -> None:
-    if a.pixels.shape != b.pixels.shape:
+    if a.shape != b.shape:
         raise ShapeError(f"resolution mismatch: {a.width}x{a.height} vs {b.width}x{b.height}")
 
 
@@ -115,8 +116,8 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
     """Mean SSIM over all w x w windows (Wang et al., IEEE TIP 13(4), 2004).
 
     Each map is scored on a plane: a SOFT map's own values, or the levels
-    l = rint(v (K - 1)) of a map on a K-level grid, BINARY (K = 2) or
-    LABELS. The planes x, y and xy, and the square of each map that is not
+    of a map on a K-level grid, BINARY (K = 2) or LABELS, copied from its
+    grid. The planes x, y and xy, and the square of each map that is not
     BINARY (a 0/1 level is its own square), are built one band of output
     rows at a time. Their window sums are summed down the columns and then
     along the rows by doubling (``_window_sums``), and each mean is its
@@ -126,22 +127,29 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
     the sums round in the doubling order, which no band edge changes. Two
     grid maps' planes take the smallest unsigned dtype that holds the
     largest window sum, w*w max(Kx - 1, Ky - 1)^2, so every sum is exact.
-    Only the ratio map is image-sized, and one ``np.mean`` over all of it
-    keeps numpy's pairwise summation, so the score has the same bits as
-    the whole-array form.
+
+    Two BINARY maps' ratio depends only on the window's three sums, each
+    at most w*w, so it is looked up in a table of ``_ssim_ratio`` over
+    the triples a window can have (``_binary_ratio_table``) when the map
+    has at least (w*w + 1)^3 windows, one per triple in [0, w*w]^3: the
+    table is then smaller than the ratio map, and its build is spread over
+    that many windows. Only the ratio map is image-sized, and one
+    ``np.mean`` over all of it keeps numpy's pairwise summation, so the
+    score has the same bits as the whole-array form.
     """
     _check_shapes(a, b)
     w = params.window
     _check_window(a, w)
-    height, width = a.pixels.shape
-    ratio = np.empty((height - w + 1, width - w + 1))
+    height, width = a.shape
+    windows = (height - w + 1, width - w + 1)
+    # built before the ratio map, so that its temporaries are freed first
+    table = _binary_ratio_table(w) if a.kind == b.kind == BINARY and math.prod(windows) >= (w * w + 1) ** 3 else None
+    ratio = np.empty(windows)
     band = min(max(1, _BAND // width), len(ratio))
     sx, sy = (m.levels - 1 if m.kind == LABELS else 1 for m in (a, b))
-    # Planes x, y and xy, then the square of each map that is not BINARY, and
-    # the row of ``means`` that each plane's means fill.
+    # Planes x, y and xy, then the square of each map that is not BINARY.
     squared = [i for i, m in enumerate((a, b)) if m.kind != BINARY]
     scales = [sx, sy, sx * sy] + [(sx, sy)[i] ** 2 for i in squared]
-    rows = [0, 1, 2] + [3 + i for i in squared]
     # Two grid maps' window sums reach w*w max(sx, sy)^2, and the smallest
     # unsigned dtype that holds it keeps every sum exact: for two BINARY maps,
     # uint8 up to w = 15, uint16 up to 255, then uint32. With K <= 255 and w
@@ -149,58 +157,116 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
     # pixels a side.
     dtype = np.float64 if SOFT in (a.kind, b.kind) else np.min_scalar_type(w * w * max(sx, sy) ** 2)
     planes = np.empty((len(scales), (band + w - 1) * width), dtype)
-    # float scratch for the levels of a map with more than two levels
-    scaled = np.empty(planes.shape[1]) if max(sx, sy) > 1 else None
-    # Window (r, c) is at position r * width + c; the positions past the last
-    # window of a row wrap into the next row, are finite, and never reach
-    # ``ratio``.
-    means = np.empty((5, band * width))
-    scratch = np.empty(band * width)
+    spare = np.empty_like(planes)
+    if table is not None:
+        start, ratios = table
+        index = np.empty(band * width, np.intp)
+    else:
+        # Window (r, c) is at position r * width + c; the positions past the
+        # last window of a row wrap into the next row, are finite, and never
+        # reach ``ratio``.
+        means = np.empty((5, band * width))
+        scratch = np.empty(band * width)
     for i in range(0, len(ratio), band):
         n = min(band, len(ratio) - i)
         v = planes[:, : (n + w - 1) * width]
-        for j, (src, s) in enumerate(((a.pixels, sx), (b.pixels, sy))):
-            src = src[i : i + n + w - 1].reshape(-1)
-            if s > 1:
-                np.rint(np.multiply(src, s, out=scaled[: src.size]), out=v[j], casting="unsafe")
-            else:
-                np.copyto(v[j], src, casting="unsafe")
+        for j, m in enumerate((a, b)):
+            src = m.pixels if m.grid is None else m.grid
+            np.copyto(v[j], src[i : i + n + w - 1].reshape(-1))
         np.multiply(v[0], v[1], out=v[2])
         for j, p in enumerate(squared, 3):
             np.multiply(v[p], v[p], out=v[j])
         k = (n - 1) * width + ratio.shape[1]
-        sums = _window_sums(_window_sums(v, w, width, n * width), w, 1, k)
+        sums, free = _window_sums(v, w, width, n * width, spare)
+        if table is not None:
+            sums = _window_sums(sums, w, 1, k, free)[0]
+            # each window's position in the table's ratios
+            at = np.multiply(sums[0], w * w + 1, out=index[:k], dtype=np.intp)
+            at += sums[1]
+            np.take(start, at, out=at, mode="clip")
+            at += sums[2]
+            np.take(ratios, index[: n * width].reshape(n, width)[:, : ratio.shape[1]], out=ratio[i : i + n], mode="clip")
+            continue
+        # Each plane's means fill the row of ``means`` of the same index. Sums
+        # of more than one set bit of w add up in those rows: exactly, for
+        # integers below 2^53, and in the same order for floats.
         m = means[:, :k]
-        for row, total, scale in zip(rows, sums, scales):
-            np.divide(total, w * w * scale, out=m[row])
+        sums = _window_sums(sums, w, 1, k, free, m[: len(scales)])[0]
+        for j, scale in enumerate(scales):
+            np.divide(sums[j], w * w * scale, out=m[j])
+        if squared == [1]:
+            m[4] = m[3]  # the square of y, beside a BINARY x
         for j in {0, 1} - set(squared):
             m[3 + j] = m[j]
         _ssim_ratio(means[:, : n * width], scratch, ratio[i : i + n])
     return min(max(float(np.mean(ratio)), 0.0), 1.0)
 
 
-def _window_sums(v: np.ndarray, w: int, step: int, k: int) -> np.ndarray:
+@functools.cache
+def _binary_ratio_table(w: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_ssim_ratio`` of every possible w x w window of two BINARY maps, and where each one sits.
+
+    A window has sums Sx and Sy of its two maps and Sxy of their product,
+    with max(0, Sx + Sy - w*w) <= Sxy <= min(Sx, Sy); each mean is its
+    sum divided by w*w, as ssim_quality divides it. Returns (start,
+    ratios): the ratio of (Sx, Sy, Sxy) is ratios[start[Sx (w*w + 1) + Sy]
+    + Sxy]. Built once per process and window size.
+    """
+    n = w * w
+    side = n + 1
+    pair = np.arange(side * side)
+    x, y = np.divmod(pair, side)
+    lo = np.maximum(x + y - n, 0)
+    count = np.minimum(x, y) - lo + 1
+    start = np.cumsum(count) - count - lo
+    # every pair's triples, Sxy running up from lo
+    pair = np.repeat(pair, count)
+    xy = np.arange(len(pair)) - start[pair]
+    x, y = np.divmod(pair, side)
+    means = np.empty((5, len(pair)))
+    for row, total in enumerate((x, y, xy, x, y)):
+        np.divide(total, n, out=means[row])
+    ratios = np.empty((1, len(pair)))
+    _ssim_ratio(means, np.empty(len(pair)), ratios)
+    # every caller shares the cached arrays
+    start.setflags(write=False)
+    ratios.setflags(write=False)
+    return start, ratios[0]
+
+
+def _window_sums(v: np.ndarray, w: int, step: int, k: int, spare: np.ndarray, out: np.ndarray | None = None) -> tuple:
     """Sums of w entries ``step`` apart in each row of v, at its first k positions.
 
     Sums of widths 1, 2, 4, ... come from doubling, each the sum of two of
     the width before, and the ones for the set bits of w are added in,
     lowest bit first, so the cost grows with log w. Integer sums are exact
     while the dtype holds them; float sums round in this order, which is
-    the same at every position. Overwrites v.
+    the same at every position. The doublings alternate between v and
+    ``spare``, which has v's rows and dtype and at least as many columns,
+    and overwrite both. The sums of a single set bit are a view of one of
+    them; sums of more are added up in ``out``, an array of v's rows and
+    k columns, if given, else in a new array. Returns the sums, and
+    whichever of v and ``spare`` does not hold them, with at least k
+    columns.
     """
-    spare = np.empty_like(v)
     total, offset, span = None, 0, 1
     while True:
         if w & span:
             sums = v[:, offset * step : offset * step + k]
             if total is None:
                 # Later doublings overwrite v, so only the last set bit's sums are kept as a view.
-                total = sums if span == w else sums.copy()
+                if span == w:
+                    total = sums
+                elif out is None:
+                    total = sums.copy()
+                else:
+                    total = out
+                    np.copyto(out, sums)
             else:
                 total += sums
             offset += span
         if 2 * span > w:
-            return total
+            return total, spare
         size = v.shape[1] - span * step
         v, spare = np.add(v[:, :size], v[:, span * step :], out=spare[:, :size]), v
         span *= 2
@@ -249,24 +315,25 @@ _VI_BAND = 1 << 15
 def vi_quality(a: SemanticMap, b: SemanticMap, levels: int) -> float:
     """Variation-of-information score on K-level quantizations, in nats.
 
-    The joint histogram of the two maps' levels is counted one band of
-    _VI_BAND pixels at a time into one integer count vector, so it holds
-    the same counts as a histogram of the whole maps.
+    Each pixel's bin is quantize_levels' bin of its value. The pixels are
+    counted by their pair of codes: a grid map's code is its level, and a
+    SOFT map's its bin. The pairs are counted one band of _VI_BAND pixels
+    at a time into one integer count vector, and each pair's count then
+    goes to its pair of bins, so the joint histogram holds the same counts
+    as a histogram of the whole maps' bins.
     """
     _check_shapes(a, b)
-    x, y = a.pixels.reshape(-1), b.pixels.reshape(-1)
-    n = x.size
-    band = min(n, _VI_BAND)
-    bx, by = np.empty(band), np.empty(band)
-    counts = 0  # the first band's histogram replaces it; _level_floor checks levels first
-    for i in range(0, n, band):
-        m = min(band, n - i)
-        # Levels are whole numbers below K, so K la + lb is exact in float64.
-        la = _level_floor(x[i : i + m], levels, out=bx[:m])
-        la *= levels
-        la += _level_floor(y[i : i + m], levels, out=by[:m])
-        counts += np.bincount(la.astype(np.intp), minlength=levels * levels)
-    joint = counts.reshape(levels, levels) / n
+    (table_a, codes_a), (table_b, codes_b) = (_vi_codes(m, levels) for m in (a, b))
+    ka, kb = len(table_a), len(table_b)
+    index = np.empty(min(a.width * a.height, _VI_BAND), np.min_scalar_type(ka * kb - 1))
+    pairs = 0  # the first band's histogram replaces it
+    for ca, cb in zip(codes_a, codes_b):
+        at = np.multiply(ca, kb, out=index[: len(ca)], dtype=index.dtype, casting="unsafe")
+        np.add(at, cb, out=at, dtype=index.dtype, casting="unsafe")
+        pairs += np.bincount(at, minlength=ka * kb)
+    # counts are whole numbers far below 2^53, so the float weights sum them exactly
+    counts = np.bincount((table_a[:, None] * levels + table_b).ravel(), weights=pairs, minlength=levels * levels)
+    joint = counts.reshape(levels, levels) / (a.width * a.height)
 
     def entropy(p: np.ndarray) -> float:
         nz = p[p > 0.0]
@@ -278,6 +345,29 @@ def vi_quality(a: SemanticMap, b: SemanticMap, levels: int) -> float:
     mutual = hx + hy - hxy
     vi = hx + hy - 2.0 * mutual
     return min(max(1.0 - vi / (2.0 * math.log(levels)), 0.0), 1.0)
+
+
+def _vi_codes(m: SemanticMap, levels: int):
+    """The bin of each of ``m``'s codes, and a generator of its codes, _VI_BAND pixels at a time.
+
+    A grid map's codes are its levels. A SOFT map's codes are its bins, as
+    whole floats in a buffer the generator reuses, and its table is the
+    identity.
+    """
+    if m.grid is not None:
+        k = _grid_size(m)
+        grid = m.grid.reshape(-1)
+        table = _level_floor(np.arange(k) / (k - 1), levels).astype(np.intp)
+        return table, (grid[i : i + _VI_BAND] for i in range(0, grid.size, _VI_BAND))
+
+    def bins():
+        pixels = m.pixels.reshape(-1)
+        scratch = np.empty(min(pixels.size, _VI_BAND))
+        for i in range(0, pixels.size, _VI_BAND):
+            part = pixels[i : i + _VI_BAND]
+            yield _level_floor(part, levels, out=scratch[: part.size])
+
+    return np.arange(levels), bins()
 
 
 def score(kind: MetricKind, a: SemanticMap, b: SemanticMap) -> float:

@@ -268,20 +268,22 @@ def test_soft_ssim_of_8_bit_maps_lies_within_2_ulps_of_exactly_rounded_window_me
 
 def test_ssim_peaks_under_one_and_a_half_arrays_of_its_size():
     # The ratio map is the one image-sized buffer; the band buffers of two
-    # SOFT maps add about 4 MB at window 8, measured at 0.46 of a 1024 x 1024
-    # float64 map: five float64 planes, the means, and the spare and sums
-    # of each _window_sums call.
+    # SOFT maps add the five float64 planes, the spare both _window_sums
+    # calls share, the means, and at a window that is not a power of two the
+    # first call's sums. Measured at 1.32, 1.38, 1.41 and 1.44 of a
+    # 1024 x 1024 float64 map at windows 8, 7, 11 and 15.
     rng = np.random.default_rng(12)
     a = SemanticMap(rng.random((1024, 1024)))
     b = SemanticMap(rng.random((1024, 1024)))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        ssim_quality(a, b)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * a.pixels.nbytes
+    for window in (8, 7, 11, 15):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ssim_quality(a, b, SsimQuality(window))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * a.pixels.nbytes, window
 
 
 def binary_pair(rng, shape, density, negative_zeros=False):
@@ -317,7 +319,8 @@ def test_binary_ssim_bits_equal_the_float_path_across_band_edges(monkeypatch, ro
             for density in (0.0, 0.01, 0.5, 0.99, 1.0):
                 assert_binary_ssim_bits_equal_the_float_path(*binary_pair(rng, (height, width), density), params)
             a, b = binary_pair(rng, (height, width), 0.5, negative_zeros=True)
-            assert np.signbit(a.pixels).any() and np.signbit(b.pixels).any()
+            # the -0.0 inputs are stored as level 0, which reads back as +0.0
+            assert not (np.signbit(a.pixels).any() or np.signbit(b.pixels).any())
             assert_binary_ssim_bits_equal_the_float_path(a, b, params)
 
 
@@ -345,6 +348,99 @@ def test_binary_ssim_peaks_under_one_and_a_half_arrays_of_its_size():
     peak = traced_peak(ssim_quality, a, b)
     assert peak < 1.5 * a.pixels.nbytes
     assert peak < traced_peak(ssim_quality, SemanticMap(a.pixels), SemanticMap(b.pixels)) - 0.1 * a.pixels.nbytes
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The window of every call to metrics._binary_ratio_table, in order."""
+    calls = []
+    build = semcom.metrics._binary_ratio_table
+
+    def counted(w):
+        calls.append(w)
+        return build(w)
+
+    monkeypatch.setattr(semcom.metrics, "_binary_ratio_table", counted)
+    return calls
+
+
+def table_side(w):
+    """The smallest side of a square map with at least (w*w + 1)^3 windows of width w: the table's rule."""
+    return w - 1 + math.isqrt((w * w + 1) ** 3 - 1) + 1
+
+
+@pytest.mark.parametrize("window", [2, 3, 4, 7, 8])
+def test_binary_ssim_through_the_ratio_table_equals_the_whole_array_oracles(table_builds, window):
+    side = table_side(window)
+    rng = np.random.default_rng(3000 + window)
+    for density in (0.05, 0.5, 0.95):
+        a, b = binary_pair(rng, (side, side + 3), density)
+        assert_binary_ssim_bits_equal_the_float_path(a, b, SsimQuality(window))
+    assert table_builds and set(table_builds) == {window}
+
+
+@pytest.mark.parametrize(
+    "shape, window, tabled",
+    [((128, 128), 4, True), ((64, 64), 8, False), ((6, 26), 2, True), ((6, 25), 2, False)],
+    ids=["128-w4", "64-w8", "125-windows", "120-windows"],
+)
+def test_binary_ssim_takes_the_table_when_the_windows_are_at_least_its_entries(table_builds, shape, window, tabled):
+    # 15,625 windows against 4,913 entries; 3,249 against 274,625; then 125
+    # and 120 windows against 125 entries.
+    a, b = binary_pair(np.random.default_rng(shape[1] * 10 + window), shape, 0.3)
+    assert_binary_ssim_bits_equal_the_float_path(a, b, SsimQuality(window))
+    assert bool(table_builds) is tabled
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("window", [2, 3])
+def test_binary_ssim_through_the_ratio_table_equals_the_oracles_across_band_edges(monkeypatch, table_builds, rows, window):
+    rng = np.random.default_rng(4000 + 10 * rows + window)
+    side = table_side(window)
+    for shape in ((side, side), (side + rows, side + 1)):
+        monkeypatch.setattr(semcom.metrics, "_BAND", rows * shape[1])
+        for density in (0.0, 0.5, 1.0):
+            assert_binary_ssim_bits_equal_the_float_path(*binary_pair(rng, shape, density), SsimQuality(window))
+        a, b = binary_pair(rng, shape, 0.5, negative_zeros=True)
+        assert_binary_ssim_bits_equal_the_float_path(a, b, SsimQuality(window))
+    assert set(table_builds) == {window}
+
+
+def test_binary_ssim_of_all_zero_all_one_and_negative_zero_maps_through_the_table(table_builds):
+    shape = (13, 14)
+    sources = [np.zeros(shape), np.ones(shape), np.full(shape, -0.0)]
+    maps = [SemanticMap(p, kind=BINARY) for p in sources]
+    for i, a in enumerate(maps):
+        for j, b in enumerate(maps):
+            if i != j:
+                assert_binary_ssim_bits_equal_the_float_path(a, b, SsimQuality(2))
+                # the SOFT maps keep the -0.0 values themselves
+                soft = ssim_quality(SemanticMap(sources[i]), SemanticMap(sources[j]), SsimQuality(2))
+                assert ssim_quality(a, b, SsimQuality(2)).hex() == soft.hex()
+    assert set(table_builds) == {2}
+
+
+def test_binary_ssim_with_a_labels_or_soft_map_keeps_the_general_kernel(table_builds):
+    # At 128 x 128 and window 4 two BINARY maps take the table.
+    rng = np.random.default_rng(128)
+    a = binary_pair(rng, (128, 128), 0.3)[0]
+    labels = grid_map(rng, (128, 128), 4)
+    soft = SemanticMap(rng.random((128, 128)))
+    params = SsimQuality(4)
+    for other in (labels, soft):
+        for x, y in ((a, other), (other, a)):
+            assert ssim_quality(x, y, params).hex() == reference_window_ssim_quality(x, y, params).hex()
+    assert table_builds == []
+
+
+def test_the_ratio_table_is_built_once_per_window_size():
+    build = semcom.metrics._binary_ratio_table
+    build.cache_clear()
+    a, b = binary_pair(np.random.default_rng(129), (128, 128), 0.3)
+    for window in (4, 4, 2, 4, 2):
+        ssim_quality(a, b, SsimQuality(window))
+    info = build.cache_info()
+    assert (info.misses, info.hits) == (2, 3)
 
 
 @pytest.fixture(scope="module")
