@@ -26,7 +26,7 @@ from .image import (
     LABELS,
     MAX_LEVELS,
     SemanticMap,
-    _grid_size,
+    _level_values,
     _lookup,
     _restore,
     _upscale,
@@ -97,8 +97,7 @@ def encode(map: SemanticMap, d: int) -> EncodedPayload:
     if map.width > _MAX_DIM or map.height > _MAX_DIM:
         raise DomainError(f"resolution exceeds the wire format limit of {_MAX_DIM}")
     if d == 1 and map.grid is not None:
-        k = _grid_size(map)
-        table = _to_bytes(np.arange(k) / (k - 1))
+        table = _to_bytes(_level_values(map))
         payload, (height, width) = _lookup(table, map.grid).tobytes(), map.shape
     else:
         small = box_downscale(map, d)
@@ -136,8 +135,8 @@ def decode(payload: EncodedPayload) -> SemanticMap:
     same_size = raw.shape == (payload.orig_height, payload.orig_width)
     if kind in _GRID_KINDS and same_size:
         # Every sample of the upscale falls on a source pixel, so each byte's level is that of its dequantized value.
-        table = np.empty(256, np.uint8)
-        _restore(np.arange(256) / 255.0, kind, levels, table)
+        values, table = np.arange(256) / 255.0, np.empty(256, np.uint8)
+        _restore(values, kind, levels, table, values)
         pixels = _lookup(table, raw)
     elif same_size:
         pixels = raw / 255.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MissingMapError, ShapeError
-from .image import BINARY, LABELS, MAX_LEVELS, SemanticMap, read_pgm, restore_kind
+from .image import _VALUE_BAND, BINARY, LABELS, MAX_LEVELS, SemanticMap, read_pgm, restore_kind
 
 # Largest Canny sigma: the blur has 2 ceil(3 sigma) + 1 taps, and its
 # scratch buffers grow with the radius.
@@ -84,11 +84,6 @@ def extractor_label(kind: ExtractorKind) -> str:
     raise DomainError(f"unknown extractor kind {kind!r}")
 
 
-# Output pixels canny and sobel_magnitude compute per band of rows; each
-# stage's band buffer is about this size, so the stages run in cache.
-_EDGE_BAND = 1 << 15
-
-
 def _new_rows(i: int, n: int, halo: int, h: int) -> tuple[int, int, int]:
     """(start, lo, hi) for a stage whose band buffer holds rows i-halo..i+n+halo.
 
@@ -151,7 +146,7 @@ def _gradient_bands(pixels: np.ndarray, sigma: float | None):
     with the next, so every row of every stage is computed once.
     """
     h, w = pixels.shape
-    band = min(max(1, _EDGE_BAND // w), h)
+    band = min(max(1, _VALUE_BAND // w), h)
     pitch = w + 2
     # gx and gy, mag, and the (blurred) source rows, each with its halo.
     shapes = [(2, band + 2, pitch), (band + 2, pitch), (band + 4, pitch)]
@@ -252,7 +247,7 @@ def canny(image: SemanticMap, params: Canny = Canny()) -> SemanticMap:
     if min(image.width, image.height) < 5:
         raise DomainError(f"canny needs min dimension >= 5, got {image.width}x{image.height}")
     h, w = image.shape
-    band = min(max(1, _EDGE_BAND // w), h)
+    band = min(max(1, _VALUE_BAND // w), h)
     kept, gmax = _suppress_non_maxima(image.pixels, params.sigma, band)
     if gmax == 0.0:
         return SemanticMap._adopt(np.zeros((h, w), np.uint8), BINARY)

@@ -29,6 +29,10 @@ _KINDS = (SOFT, BINARY, LABELS)
 # The kinds whose maps store a uint8 grid of levels.
 _GRID_KINDS = (BINARY, LABELS)
 
+# Values a banded kernel handles at a time, here and in extractors and
+# metrics: each kernel's buffers of this many values fit a core's L2 cache.
+_VALUE_BAND = 1 << 15
+
 
 @dataclass(frozen=True)
 class Resolution:
@@ -104,8 +108,8 @@ class SemanticMap:
             # the nearest level of each value, which the checks put within 1e-9 of it
             grid = np.empty(arr.shape, np.uint8)
             flat, out = arr.reshape(-1), grid.reshape(-1)
-            for i in range(0, flat.size, _CHECK_BAND):
-                np.rint(flat[i : i + _CHECK_BAND] * (_grid_size(self) - 1), out=out[i : i + _CHECK_BAND], casting="unsafe")
+            for i in range(0, flat.size, _VALUE_BAND):
+                np.rint(flat[i : i + _VALUE_BAND] * (_grid_size(self) - 1), out=out[i : i + _VALUE_BAND], casting="unsafe")
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         # a grid map's pixels are built from its grid when first read (__getattr__)
@@ -150,6 +154,12 @@ def _grid_size(map: SemanticMap) -> int:
     return map.levels if map.kind == LABELS else 2
 
 
+def _level_values(map: SemanticMap) -> np.ndarray:
+    """The value j / (K - 1) of each level j of a grid map."""
+    k = _grid_size(map)
+    return np.arange(k) / (k - 1)
+
+
 def _unpickle_map(pixels: np.ndarray, kind: str, levels: int | None) -> SemanticMap:
     # a read-only array, or one over a buffer it does not own (pickle protocol 5), is copied first
     if not (pixels.flags.writeable and pixels.flags.owndata):
@@ -160,36 +170,29 @@ def _unpickle_map(pixels: np.ndarray, kind: str, levels: int | None) -> Semantic
 def _float_rows(map: SemanticMap, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
     """Rows start..stop of ``map``'s pixels, or of values equal to them.
 
-    A view of the pixels once they exist; else a view of a BINARY map's
-    levels, which are its 0/1 values; else a LABELS map's floats, built
-    from its grid in ``out`` if given.
+    A view of a SOFT map's pixels or of a BINARY map's levels, which are
+    its 0/1 values; else a LABELS map's floats, looked up from its levels
+    into ``out`` if given.  A grid map is read through its levels whether
+    or not its pixels were built.
     """
-    pixels = map.__dict__.get("pixels")
-    if pixels is not None:
-        return pixels[start:stop]
-    if map.kind == BINARY:
-        return map.grid[start:stop]
-    k = _grid_size(map)
+    if map.grid is None:
+        return map.pixels[start:stop]
     rows = map.grid[start:stop]
-    return np.take(np.arange(k) / (k - 1), rows, out=None if out is None else out[: len(rows)], mode="clip")
-
-
-# Values of a map's pixels that SemanticMap's checks scan at a time: a
-# band and the grid check's two float64 buffers of its size take 768 KB,
-# which fits a core's L2 cache.
-_CHECK_BAND = 1 << 15
+    if map.kind == BINARY:
+        return rows
+    return np.take(_level_values(map), rows, out=None if out is None else out[: len(rows)], mode="clip")
 
 
 def _check_pixels(arr: np.ndarray, kind: str, levels: int | None) -> None:
     """Raise the first of SemanticMap's checks that a C-ordered float64 ``arr`` of ``kind`` fails.
 
-    Each check scans ``arr`` in bands of _CHECK_BAND values, and its
+    Each check scans ``arr`` in bands of _VALUE_BAND values, and its
     verdict is the whole array's; the checks keep their order.
     """
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeError(f"pixels must be a non-empty 2D array, got shape {arr.shape}")
     flat = arr.reshape(-1)
-    bands = [flat[i : i + _CHECK_BAND] for i in range(0, flat.size, _CHECK_BAND)]
+    bands = [flat[i : i + _VALUE_BAND] for i in range(0, flat.size, _VALUE_BAND)]
     in_range = True
     for band in bands:
         lo, hi = band.min(), band.max()
@@ -247,12 +250,12 @@ def _on_label_grid(bands: list[np.ndarray], levels: int) -> bool:
 def _lookup(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """table[codes] for the C-ordered integer ``codes``, as a new array of their shape.
 
-    np.take converts its indices to intp, so it takes _CHECK_BAND codes at a time.
+    np.take converts its indices to intp, so it takes _VALUE_BAND codes at a time.
     """
     out = np.empty(codes.shape, table.dtype)
     flat, dst = codes.reshape(-1), out.reshape(-1)
-    for i in range(0, flat.size, _CHECK_BAND):
-        np.take(table, flat[i : i + _CHECK_BAND], out=dst[i : i + _CHECK_BAND], mode="clip")
+    for i in range(0, flat.size, _VALUE_BAND):
+        np.take(table, flat[i : i + _VALUE_BAND], out=dst[i : i + _VALUE_BAND], mode="clip")
     return out
 
 
@@ -278,38 +281,43 @@ def restore_kind(pixels: np.ndarray, kind: str, levels: int | None) -> SemanticM
     """Coerce raw intensities back onto a kind's value set.
 
     Binary maps are re-thresholded at 0.5, labels maps re-quantized to
-    their K-level grid, soft maps passed through unchanged.  A grid map's
-    levels are computed one band of _CHECK_BAND values at a time, so its
-    grid is the only array of the image's size that is built.
+    their K-level grid, and any other kind goes to the constructor as
+    given, so ``kind`` and ``levels`` pass the constructor's checks or
+    raise its ``DomainError``.  A grid map's levels are computed from the
+    caller's values, read where they are and never written, one band of
+    _VALUE_BAND values at a time, so its grid is the only array of the
+    image's size that is built.
     """
     if kind not in _GRID_KINDS:
-        return SemanticMap(pixels, kind=SOFT)
+        return SemanticMap(pixels, kind=kind, levels=levels)
+    _check_level_count(kind, levels)
     arr = np.asarray(pixels, dtype=np.float64)
     grid = np.empty(arr.shape, np.uint8)
     flat, out = arr.reshape(-1), grid.reshape(-1)
-    scratch = np.empty(min(flat.size, _CHECK_BAND))
-    for i in range(0, flat.size, _CHECK_BAND):
-        band = scratch[: min(_CHECK_BAND, flat.size - i)]
-        np.copyto(band, flat[i : i + band.size])
+    scratch = np.empty(min(flat.size, _VALUE_BAND))
+    for i in range(0, flat.size, _VALUE_BAND):
+        band = flat[i : i + _VALUE_BAND]
         # min propagates NaN; a NaN or negative value bins below level 0
-        if kind == LABELS and not (levels is not None and 2 <= levels <= MAX_LEVELS and band.min() >= 0.0):
+        if kind == LABELS and not band.min() >= 0.0:
             # the error that the checks of the restored floats give
             _check_pixels(_level_floor(arr, levels) / (levels - 1), kind, levels)
-        _restore(band, kind, levels, out[i : i + band.size])
-    return SemanticMap._adopt(grid, kind, levels if kind == LABELS else None)
+        _restore(band, kind, levels, out[i : i + band.size], scratch[: band.size])
+    return SemanticMap._adopt(grid, kind, levels)
 
 
-def _restore(arr: np.ndarray, kind: str, levels: int | None, out: np.ndarray) -> None:
+def _restore(arr: np.ndarray, kind: str, levels: int | None, out: np.ndarray, scratch: np.ndarray) -> None:
     """restore_kind's level of each value of the float64 ``arr`` of a grid ``kind``, into the uint8 ``out``.
 
-    Overwrites ``arr``.  For a LABELS ``kind``, ``levels`` lies in
-    [2, MAX_LEVELS] and no value of ``arr`` is NaN or negative.
+    A LABELS ``kind`` bins ``arr`` in ``scratch``, a float64 array of its
+    size that may be ``arr`` itself; ``levels`` then lies in [2,
+    MAX_LEVELS] and no value of ``arr`` is NaN or negative.  A BINARY
+    ``kind`` reads ``arr`` only.
     """
     if kind == BINARY:
         np.greater_equal(arr, 0.5, out=out)
     else:
         # _level_floor's bins, floored straight into ``out``
-        bins = np.minimum(arr, 1.0 - 1e-9, out=arr)
+        bins = np.minimum(arr, 1.0 - 1e-9, out=scratch)
         bins *= levels
         np.floor(bins, out=out, casting="unsafe")
 
@@ -378,9 +386,9 @@ def box_downscale(map: SemanticMap, d: int) -> SemanticMap:
     reduceat block: its first row (or column) plus numpy's pairwise sum
     of the rest (``_pairwise``).  They are formed one band of output rows
     at a time, so the only full-size buffer is the output.  A grid map
-    whose pixels have not been read gives each band from its grid: a
-    LABELS map its floats, and a BINARY map its uint8 levels, whose sums
-    are whole numbers that every summation order gives exactly.
+    gives each band from its grid, whether or not its pixels were read:
+    a LABELS map its floats, and a BINARY map its uint8 levels, whose
+    sums are whole numbers that every summation order gives exactly.
     ``tests/test_image.py::test_box_downscale_bits_equal_reduceat`` pins
     the bytes against the ``reduceat`` form, so a numpy release that
     changes its summation order fails there.
@@ -392,7 +400,7 @@ def box_downscale(map: SemanticMap, d: int) -> SemanticMap:
     h, w = map.shape
     sums = np.empty((-(-h // d), -(-w // d)))
     band = max(1, _BAND // w)
-    scratch = None if map.grid is None else np.empty((min(band * d, h), w))
+    scratch = np.empty((min(band * d, h), w)) if map.kind == LABELS else None
     for i in range(0, sums.shape[0], band):
         rows = _block_sums(_float_rows(map, i * d, (i + band) * d, scratch), d)
         _block_sums(rows.T, d, out=sums[i : i + band].T)
@@ -507,7 +515,7 @@ def _upscale(arr: np.ndarray, th: int, tw: int, kind: str, levels: int | None) -
     # every gather C-ordered.  The indices lie in range by construction;
     # mode="clip" lets np.take write into its ``out`` argument directly,
     # where the default mode buffers the write.
-    band = max(1, _UPSCALE_BAND // tw)
+    band = max(1, _VALUE_BAND // tw)
     starts = np.arange(0, th, band)
     # the source rows lo..hi that each band of output rows reads
     los, his = y0[starts], y1[np.minimum(starts + band, th) - 1] + 1
@@ -541,12 +549,8 @@ def _upscale(arr: np.ndarray, th: int, tw: int, kind: str, levels: int | None) -
         part *= fy[i : i + band]
         part += top
         if grid:
-            _restore(part, kind, levels, out[i : i + band])
+            _restore(part, kind, levels, out[i : i + band], part)
     return out
-
-
-# Elements of the output rows _upscale builds at a time.
-_UPSCALE_BAND = 1 << 15
 
 
 def downscaled_resolution(width: int, height: int, d: int) -> Resolution:

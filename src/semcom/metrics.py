@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, TooSmallError
-from .image import BINARY, LABELS, MAX_LEVELS, SOFT, SemanticMap, _grid_size, _level_floor
+from .image import _VALUE_BAND, BINARY, LABELS, MAX_LEVELS, SOFT, SemanticMap, _level_floor, _level_values
 
 
 @dataclass(frozen=True)
@@ -117,25 +117,26 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
 
     Each map is scored on a plane: a SOFT map's own values, or the levels
     of a map on a K-level grid, BINARY (K = 2) or LABELS, copied from its
-    grid. The planes x, y and xy, and the square of each map that is not
-    BINARY (a 0/1 level is its own square), are built one band of output
-    rows at a time. Their window sums are summed down the columns and then
-    along the rows by doubling (``_window_sums``), and each mean is its
-    sum divided by w*w times its plane's scale, rounded once: 1 for a SOFT
-    map and K - 1 for a grid map, their product for xy and their squares
-    for x^2 and y^2. When either map is SOFT the planes are float64, and
-    the sums round in the doubling order, which no band edge changes. Two
-    grid maps' planes take the smallest unsigned dtype that holds the
-    largest window sum, w*w max(Kx - 1, Ky - 1)^2, so every sum is exact.
+    grid. The five planes x, y, xy, x^2 and y^2 are built one band of
+    output rows at a time. Their window sums are summed down the columns
+    and then along the rows by doubling (``_window_sums``), and each mean
+    is its sum divided by w*w times its plane's scale, rounded once: 1 for
+    a SOFT map and K - 1 for a grid map, their product for xy and their
+    squares for x^2 and y^2. When either map is SOFT the planes are
+    float64, and the sums round in the doubling order, which no band edge
+    changes. Two grid maps' planes take the smallest unsigned dtype that
+    holds the largest window sum, w*w max(Kx - 1, Ky - 1)^2, so every sum
+    is exact.
 
-    Two BINARY maps' ratio depends only on the window's three sums, each
-    at most w*w, so it is looked up in a table of ``_ssim_ratio`` over
-    the triples a window can have (``_binary_ratio_table``) when the map
-    has at least (w*w + 1)^3 windows, one per triple in [0, w*w]^3: the
-    table is then smaller than the ratio map, and its build is spread over
-    that many windows. Only the ratio map is image-sized, and one
-    ``np.mean`` over all of it keeps numpy's pairwise summation, so the
-    score has the same bits as the whole-array form.
+    Two BINARY maps' ratio depends only on the window's sums of x, y and
+    xy, each at most w*w, so it is looked up in a table of ``_ssim_ratio``
+    over the triples a window can have (``_binary_ratio_table``) when the
+    map has at least (w*w + 1)^3 windows, one per triple in [0, w*w]^3:
+    the table is then smaller than the ratio map, and its build is spread
+    over that many windows; it then builds those three planes alone. Only
+    the ratio map is image-sized, and one ``np.mean`` over all of it keeps
+    numpy's pairwise summation, so the score has the same bits as the
+    whole-array form.
     """
     _check_shapes(a, b)
     w = params.window
@@ -147,16 +148,15 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
     ratio = np.empty(windows)
     band = min(max(1, _BAND // width), len(ratio))
     sx, sy = (m.levels - 1 if m.kind == LABELS else 1 for m in (a, b))
-    # Planes x, y and xy, then the square of each map that is not BINARY.
-    squared = [i for i, m in enumerate((a, b)) if m.kind != BINARY]
-    scales = [sx, sy, sx * sy] + [(sx, sy)[i] ** 2 for i in squared]
+    # the planes x, y, xy, x^2 and y^2; the table reads the first three
+    scales = (sx, sy, sx * sy, sx * sx, sy * sy)
     # Two grid maps' window sums reach w*w max(sx, sy)^2, and the smallest
     # unsigned dtype that holds it keeps every sum exact: for two BINARY maps,
     # uint8 up to w = 15, uint16 up to 255, then uint32. With K <= 255 and w
     # at most the map's side, a sum passes 2^53 only beyond about 373,000
     # pixels a side.
     dtype = np.float64 if SOFT in (a.kind, b.kind) else np.min_scalar_type(w * w * max(sx, sy) ** 2)
-    planes = np.empty((len(scales), (band + w - 1) * width), dtype)
+    planes = np.empty((3 if table is not None else 5, (band + w - 1) * width), dtype)
     spare = np.empty_like(planes)
     if table is not None:
         start, ratios = table
@@ -174,8 +174,8 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
             src = m.pixels if m.grid is None else m.grid
             np.copyto(v[j], src[i : i + n + w - 1].reshape(-1))
         np.multiply(v[0], v[1], out=v[2])
-        for j, p in enumerate(squared, 3):
-            np.multiply(v[p], v[p], out=v[j])
+        if table is None:
+            np.multiply(v[:2], v[:2], out=v[3:])
         k = (n - 1) * width + ratio.shape[1]
         sums, free = _window_sums(v, w, width, n * width, spare)
         if table is not None:
@@ -191,13 +191,9 @@ def ssim_quality(a: SemanticMap, b: SemanticMap, params: SsimQuality = SsimQuali
         # of more than one set bit of w add up in those rows: exactly, for
         # integers below 2^53, and in the same order for floats.
         m = means[:, :k]
-        sums = _window_sums(sums, w, 1, k, free, m[: len(scales)])[0]
+        sums = _window_sums(sums, w, 1, k, free, m)[0]
         for j, scale in enumerate(scales):
             np.divide(sums[j], w * w * scale, out=m[j])
-        if squared == [1]:
-            m[4] = m[3]  # the square of y, beside a BINARY x
-        for j in {0, 1} - set(squared):
-            m[3 + j] = m[j]
         _ssim_ratio(means[:, : n * width], scratch, ratio[i : i + n])
     return min(max(float(np.mean(ratio)), 0.0), 1.0)
 
@@ -308,16 +304,12 @@ def _ssim_ratio(means: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None
     np.divide(grid[2], grid[0], out=out)
 
 
-# Pixels of each map vi_quality bins at a time.
-_VI_BAND = 1 << 15
-
-
 def vi_quality(a: SemanticMap, b: SemanticMap, levels: int) -> float:
     """Variation-of-information score on K-level quantizations, in nats.
 
     Each pixel's bin is quantize_levels' bin of its value. The pixels are
     counted by their pair of codes: a grid map's code is its level, and a
-    SOFT map's its bin. The pairs are counted one band of _VI_BAND pixels
+    SOFT map's its bin. The pairs are counted one band of _VALUE_BAND pixels
     at a time into one integer count vector, and each pair's count then
     goes to its pair of bins, so the joint histogram holds the same counts
     as a histogram of the whole maps' bins.
@@ -325,7 +317,7 @@ def vi_quality(a: SemanticMap, b: SemanticMap, levels: int) -> float:
     _check_shapes(a, b)
     (table_a, codes_a), (table_b, codes_b) = (_vi_codes(m, levels) for m in (a, b))
     ka, kb = len(table_a), len(table_b)
-    index = np.empty(min(a.width * a.height, _VI_BAND), np.min_scalar_type(ka * kb - 1))
+    index = np.empty(min(a.width * a.height, _VALUE_BAND), np.min_scalar_type(ka * kb - 1))
     pairs = 0  # the first band's histogram replaces it
     for ca, cb in zip(codes_a, codes_b):
         at = np.multiply(ca, kb, out=index[: len(ca)], dtype=index.dtype, casting="unsafe")
@@ -348,23 +340,22 @@ def vi_quality(a: SemanticMap, b: SemanticMap, levels: int) -> float:
 
 
 def _vi_codes(m: SemanticMap, levels: int):
-    """The bin of each of ``m``'s codes, and a generator of its codes, _VI_BAND pixels at a time.
+    """The bin of each of ``m``'s codes, and a generator of its codes, _VALUE_BAND pixels at a time.
 
     A grid map's codes are its levels. A SOFT map's codes are its bins, as
     whole floats in a buffer the generator reuses, and its table is the
     identity.
     """
     if m.grid is not None:
-        k = _grid_size(m)
         grid = m.grid.reshape(-1)
-        table = _level_floor(np.arange(k) / (k - 1), levels).astype(np.intp)
-        return table, (grid[i : i + _VI_BAND] for i in range(0, grid.size, _VI_BAND))
+        table = _level_floor(_level_values(m), levels).astype(np.intp)
+        return table, (grid[i : i + _VALUE_BAND] for i in range(0, grid.size, _VALUE_BAND))
 
     def bins():
         pixels = m.pixels.reshape(-1)
-        scratch = np.empty(min(pixels.size, _VI_BAND))
-        for i in range(0, pixels.size, _VI_BAND):
-            part = pixels[i : i + _VI_BAND]
+        scratch = np.empty(min(pixels.size, _VALUE_BAND))
+        for i in range(0, pixels.size, _VALUE_BAND):
+            part = pixels[i : i + _VALUE_BAND]
             yield _level_floor(part, levels, out=scratch[: part.size])
 
     return np.arange(levels), bins()

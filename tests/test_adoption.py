@@ -257,6 +257,23 @@ def test_a_noisy_restore_keeps_levels_whose_pixels_are_the_float_restore(monkeyp
     assert_grid_storage(scored[0], legacy_restore_kind(np.clip(recon.pixels + noise, 0.0, 1.0), recon.kind, recon.levels).pixels)
 
 
+@pytest.mark.parametrize("extractor", [Canny(), QuantizeSegmentation(4)], ids=["binary", "labels"])
+def test_a_grid_map_is_read_through_its_levels_after_its_pixels_are_read(extractor):
+    # Other floats in place of the kept pixels change nothing that reads the map through its levels.
+    svc = ServiceSpec(id="n", extractor=extractor, metric=MseQuality(), sigma_gen=0.2)
+    core = QualityCore(svc, _IMAGE)
+    ref = core.reference
+    m, fresh = (SemanticMap._adopt(ref.grid.copy(), ref.kind, ref.levels) for _ in range(2))
+    other = 1.0 - m.pixels
+    other.setflags(write=False)
+    object.__setattr__(m, "pixels", other)
+    for d in (2, 3, 10):
+        assert encode(m, d).payload == encode(fresh, d).payload, d
+    for seed in (4, 5):
+        scored = core.score_reconstruction(m, stream(seed, "gen"))
+        assert scored.hex() == core.score_reconstruction(fresh, stream(seed, "gen")).hex()
+
+
 def test_the_constructor_keeps_the_nearest_level_of_grid_input():
     # -0.0, and values within 1e-9 of the grid, read back on the grid
     binary = SemanticMap(np.array([[-0.0, 1.0], [0.0, -0.0]]), kind=BINARY)

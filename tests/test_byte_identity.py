@@ -58,12 +58,11 @@ ORACLES = [
 # Elements per band (gaps per batch for the channel): odd, and a few rows
 # of the 61- to 96-pixel-wide maps, so that bands end mid-map.
 BANDS = [
-    (semcom.extractors, "_EDGE_BAND", 251),
+    (semcom.extractors, "_VALUE_BAND", 251),
     (semcom.image, "_BAND", 199),
-    (semcom.image, "_UPSCALE_BAND", 211),
-    (semcom.image, "_CHECK_BAND", 97),
+    (semcom.image, "_VALUE_BAND", 211),
     (semcom.metrics, "_BAND", 233),
-    (semcom.metrics, "_VI_BAND", 127),
+    (semcom.metrics, "_VALUE_BAND", 127),
     (semcom.channel, "_GAP_BATCH", 37),
 ]
 

@@ -113,7 +113,7 @@ def kind_maps(shape, rng):
 def test_decode_bytes_equal_the_first_restore_path_across_band_edges(monkeypatch, shape, band_rows):
     # Each band of output rows is lerped and restored before the next; a
     # band that ends mid-map, or a last band left unrestored, shows here.
-    monkeypatch.setattr(semcom.image, "_UPSCALE_BAND", band_rows * shape[1])
+    monkeypatch.setattr(semcom.image, "_VALUE_BAND", band_rows * shape[1])
     for m in kind_maps(shape, np.random.default_rng(shape[0] * 1000 + shape[1])):
         for d in range(1, 11):
             payload = encode(m, d)

@@ -110,7 +110,7 @@ def test_blur_and_gradients_equal_literal_loops_exactly(monkeypatch, shape, sigm
     want_gx, want_gy = reference_sobel_gradients(blurred)
     want_mag = np.pad(np.hypot(want_gx, want_gy), 1, mode="edge")
     for rows in (1, 3, 64):
-        monkeypatch.setattr(semcom.extractors, "_EDGE_BAND", rows * shape[1])
+        monkeypatch.setattr(semcom.extractors, "_VALUE_BAND", rows * shape[1])
         done = 0
         for i, gx, gy, mag in _gradient_bands(img, sigma):
             n = len(gx)
@@ -135,7 +135,7 @@ def edge_pin_maps(h, w):
 @pytest.mark.parametrize("rows", [1, 2, 3, 64])
 @pytest.mark.parametrize("w", [5, 7, 300])
 def test_banded_extractors_equal_whole_array_forms_bit_for_bit(monkeypatch, rows, w):
-    monkeypatch.setattr(semcom.extractors, "_EDGE_BAND", rows * w)
+    monkeypatch.setattr(semcom.extractors, "_VALUE_BAND", rows * w)
     for params in (Canny(), Canny(sigma=3.0), Canny(low=0.05, high=0.5, sigma=0.5)):
         radius = math.ceil(3.0 * params.sigma)
         for h in sorted({5, 6, radius + 1, rows - 1, rows, rows + 1, 2 * rows + 1}):

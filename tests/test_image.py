@@ -101,7 +101,7 @@ _CHECK_CASES = {
 @pytest.mark.parametrize("case", sorted(_CHECK_CASES))
 def test_map_checks_give_the_whole_array_verdicts_across_band_edges(monkeypatch, band, case):
     # Same kept bytes, or the same error type and message, as the checks on the whole array.
-    monkeypatch.setattr(semcom.image, "_CHECK_BAND", band)
+    monkeypatch.setattr(semcom.image, "_VALUE_BAND", band)
     pixels, kind, levels = _CHECK_CASES[case]
     assert map_verdict(SemanticMap, pixels, kind, levels) == map_verdict(reference_stored, pixels, kind, levels)
 
@@ -110,7 +110,7 @@ def test_map_checks_give_the_whole_array_verdicts_across_band_edges(monkeypatch,
 @pytest.mark.parametrize("case", sorted(_CHECK_CASES))
 def test_an_adopted_array_gets_the_constructors_verdict(monkeypatch, band, case):
     # _adopt keeps the array it is given, so each call gets a fresh float64 copy.
-    monkeypatch.setattr(semcom.image, "_CHECK_BAND", band)
+    monkeypatch.setattr(semcom.image, "_VALUE_BAND", band)
     pixels, kind, levels = _CHECK_CASES[case]
     adopted = map_verdict(SemanticMap._adopt, np.array(pixels, dtype=np.float64), kind, levels)
     assert adopted == map_verdict(SemanticMap, pixels, kind, levels)
@@ -440,7 +440,7 @@ def test_bilinear_bits_equal_literal_loop_across_band_edges(monkeypatch, rows, w
     # Source and target heights of one row, a band less or more one row, one
     # band, and two bands and a row: both passes cross band edges, and 1 x n
     # sources, shrinking and same-size targets are among the cases.
-    monkeypatch.setattr(semcom.image, "_UPSCALE_BAND", rows * tw)
+    monkeypatch.setattr(semcom.image, "_VALUE_BAND", rows * tw)
     heights = sorted({n for n in (1, rows - 1, rows, rows + 1, 2 * rows + 1) if n >= 1})
     rng = np.random.default_rng(100 * rows + w)
     for h in heights:
@@ -517,6 +517,33 @@ def test_restore_kind_binary_and_labels():
     l = restore_kind(raw, LABELS, 3)
     assert l.kind == LABELS and l.levels == 3
     assert np.array_equal(l.pixels, [[0.0, 0.5, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "kind, levels, message",
+    [
+        ("weird", None, "unknown map kind 'weird'"),
+        (BINARY, 3, "levels is only meaningful for labels maps"),
+        (SOFT, 3, "levels is only meaningful for labels maps"),
+        (LABELS, None, "labels map needs a level count K >= 2"),
+        (LABELS, 0, "labels map needs a level count K >= 2"),
+        (LABELS, 1, "labels map needs a level count K >= 2"),
+        (LABELS, 256, "labels map level count K must be <= 255, got 256"),
+    ],
+)
+def test_restore_kind_rejects_a_kind_and_level_count_the_constructor_rejects(kind, levels, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        restore_kind(np.array([[0.2, 0.5, 0.9]]), kind, levels)
+
+
+def test_restore_kind_reads_the_callers_values_in_place():
+    values = np.random.default_rng(9).random((40, 50))
+    values.setflags(write=False)
+    before = values.tobytes()
+    for kind, levels in ((BINARY, None), (LABELS, 4), (LABELS, 255)):
+        restored = restore_kind(values, kind, levels)
+        assert restored.pixels.tobytes() == legacy_restore_kind(values, kind, levels).pixels.tobytes()
+    assert values.tobytes() == before
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 8, 255])

@@ -553,7 +553,7 @@ def quantized_pair(rng, shape, k):
 def test_vi_bits_equal_first_vectorised_form_across_band_edges(monkeypatch, band, k):
     # Pixel counts of a band less or more one, one band, two bands and one,
     # and many bands with a short last one.
-    monkeypatch.setattr(semcom.metrics, "_VI_BAND", band)
+    monkeypatch.setattr(semcom.metrics, "_VALUE_BAND", band)
     rng = np.random.default_rng(1000 * band + k)
     shapes = [(1, band + 1), (band, 1), (2 * band + 1, 1), (9, 13), (31, 5)]
     if band > 1:
